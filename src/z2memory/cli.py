@@ -20,7 +20,6 @@ from . import __version__
 from .eigensolve import (
     SCAN_MAX_SITES,
     adiabatic_time_estimate,
-    full_spectrum,
     lowest_eigenpairs,
     superposed_state,
 )
@@ -50,7 +49,7 @@ from .rvb import (
     t_operator_apply,
     t_operator_moments,
 )
-from .thermal import build_w_matrix, default_kt_grid, gibbs_from_spectrum
+from .thermal import default_kt_grid, thermal_scan
 
 import numpy as np
 
@@ -240,13 +239,7 @@ def _cmd_superpose(args) -> int:
 
 def _cmd_thermal(args) -> int:
     grid = default_kt_grid(args.kt_min, args.kt_max, args.kt_points)
-    spectrum = full_spectrum(build_tfim(args.n, args.lam))
-
-    def work(kt):
-        g = gibbs_from_spectrum(spectrum, args.lam, float(kt))
-        return float(kt), build_w_matrix(g).e1
-
-    results = sorted(_parallel_map(work, grid, args.threads))
+    results = thermal_scan(args.lam, args.n, grid)
     flags = (
         f"thermal --n {args.n} --lambda {_flag(args.lam)} --kt-min {_flag(args.kt_min)}"
         f" --kt-max {_flag(args.kt_max)} --kt-points {args.kt_points}"

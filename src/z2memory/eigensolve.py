@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import eigh
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
@@ -138,7 +139,7 @@ def _sector_lowest(op: _SectorOperator, count: int, tol: float) -> list[np.ndarr
     if op.dim <= DENSE_SECTOR_DIM:
         eye = np.eye(op.dim)
         mat = np.column_stack([op.matvec(eye[:, j]) for j in range(op.dim)])
-        _, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+        _, vecs = eigh((mat + mat.T) / 2.0)
         return [np.ascontiguousarray(vecs[:, j]) for j in range(count)]
 
     sector_tag = 0 if op.sign > 0 else 1
@@ -274,7 +275,13 @@ class FullSpectrum:
 
 
 def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
-    """Dense eigendecomposition, feasible up to FULL_SPECTRUM_MAX_SITES."""
+    """Dense eigendecomposition, feasible up to FULL_SPECTRUM_MAX_SITES.
+
+    Every eigenvector residual ||H u_i - E_i u_i|| stays below
+    RESIDUAL_BOUND and the basis is orthonormal within ORTHONORMALITY_TOL,
+    else ContractError: any state diagonal in this basis then commutes with
+    H up to twice the worst residual.
+    """
     if h.n_sites > FULL_SPECTRUM_MAX_SITES:
         raise CapabilityError(
             f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
@@ -282,7 +289,15 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
     dim = h.dim
     eye = np.eye(dim)
     mat = np.column_stack([h.apply(eye[:, j]) for j in range(dim)])
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    vals, vecs = eigh((mat + mat.T) / 2.0)
+    residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
+    if residual >= RESIDUAL_BOUND:
+        raise ContractError(
+            f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
+        )
+    drift = float(np.abs(vecs.T @ vecs - eye).max())
+    if drift > ORTHONORMALITY_TOL:
+        raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
     return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals, basis=vecs)
 
 

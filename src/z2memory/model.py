@@ -116,6 +116,11 @@ class StabilizerReport:
     logical_commutation_residuals: tuple[float, float, float]
 
 
+def _phase_diagonal(n_sites: int) -> np.ndarray:
+    """Diagonal of the logical phase, sigma_z on site 1 (bit N-1)."""
+    return 1.0 - 2.0 * ((np.arange(1 << n_sites) >> (n_sites - 1)) & 1)
+
+
 def stabilizer_check(n_sites: int) -> StabilizerReport:
     """Verify the bond-stabilizer algebra with explicit sparse matrices.
 
@@ -143,7 +148,7 @@ def stabilizer_check(n_sites: int) -> StabilizerReport:
     flip = sp.csr_matrix(
         (np.ones(dim), (idx, dim - 1 - idx)), shape=(dim, dim)
     )
-    phase = sp.diags(1.0 - 2.0 * (idx & 1)).tocsr()  # sigma_z on site 1
+    phase = sp.diags(_phase_diagonal(n_sites)).tocsr()
 
     prod = bonds[0]
     for b in bonds[1:-1]:

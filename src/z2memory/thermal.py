@@ -6,7 +6,8 @@ under the trace inner product.  Its largest eigenvalue e1 plays the role
 the VCM spectrum plays for pure states: it bounds how strongly any
 additive operator fails to commute with rho, collapses to zero on the
 maximally mixed state, and reduces to twice the real part of the VCM on a
-pure state.
+pure state.  W is computed in an eigenbasis of rho, so a temperature scan
+works in the energy eigenbasis of H and never forms rho.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from .errors import ContractError, DomainError
 from .eigensolve import FullSpectrum, full_spectrum
 from .macroscopicity import CorrelationKind, CorrelationMatrix
 from .model import TfimHamiltonian, build_tfim
-from .pauli import _apply_axis
+from .pauli import PauliAxis, _apply_axis
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 COMMUTE_TOL = 1e-8
-_ROW_CACHE_BYTES = 64 * 1024 * 1024
 
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
@@ -39,7 +39,8 @@ class GibbsState:
     The constructor renormalizes the trace to exactly 1 and records the
     size of the correction; Hermiticity, positivity, and commutation with
     the Hamiltonian rebuilt from (n_sites, lam) are all verified here, so
-    a constructed instance is safe to hand to the coherence analysis.
+    a constructed instance is safe to hand to the coherence analysis.  Its
+    eigensystem is kept: ascending ``weights``, columns of ``eigenbasis``.
     """
 
     n_sites: int
@@ -47,6 +48,8 @@ class GibbsState:
     kT: float
     rho: np.ndarray
     trace_correction: float = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    eigenbasis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = 1 << self.n_sites
@@ -61,25 +64,27 @@ class GibbsState:
         drift = float(np.abs(mat - mat.conj().T).max())
         if drift > HERMITICITY_TOL:
             raise ContractError(f"rho fails Hermiticity by {drift:.3e}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < EIGENVALUE_FLOOR:
-            raise ContractError(f"rho has negative eigenvalue {smallest:.3e}")
-        h = build_tfim(self.n_sites, self.lam)
-        h_rho = _left_apply(h, mat)
+        weights, eigenbasis = np.linalg.eigh(mat)
+        if weights[0] < EIGENVALUE_FLOOR:
+            raise ContractError(f"rho has negative eigenvalue {weights[0]:.3e}")
+        h_rho = _left_apply(build_tfim(self.n_sites, self.lam), mat)
         # rho H = (H rho)^dagger for Hermitian factors
         commute = float(np.abs(h_rho - h_rho.conj().T).max())
         if commute > COMMUTE_TOL:
             raise ContractError(f"rho fails to commute with H by {commute:.3e}")
-        mat.flags.writeable = False
+        for arr in (mat, weights, eigenbasis):
+            arr.flags.writeable = False
         object.__setattr__(self, "rho", mat)
         object.__setattr__(self, "kT", float(self.kT))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "trace_correction", correction)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "eigenbasis", eigenbasis)
 
     def energy(self) -> float:
         """Tr(rho H) for the Hamiltonian this state was built against."""
-        h = build_tfim(self.n_sites, self.lam)
-        return float(np.trace(_left_apply(h, self.rho)).real)
+        h_rho = _left_apply(build_tfim(self.n_sites, self.lam), self.rho)
+        return float(np.trace(h_rho).real)
 
 
 def _left_apply(h: TfimHamiltonian, mat: np.ndarray) -> np.ndarray:
@@ -97,17 +102,45 @@ def _check_temperature(kT: float) -> float:
     return kT
 
 
-def gibbs_from_spectrum(spectrum: FullSpectrum, lam: float, kT: float) -> GibbsState:
-    """Thermal state assembled from a precomputed eigendecomposition.
-
-    Boltzmann weights are taken relative to the ground energy so nothing
-    overflows; underflow of the highest levels is harmless and ignored.
-    """
-    kT = _check_temperature(kT)
-    shifted = spectrum.eigenvalues - spectrum.eigenvalues[0]
+def _boltzmann_weights(energies: np.ndarray, kT: float) -> np.ndarray:
+    """exp(-E_i/kT)/Z, relative to the ground energy so nothing overflows."""
     with np.errstate(under="ignore"):
-        weights = np.exp(-shifted / kT)
-    weights /= weights.sum()
+        weights = np.exp(-(energies - energies[0]) / kT)
+    return weights / weights.sum()
+
+
+def _w_matrices(weight_sets, basis: np.ndarray, n: int) -> list[CorrelationMatrix]:
+    """W of rho = sum_i p_i |u_i><u_i| for each p in ``weight_sets``, u_i the
+    orthonormal columns of ``basis``: Tr([rho, A]^dagger [rho, B]) equals
+    sum_ij (p_i - p_j)^2 conj(A_ij) B_ij.  The table holds U^dagger s U for
+    s = sigma_x, -i sigma_y = sigma_x sigma_z, sigma_z, real whenever U is;
+    sigma_y's i returns as a phase on G G^dagger, G = table * |p_i - p_j|.
+    """
+    left = basis.conj().T
+    table = np.empty((3 * n, *basis.shape), dtype=basis.dtype)
+    for site in range(1, n + 1):
+        z = _apply_axis(basis, n, PauliAxis.Z, site)
+        row = 3 * (site - 1)
+        np.matmul(left, _apply_axis(basis, n, PauliAxis.X, site), out=table[row])
+        np.matmul(left, _apply_axis(z, n, PauliAxis.X, site), out=table[row + 1])
+        np.matmul(left, z, out=table[row + 2])
+    table = table.reshape(3 * n, -1)
+    phase = np.tile([1.0, 1.0j, 1.0], n)
+    g = np.empty_like(table)
+    out = []
+    for p in weight_sets:
+        np.multiply(table, np.abs(p[:, None] - p[None, :]).reshape(-1), out=g)
+        # g @ g.T on one buffer takes BLAS's symmetric rank-k update
+        gram = g.conj() @ g.T if np.iscomplexobj(g) else g @ g.T
+        w = phase.conj()[:, None] * gram * phase
+        out.append(CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w))
+    return out
+
+
+def gibbs_from_spectrum(spectrum: FullSpectrum, lam: float, kT: float) -> GibbsState:
+    """Thermal state assembled from a precomputed eigendecomposition."""
+    kT = _check_temperature(kT)
+    weights = _boltzmann_weights(spectrum.eigenvalues, kT)
     rho = (spectrum.basis * weights) @ spectrum.basis.T
     return GibbsState(
         n_sites=spectrum.n_sites, lam=lam, kT=kT, rho=rho.astype(np.complex128)
@@ -124,47 +157,13 @@ def build_w_matrix(rho: GibbsState) -> CorrelationMatrix:
     """Gram matrix of the commutators [rho, s_a(l)] in the trace inner
     product, eigen-decomposed descending.
 
-    Entry (a,l),(b,m) equals Tr([rho, s_a(l)] [s_b(m), rho]).  The 3N
-    commutator matrices are cached flat when they fit in a fixed byte
-    budget, otherwise rebuilt blockwise.
+    Entry (a,l),(b,m) equals Tr([rho, s_a(l)] [s_b(m), rho]), computed in
+    the eigenbasis of rho that the GibbsState checks already found.
     """
-    mat = rho.rho
-    n = rho.n_sites
-    tr = complex(np.trace(mat))
+    tr = complex(np.trace(rho.rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ContractError(f"W needs a trace-1 density matrix, trace is {tr!r}")
-
-    side = 3 * n
-    dim = mat.shape[0]
-
-    def commutator_flat(row: int) -> np.ndarray:
-        site_index, axis = divmod(row, 3)
-        a = _apply_axis(mat, n, axis, site_index + 1)  # sigma(row) @ rho
-        return (a.conj().T - a).reshape(-1)  # [rho, sigma], anti-Hermitian
-
-    bytes_per_row = dim * dim * 16
-    if side * bytes_per_row <= _ROW_CACHE_BYTES:
-        flat = np.empty((side, dim * dim), dtype=np.complex128)
-        for r in range(side):
-            flat[r] = commutator_flat(r)
-        w = flat.conj() @ flat.T
-    else:
-        rows_per_block = max(1, _ROW_CACHE_BYTES // (2 * bytes_per_row))
-        edges = list(range(0, side, rows_per_block)) + [side]
-        w = np.empty((side, side), dtype=np.complex128)
-        for bi in range(len(edges) - 1):
-            i0, i1 = edges[bi], edges[bi + 1]
-            fi = np.vstack([commutator_flat(r) for r in range(i0, i1)])
-            for bj in range(bi, len(edges) - 1):
-                j0, j1 = edges[bj], edges[bj + 1]
-                fj = fi if bj == bi else np.vstack(
-                    [commutator_flat(r) for r in range(j0, j1)]
-                )
-                block = fi.conj() @ fj.T
-                w[i0:i1, j0:j1] = block
-                if bj != bi:
-                    w[j0:j1, i0:i1] = block.conj().T
-    return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w)
+    return _w_matrices([rho.weights], rho.eigenbasis, rho.n_sites)[0]
 
 
 def default_kt_grid(
@@ -183,7 +182,9 @@ def default_kt_grid(
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     """e1 of the commutator Gram matrix across a temperature grid.
 
-    One eigendecomposition of H is shared by every grid point.
+    Every point reweights one eigendecomposition of H.  GibbsState's checks
+    hold by construction: the weights are nonnegative with sum 1, and the
+    checks in full_spectrum bound ||[rho, H]|| by twice the worst residual.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()
@@ -195,8 +196,6 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("temperature grid must be strictly ascending")
     spectrum = full_spectrum(build_tfim(n, lam))
-    out = []
-    for kT in grid:
-        g = gibbs_from_spectrum(spectrum, lam, float(kT))
-        out.append((float(kT), build_w_matrix(g).e1))
-    return out
+    weights = [_boltzmann_weights(spectrum.eigenvalues, kT) for kT in grid]
+    ws = _w_matrices(weights, spectrum.basis, n)
+    return [(float(kT), w.e1) for kT, w in zip(grid, ws)]

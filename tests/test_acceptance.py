@@ -254,8 +254,8 @@ def test_criterion_07b_connected_correlations_do_not_vanish():
         f"claimed vanishing beyond nearest neighbours, measured max "
         f"connected correlation {c8:.6e} at N=8 and {c12:.6e} at N=12 "
         f"(threshold 1e-12); the ring superposition keeps an exact "
-        f"1/(2^(N/2-1)-1) residue at every distance, so the claim fails "
-        f"as stated",
+        f"1/(2^(N/2-1)-(-1)^(N/2)) residue at every distance >= 2, so the "
+        f"claim fails as stated",
     )
     assert ok
 

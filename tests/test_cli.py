@@ -50,13 +50,24 @@ def test_scan_e1_output(tmp_path, solve_cache):
     assert [r[1] for r in rows] == ["6", "7", "8"]
 
 
-def test_scan_e1_deterministic_and_thread_invariant(tmp_path):
-    args = ["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5,1.5"]
+def _assert_deterministic_and_thread_invariant(tmp_path, args):
     code1, a = run(tmp_path, "a.csv", *args, "--threads", "1")
     code2, b = run(tmp_path, "b.csv", *args, "--threads", "4")
     code3, c = run(tmp_path, "c.csv", *args, "--threads", "1")
     assert code1 == code2 == code3 == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_scan_e1_deterministic_and_thread_invariant(tmp_path):
+    _assert_deterministic_and_thread_invariant(
+        tmp_path, ["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5,1.5"]
+    )
+
+
+def test_thermal_deterministic_and_thread_invariant(tmp_path):
+    _assert_deterministic_and_thread_invariant(
+        tmp_path, ["thermal", "--n", "6", "--kt-points", "8"]
+    )
 
 
 def test_scan_e1_range_validation(tmp_path):
@@ -149,6 +160,20 @@ def test_thermal_report(tmp_path):
 def test_thermal_size_cap_exit_code(tmp_path):
     code, _ = run(tmp_path, "big.csv", "thermal", "--n", "12")
     assert code == 3
+
+
+def test_thermal_exits_1_when_the_spectrum_breaks_its_contract(tmp_path, monkeypatch):
+    def rotated_eigh(mat):
+        # a small rotation of the lowest and highest eigenvectors
+        vals, vecs = np.linalg.eigh(mat)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        first, last = vecs[:, 0].copy(), vecs[:, -1].copy()
+        vecs[:, 0], vecs[:, -1] = c * first - s * last, s * first + c * last
+        return vals, vecs
+
+    monkeypatch.setattr(es, "eigh", rotated_eigh)
+    code, _ = run(tmp_path, "rot.csv", "thermal", "--n", "4", "--kt-points", "3")
+    assert code == 1
 
 
 def test_convergence_exit_code(tmp_path, monkeypatch):

@@ -157,6 +157,32 @@ def test_full_spectrum_small_chain():
         assert np.linalg.norm(h.apply(x) - rebuilt) < 1e-8
 
 
+def _rotated(vals, vecs):
+    # a small rotation mixing the lowest and highest eigenvectors: still
+    # orthonormal, but no longer eigenvectors
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    first, last = vecs[:, 0].copy(), vecs[:, -1].copy()
+    vecs[:, 0], vecs[:, -1] = c * first - s * last, s * first + c * last
+    return vals, vecs
+
+
+def _stretched(vals, vecs):
+    # still eigenvectors, but no longer normalized
+    vecs[:, 0] *= 1.0 + 1e-6
+    return vals, vecs
+
+
+@pytest.mark.parametrize(
+    "spoil, message", [(_rotated, "residual"), (_stretched, "orthonormality")]
+)
+def test_full_spectrum_checks_residuals_and_orthonormality(monkeypatch, spoil, message):
+    h = build_tfim(5, 0.5)
+    full_spectrum(h)
+    monkeypatch.setattr(es, "eigh", lambda mat: spoil(*np.linalg.eigh(mat)))
+    with pytest.raises(ContractError, match=message):
+        full_spectrum(h)
+
+
 def test_full_spectrum_size_cap():
     with pytest.raises(CapabilityError):
         full_spectrum(build_tfim(11, 0.5))

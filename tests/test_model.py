@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+import z2memory.model as model
 from z2memory import (
     DomainError,
+    PauliAxis,
     StateVector,
+    apply_pauli,
     basis_state,
     build_tfim,
     ghz_state,
@@ -85,3 +88,11 @@ def test_stabilizer_check_range():
         stabilizer_check(2)
     with pytest.raises(DomainError):
         stabilizer_check(13)
+
+
+def test_stabilizer_phase_is_sigma_z_on_site_1():
+    rng = np.random.default_rng(11)
+    for n in range(3, 9):
+        psi = StateVector(n, oracles.random_state(rng, n))
+        want = apply_pauli(psi, PauliAxis.Z, 1).amplitudes
+        assert np.array_equal(model._phase_diagonal(n) * psi.amplitudes, want)

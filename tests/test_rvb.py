@@ -169,6 +169,25 @@ def test_connected_correlations_do_not_vanish():
         connected_correlation_scan(14)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_connected_residue_law(n):
+    # every site pair at ring distance >= 2 carries the same residue,
+    # 1/(2^(N/2-1) - (-1)^(N/2)), set by the covering overlap (-1/2)^(N/2-1)
+    want = 1.0 / (2 ** (n // 2 - 1) - (-1) ** (n // 2))
+    psi = build_rvb(n)
+    for l in range(1, n + 1):
+        for m in range(l + 2, n + 1):
+            if n - (m - l) < 2:
+                continue
+            got = max(
+                abs(two_point(psi, a, l, b, m) - expectation(psi, a, l) * expectation(psi, b, m))
+                for a in PauliAxis
+                for b in PauliAxis
+            )
+            assert got == pytest.approx(want, rel=1e-12)
+    assert connected_correlation_scan(n) == pytest.approx(want, rel=1e-12)
+
+
 def test_nearest_neighbour_correlation_is_large():
     n = 8
     psi = build_rvb(n)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import oracles
-import z2memory.thermal as th
 from z2memory import (
     CapabilityError,
     ContractError,
@@ -92,7 +91,7 @@ def test_w_matrix_matches_dense_oracle():
     g = gibbs_state(build_tfim(4, 0.7), 0.3)
     got = build_w_matrix(g)
     want = oracles.dense_w(g.rho)
-    assert np.abs(got.entries - want).max() < 1e-10
+    assert np.abs(got.entries - want).max() < 1e-12
     assert got.kind is CorrelationKind.W
 
 
@@ -113,12 +112,43 @@ def test_w_matrix_vanishes_on_maximally_mixed():
     assert w.e1 < 1e-10
 
 
-def test_w_matrix_streaming_path_matches_cached(monkeypatch):
-    g = gibbs_state(build_tfim(4, 0.7), 0.3)
-    cached = build_w_matrix(g).entries
-    monkeypatch.setattr(th, "_ROW_CACHE_BYTES", 1)
-    streamed = build_w_matrix(g).entries
-    assert np.abs(streamed - cached).max() < 1e-13
+def test_w_matrix_of_non_translation_invariant_commuting_state():
+    # an unequal mixture inside a degenerate level commutes with H but
+    # breaks translation invariance; its complex eigenbasis is not H's
+    n, lam, t = 4, 0.7, 0.3
+    spectrum = full_spectrum(build_tfim(n, lam))
+    vals = spectrum.eigenvalues
+    level = next(i for i in range(vals.size - 1) if vals[i + 1] - vals[i] < 1e-10)
+    u, v = spectrum.basis[:, level], spectrum.basis[:, level + 1]
+    a = np.cos(t) * u + 1j * np.sin(t) * v
+    b = np.sin(t) * u - 1j * np.cos(t) * v
+    rho = 0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(b, b.conj())
+    rho = 0.5 * rho + 0.5 * np.eye(1 << n) / (1 << n)
+    g = GibbsState(n, lam, 1.0, rho)
+    got = build_w_matrix(g).entries
+    want = oracles.dense_w(g.rho)
+    assert np.abs(want - np.roll(np.roll(want, 3, 0), 3, 1)).max() > 1e-3
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_thermal_scan_matches_per_point_route(n):
+    lam = 0.5
+    grid = default_kt_grid(0.05, 2.0, 12)
+    spectrum = full_spectrum(build_tfim(n, lam))
+    rows = thermal_scan(lam, n, grid)
+    assert [kt for kt, _ in rows] == list(grid)
+    for kt, e1 in rows:
+        want = build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt)).e1
+        assert abs(e1 - want) <= 1e-12 * want
+
+
+def test_gibbs_state_keeps_its_eigensystem():
+    g = gibbs_state(build_tfim(5, 0.7), 0.4)
+    u = g.eigenbasis
+    assert np.abs(u.conj().T @ u - np.eye(32)).max() < 1e-12
+    assert np.abs((u * g.weights) @ u.conj().T - g.rho).max() < 1e-14
+    assert g.weights.min() > -1e-12
 
 
 def test_default_kt_grid():
