@@ -274,31 +274,54 @@ class FullSpectrum:
         object.__setattr__(self, "basis", basis)
 
 
+def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
+    """Dense H on one flip-parity sector, in the basis _embed lifts.
+
+    Flipping a bit below the top one stays in the half-space; flipping the
+    top bit (site 1) lands on the complement of 2^(N-1)-1-b, hence sign.
+    """
+    half = h.dim // 2
+    idx = np.arange(half)
+    mat = np.diag(h._diag[:half])
+    for k in range(h.n_sites - 1):
+        mat[idx, idx ^ (1 << k)] += h.lam
+    mat[idx, half - 1 - idx] += sign * h.lam
+    return mat
+
+
 def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
     """Dense eigendecomposition, feasible up to FULL_SPECTRUM_MAX_SITES.
 
-    Every eigenvector residual ||H u_i - E_i u_i|| stays below
-    RESIDUAL_BOUND and the basis is orthonormal within ORTHONORMALITY_TOL,
-    else ContractError: any state diagonal in this basis then commutes with
-    H up to twice the worst residual.
+    Each flip-parity sector is built as a 2^(N-1) matrix and solved with
+    its own eigh; the columns are lifted by _embed's rule, so every column
+    has definite parity u . u[::-1] = +-1, and merged in ascending order.
+    In each sector every eigenvector residual ||H u_i - E_i u_i|| stays
+    below RESIDUAL_BOUND and the basis is orthonormal within
+    ORTHONORMALITY_TOL, else ContractError: any state diagonal in this
+    basis then commutes with H up to twice the worst residual.
     """
     if h.n_sites > FULL_SPECTRUM_MAX_SITES:
         raise CapabilityError(
             f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
         )
-    dim = h.dim
-    eye = np.eye(dim)
-    mat = np.column_stack([h.apply(eye[:, j]) for j in range(dim)])
-    vals, vecs = eigh((mat + mat.T) / 2.0)
-    residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
-    if residual >= RESIDUAL_BOUND:
-        raise ContractError(
-            f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
-        )
-    drift = float(np.abs(vecs.T @ vecs - eye).max())
-    if drift > ORTHONORMALITY_TOL:
-        raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
-    return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals, basis=vecs)
+    values, columns = [], []
+    for sign in (1.0, -1.0):
+        mat = _sector_matrix(h, sign)
+        vals, vecs = eigh(mat)
+        residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
+        if residual >= RESIDUAL_BOUND:
+            raise ContractError(
+                f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
+            )
+        drift = float(np.abs(vecs.T @ vecs - np.eye(vals.size)).max())
+        if drift > ORTHONORMALITY_TOL:
+            raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
+        values.append(vals)
+        columns.append(_embed(vecs, sign))
+    vals = np.concatenate(values)
+    order = np.argsort(vals, kind="stable")
+    basis = np.concatenate(columns, axis=1)[:, order]
+    return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
 
 
 def gap_scan(

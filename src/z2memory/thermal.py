@@ -7,7 +7,11 @@ the VCM spectrum plays for pure states: it bounds how strongly any
 additive operator fails to commute with rho, collapses to zero on the
 maximally mixed state, and reduces to twice the real part of the VCM on a
 pure state.  W is computed in an eigenbasis of rho, so a temperature scan
-works in the energy eigenbasis of H and never forms rho.
+works in the energy eigenbasis of H and never forms rho.  A Gibbs state of
+H also keeps flip parity and translation invariance, so in the parity-
+resolved eigenbasis from full_spectrum its W splits into three circulant
+axis blocks; the scan needs only the first row of each, and one matrix
+product gives those rows at every temperature.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .eigensolve import FullSpectrum, full_spectrum
+from .eigensolve import ORTHONORMALITY_TOL, FullSpectrum, full_spectrum
 from .macroscopicity import CorrelationKind, CorrelationMatrix
 from .model import TfimHamiltonian, build_tfim
 from .pauli import PauliAxis, _apply_axis
@@ -109,12 +113,13 @@ def _boltzmann_weights(energies: np.ndarray, kT: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _w_matrices(weight_sets, basis: np.ndarray, n: int) -> list[CorrelationMatrix]:
-    """W of rho = sum_i p_i |u_i><u_i| for each p in ``weight_sets``, u_i the
-    orthonormal columns of ``basis``: Tr([rho, A]^dagger [rho, B]) equals
+def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
+    """W of rho = sum_i p_i |u_i><u_i|, u_i the orthonormal columns of
+    ``basis``: Tr([rho, A]^dagger [rho, B]) equals
     sum_ij (p_i - p_j)^2 conj(A_ij) B_ij.  The table holds U^dagger s U for
     s = sigma_x, -i sigma_y = sigma_x sigma_z, sigma_z, real whenever U is;
-    sigma_y's i returns as a phase on G G^dagger, G = table * |p_i - p_j|.
+    sigma_y's i returns as a phase on G G^dagger, G = table * |p_i - p_j|,
+    the table reweighted in place.
     """
     left = basis.conj().T
     table = np.empty((3 * n, *basis.shape), dtype=basis.dtype)
@@ -125,14 +130,72 @@ def _w_matrices(weight_sets, basis: np.ndarray, n: int) -> list[CorrelationMatri
         np.matmul(left, _apply_axis(z, n, PauliAxis.X, site), out=table[row + 1])
         np.matmul(left, z, out=table[row + 2])
     table = table.reshape(3 * n, -1)
+    table *= np.abs(p[:, None] - p[None, :]).reshape(-1)
+    # G @ G.T on one buffer takes BLAS's symmetric rank-k update
+    gram = table.conj() @ table.T if np.iscomplexobj(table) else table @ table.T
     phase = np.tile([1.0, 1.0j, 1.0], n)
-    g = np.empty_like(table)
+    w = phase.conj()[:, None] * gram * phase
+    return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w)
+
+
+def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a_i - b_j)^2 per temperature column, flattened over (i, j)."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.square(d, out=d).reshape(-1, a.shape[1])
+
+
+def _scan_w_matrices(
+    spectrum: FullSpectrum, weights: np.ndarray
+) -> list[CorrelationMatrix]:
+    """W at every temperature column of ``weights`` (one Boltzmann vector
+    over the spectrum per column), from the symmetries of a Gibbs state.
+
+    Every column u of the basis has flip parity u . u[::-1] = +-1.  sigma_x
+    keeps the parity and sigma_z, -i sigma_y flip it, so in the real basis
+    the x-z and x-y terms of W have disjoint support and the z-y terms
+    cancel between the +- and -+ blocks: W = W_xx + W_yy + W_zz.  rho is
+    translation invariant, so each W_aa is circulant with first row
+    W_aa[1, m] = sum_ij d_ij A(1)_ij A(m)_ij, d_ij = (p_i - p_j)^2.  The
+    products P[m] = A(1) * A(m) are formed once, a site at a time; one
+    matrix product with d for every temperature then gives all rows.
+    """
+    basis, n = spectrum.basis, spectrum.n_sites
+    parity = np.einsum("ij,ij->j", basis, basis[::-1])
+    plus = parity > 0.0
+    drift = float(np.abs(np.abs(parity) - 1.0).max())
+    if drift > ORTHONORMALITY_TOL:
+        raise ContractError(f"eigenbasis fails flip parity by {drift:.3e}")
+    up, um = basis[:, plus], basis[:, ~plus]
+    half = up.shape[1]
+    # xx over the ++ and -- blocks, then yy and zz over the +- block: the
+    # -+ block of sigma_z is its transpose, of -i sigma_y minus it, so it
+    # doubles the +- sum
+    prod = np.empty((4, n, half, half))
+    first = None
+    for site in range(1, n + 1):
+        zm = _apply_axis(um, n, PauliAxis.Z, site)
+        blocks = (
+            up.T @ _apply_axis(up, n, PauliAxis.X, site),
+            um.T @ _apply_axis(um, n, PauliAxis.X, site),
+            up.T @ _apply_axis(zm, n, PauliAxis.X, site),
+            up.T @ zm,
+        )
+        first = blocks if first is None else first
+        for b, (a1, am) in enumerate(zip(first, blocks)):
+            np.multiply(a1, am, out=prod[b, site - 1])
+    prod = prod.reshape(4, n, -1)
+    wp, wm = weights[plus], weights[~plus]
+    xx = prod[0] @ _squared_gaps(wp, wp) + prod[1] @ _squared_gaps(wm, wm)
+    yz = 2.0 * (prod[2:].reshape(2 * n, -1) @ _squared_gaps(wp, wm))
+    rows = np.concatenate([xx, yz]).reshape(3, n, -1)
+    # site-major layout: W[3l + a, 3m + a] = rows[a, (m - l) mod n]
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     out = []
-    for p in weight_sets:
-        np.multiply(table, np.abs(p[:, None] - p[None, :]).reshape(-1), out=g)
-        # g @ g.T on one buffer takes BLAS's symmetric rank-k update
-        gram = g.conj() @ g.T if np.iscomplexobj(g) else g @ g.T
-        w = phase.conj()[:, None] * gram * phase
+    for row in rows.transpose(2, 0, 1):
+        w = np.zeros((n, 3, n, 3))
+        for axis in range(3):
+            w[:, axis, :, axis] = row[axis][shift]
+        w = w.reshape(3 * n, 3 * n)
         out.append(CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w))
     return out
 
@@ -163,7 +226,7 @@ def build_w_matrix(rho: GibbsState) -> CorrelationMatrix:
     tr = complex(np.trace(rho.rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ContractError(f"W needs a trace-1 density matrix, trace is {tr!r}")
-    return _w_matrices([rho.weights], rho.eigenbasis, rho.n_sites)[0]
+    return _w_matrix(rho.weights, rho.eigenbasis, rho.n_sites)
 
 
 def default_kt_grid(
@@ -182,9 +245,11 @@ def default_kt_grid(
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     """e1 of the commutator Gram matrix across a temperature grid.
 
-    Every point reweights one eigendecomposition of H.  GibbsState's checks
-    hold by construction: the weights are nonnegative with sum 1, and the
-    checks in full_spectrum bound ||[rho, H]|| by twice the worst residual.
+    Every point reweights one eigendecomposition of H, and the circulant
+    rows of W come from one matrix product for the whole grid.
+    GibbsState's checks hold by construction: the weights are nonnegative
+    with sum 1, and the checks in full_spectrum bound ||[rho, H]|| by twice
+    the worst residual.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()
@@ -196,6 +261,8 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("temperature grid must be strictly ascending")
     spectrum = full_spectrum(build_tfim(n, lam))
-    weights = [_boltzmann_weights(spectrum.eigenvalues, kT) for kT in grid]
-    ws = _w_matrices(weights, spectrum.basis, n)
+    weights = np.column_stack(
+        [_boltzmann_weights(spectrum.eigenvalues, kT) for kT in grid]
+    )
+    ws = _scan_w_matrices(spectrum, weights)
     return [(float(kT), w.e1) for kT, w in zip(grid, ws)]

@@ -157,6 +157,18 @@ def test_full_spectrum_small_chain():
         assert np.linalg.norm(h.apply(x) - rebuilt) < 1e-8
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_full_spectrum_columns_have_flip_parity(n):
+    for lam in (0.0, -0.7, 0.5, 1.5):
+        solved = full_spectrum(build_tfim(n, lam))
+        u = solved.basis
+        parity = np.einsum("ij,ij->j", u, u[::-1])
+        assert np.abs(np.abs(parity) - 1.0).max() < 1e-12
+        assert np.count_nonzero(parity > 0) == 1 << (n - 1)
+        want = np.linalg.eigvalsh(oracles.dense_h(n, lam))
+        assert np.abs(solved.eigenvalues - want).max() < 1e-12
+
+
 def _rotated(vals, vecs):
     # a small rotation mixing the lowest and highest eigenvectors: still
     # orthonormal, but no longer eigenvectors

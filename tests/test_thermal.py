@@ -17,6 +17,8 @@ from z2memory import (
     lowest_eigenpairs,
     thermal_scan,
 )
+from z2memory import thermal
+from z2memory.eigensolve import FullSpectrum
 from z2memory.thermal import GibbsState
 
 
@@ -131,9 +133,16 @@ def test_w_matrix_of_non_translation_invariant_commuting_state():
     assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_thermal_scan_matches_per_point_route(n):
-    lam = 0.5
+_SCAN_CASES = [
+    pytest.param(n, lam, id=f"n{n}-lam{lam}")
+    for n in range(3, 7)
+    for lam in (0.0, -0.7, 0.5, 1.5)
+    if (n, lam) != (6, 0.5)
+] + [pytest.param(6, 0.5, id="6"), pytest.param(8, 0.5, id="8")]
+
+
+@pytest.mark.parametrize("n, lam", _SCAN_CASES)
+def test_thermal_scan_matches_per_point_route(n, lam):
     grid = default_kt_grid(0.05, 2.0, 12)
     spectrum = full_spectrum(build_tfim(n, lam))
     rows = thermal_scan(lam, n, grid)
@@ -141,6 +150,39 @@ def test_thermal_scan_matches_per_point_route(n):
     for kt, e1 in rows:
         want = build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt)).e1
         assert abs(e1 - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_gibbs_w_is_axis_diagonal_and_circulant(n):
+    # the two facts the scan's circulant route rests on, checked on the
+    # general route: no cross-axis terms, translation-invariant axis blocks
+    for lam, kt in ((0.5, 0.3), (-0.7, 1.0), (1.5, 0.1), (0.0, 0.5)):
+        w = build_w_matrix(gibbs_state(build_tfim(n, lam), kt)).entries
+        w = w.reshape(n, 3, n, 3)
+        for a in range(3):
+            for b in range(3):
+                block = w[:, a, :, b]
+                if a != b:
+                    assert np.abs(block).max() < 1e-14
+                else:
+                    shifted = np.roll(block, (1, 1), axis=(0, 1))
+                    assert np.abs(block - shifted).max() < 1e-14
+
+
+def test_thermal_scan_needs_a_flip_parity_eigenbasis(monkeypatch):
+    # at zero field |0000> and |1111> span the ground level: an eigenbasis
+    # of H, but without definite flip parity
+    n = 4
+    spectrum = full_spectrum(build_tfim(n, 0.0))
+    basis = spectrum.basis.copy()
+    assert spectrum.eigenvalues[0] == spectrum.eigenvalues[1]
+    pair = basis[:, :2].copy()
+    basis[:, 0] = (pair[:, 0] + pair[:, 1]) / np.sqrt(2.0)
+    basis[:, 1] = (pair[:, 0] - pair[:, 1]) / np.sqrt(2.0)
+    mixed = FullSpectrum(n, spectrum.eigenvalues, basis)
+    monkeypatch.setattr(thermal, "full_spectrum", lambda h: mixed)
+    with pytest.raises(ContractError, match="flip parity"):
+        thermal_scan(0.0, n, default_kt_grid(0.1, 1.0, 3))
 
 
 def test_gibbs_state_keeps_its_eigensystem():
