@@ -3,7 +3,7 @@
 Every command writes '#'-prefixed header comments (version, canonical
 flags, unit conventions) followed by one CSV table.  Output is
 byte-identical across runs with the same flags: floats are printed with 17
-significant digits and sweep results are sorted after the parallel phase.
+significant digits.
 
 Exit codes: 0 success / 1 usage, domain, or failed check / 2 iteration did
 not converge / 3 request exceeds a hard capability limit.
@@ -12,14 +12,13 @@ not converge / 3 request exceeds a hard capability limit.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .eigensolve import (
     SCAN_MAX_SITES,
     adiabatic_time_estimate,
+    gap_scan,
     lowest_eigenpairs,
     superposed_state,
 )
@@ -87,15 +86,6 @@ def _comments(flags: str, extra: list[str] | None = None) -> list[str]:
     return out
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    items = list(items)
-    threads = max(1, int(threads))
-    if threads == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_n_range(n_min: int, n_max: int, hi: int = SCAN_MAX_SITES) -> None:
     if not MIN_SITES <= n_min <= n_max <= hi:
         raise DomainError(
@@ -121,13 +111,11 @@ def _ground(n: int, lam: float):
 def _cmd_scan_e1(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     _check_n_range(args.n_min, args.n_max)
-    items = [(lam, n) for lam in lams for n in range(args.n_min, args.n_max + 1)]
-
-    def work(item):
-        lam, n = item
-        return lam, n, build_vcm(_ground(n, lam)).e1
-
-    results = sorted(_parallel_map(work, items, args.threads))
+    results = sorted(
+        (lam, n, build_vcm(_ground(n, lam)).e1)
+        for lam in lams
+        for n in range(args.n_min, args.n_max + 1)
+    )
     extra = []
     for lam in lams:
         points = [(n, e1) for lam2, n, e1 in results if lam2 == lam]
@@ -169,13 +157,7 @@ def _cmd_pz(args) -> int:
 
 def _cmd_e2(args) -> int:
     _check_n_range(args.n_min, args.n_max)
-
-    def work(n):
-        return second_eigenvalue_scan(args.lam, [n])[0]
-
-    results = sorted(
-        _parallel_map(work, range(args.n_min, args.n_max + 1), args.threads)
-    )
+    results = second_eigenvalue_scan(args.lam, range(args.n_min, args.n_max + 1))
     extra = []
     if len(results) >= 3:
         fit = fit_index_p(results)
@@ -187,18 +169,7 @@ def _cmd_e2(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    if args.lam == 0.0:
-        raise DomainError("the gap closes exactly at zero field; use --lambda != 0")
-    _check_n_range(args.n_min, args.n_max)
-
-    def work(n):
-        pairs = lowest_eigenpairs(build_tfim(n, args.lam), 2)
-        gap = pairs.gap
-        if gap <= 0.0:
-            raise ContractError(f"nonpositive gap {gap!r} at {n} sites")
-        return n, gap
-
-    gaps = sorted(_parallel_map(work, range(args.n_min, args.n_max + 1), args.threads))
+    gaps = gap_scan(args.lam, args.n_min, args.n_max)
     times = dict(adiabatic_time_estimate(gaps))
     extra = []
     if len(gaps) >= 3:
@@ -215,15 +186,11 @@ def _cmd_gap(args) -> int:
 
 def _cmd_superpose(args) -> int:
     _check_n_range(args.n_min, args.n_max)
-
-    def work(n):
+    results = []
+    for n in range(args.n_min, args.n_max + 1):
         pairs = lowest_eigenpairs(build_tfim(n, args.lam), 2)
         combo = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
-        return n, build_vcm(combo).e1
-
-    results = sorted(
-        _parallel_map(work, range(args.n_min, args.n_max + 1), args.threads)
-    )
+        results.append((n, build_vcm(combo).e1))
     extra = []
     if len(results) >= 3:
         fit = fit_index_p(results)
@@ -369,12 +336,6 @@ def _build_parser() -> _Parser:
     def add_command(name: str, help_text: str):
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for sweep points",
-        )
         return sp
 
     sp = add_command("scan-e1", "largest correlation eigenvalue across chain sizes")

@@ -137,9 +137,7 @@ def _lanczos_smallest(
 def _sector_lowest(op: _SectorOperator, count: int, tol: float) -> list[np.ndarray]:
     """The ``count`` lowest eigenvectors of one sector, orthonormal."""
     if op.dim <= DENSE_SECTOR_DIM:
-        eye = np.eye(op.dim)
-        mat = np.column_stack([op.matvec(eye[:, j]) for j in range(op.dim)])
-        _, vecs = eigh((mat + mat.T) / 2.0)
+        _, vecs = eigh(_sector_matrix(op.h, op.sign))
         return [np.ascontiguousarray(vecs[:, j]) for j in range(count)]
 
     sector_tag = 0 if op.sign > 0 else 1
@@ -332,7 +330,8 @@ def gap_scan(
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
     if not 3 <= n_min <= n_max <= SCAN_MAX_SITES:
         raise DomainError(
-            f"scan range must satisfy 3 <= n_min <= n_max <= {SCAN_MAX_SITES}"
+            f"scan range must satisfy 3 <= n_min <= n_max <= {SCAN_MAX_SITES},"
+            f" got {n_min}..{n_max}"
         )
     out = []
     for n in range(n_min, n_max + 1):

@@ -17,18 +17,21 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as _sparse_norm
 
 from .errors import DomainError
-from .pauli import StateVector
+from .pauli import StateVector, site_bits
 
 MIN_SITES = 3  # a periodic 2-site ring would double-count its single bond
 STABILIZER_MAX_SITES = 12
 
 
+def _site_z(n_sites: int) -> np.ndarray:
+    """sigma_z eigenvalue of every site (rows, site 1 first) in every basis state."""
+    return np.array([1.0 - 2.0 * site_bits(n_sites, l) for l in range(1, n_sites + 1)])
+
+
 def _bond_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the bond term -sum_l z_l z_{l+1} over all basis states."""
-    idx = np.arange(1 << n_sites)
-    bits = (idx[:, None] >> np.arange(n_sites)) & 1
-    z = 1.0 - 2.0 * bits
-    return -(z * np.roll(z, -1, axis=1)).sum(axis=1)
+    z = _site_z(n_sites)
+    return -(z * np.roll(z, -1, axis=0)).sum(axis=0)
 
 
 class TfimHamiltonian:
@@ -118,7 +121,7 @@ class StabilizerReport:
 
 def _phase_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the logical phase, sigma_z on site 1 (bit N-1)."""
-    return 1.0 - 2.0 * ((np.arange(1 << n_sites) >> (n_sites - 1)) & 1)
+    return 1.0 - 2.0 * site_bits(n_sites, 1)
 
 
 def stabilizer_check(n_sites: int) -> StabilizerReport:
@@ -137,12 +140,9 @@ def stabilizer_check(n_sites: int) -> StabilizerReport:
     dim = 1 << n_sites
     idx = np.arange(dim)
 
-    # bond operators are diagonal in the z basis
-    bond_diags = []
-    for l in range(n_sites):
-        z_l = 1.0 - 2.0 * ((idx >> l) & 1)
-        z_next = 1.0 - 2.0 * ((idx >> ((l + 1) % n_sites)) & 1)
-        bond_diags.append(z_l * z_next)
+    # bond operators are diagonal in the z basis; bond l joins sites l, l+1
+    z = _site_z(n_sites)
+    bond_diags = list(z * np.roll(z, -1, axis=0))
     bonds = [sp.diags(d).tocsr() for d in bond_diags]
 
     flip = sp.csr_matrix(

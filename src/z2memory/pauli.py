@@ -110,6 +110,12 @@ def ghz_state(n_sites: int) -> StateVector:
     return StateVector(n_sites, amps)
 
 
+def site_bits(n_sites: int, site: int) -> np.ndarray:
+    """Bit value of ``site`` in every basis index, shape (2^n,): site l is
+    bit n-l, so site 1 is the most significant bit."""
+    return (np.arange(1 << n_sites) >> (n_sites - site)) & 1
+
+
 def popcounts(n_sites: int) -> np.ndarray:
     """Number of set bits for every basis index, shape (2^n,)."""
     idx = np.arange(1 << n_sites)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .macroscopicity import build_vcm
-from .pauli import StateVector, expectation, two_point
+from .pauli import StateVector, expectation, site_bits, two_point
 
 RVB_MIN_SITES = 4
 RVB_MAX_SITES = 14
@@ -62,11 +62,6 @@ class PairCovering:
         return cls(n_sites, inner + ((1, n_sites),))
 
 
-def _site_bits(n: int, site: int) -> np.ndarray:
-    # site l lives in bit n-l of the basis index (site 1 most significant)
-    return (np.arange(1 << n) >> (n - site)) & 1
-
-
 def build_vb(covering: PairCovering) -> StateVector:
     """Normalized product of singlets over a pair covering."""
     if not isinstance(covering, PairCovering):
@@ -75,8 +70,8 @@ def build_vb(covering: PairCovering) -> StateVector:
     amps = np.ones(1 << n)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i, j in covering.pairs:
-        bi = _site_bits(n, i)
-        bj = _site_bits(n, j)
+        bi = site_bits(n, i)
+        bj = site_bits(n, j)
         factor = np.zeros(amps.size)
         factor[(bi == 0) & (bj == 1)] = inv_sqrt2
         factor[(bi == 1) & (bj == 0)] = -inv_sqrt2
@@ -108,10 +103,7 @@ def singlet_projector_apply(state: StateVector, l: int) -> StateVector:
         raise DomainError(f"bond site {l} out of range 1..{n}")
     m = 1 if l == n else l + 1
     amps = state.amplitudes
-    idx = np.arange(amps.size)
-    bl = (idx >> (n - l)) & 1
-    bm = (idx >> (n - m)) & 1
-    idx01 = idx[(bl == 0) & (bm == 1)]
+    idx01 = np.flatnonzero((site_bits(n, l) == 0) & (site_bits(n, m) == 1))
     idx10 = idx01 ^ ((1 << (n - l)) | (1 << (n - m)))
     out = np.zeros_like(amps)
     d = 0.5 * (amps[idx01] - amps[idx10])

@@ -14,21 +14,27 @@ PAULI = (SX, SY, SZ)
 I2 = np.eye(2, dtype=complex)
 
 
-def site_op(n, site, axis):
-    """Dense sigma_axis(site) on n sites, site 1 the leftmost kron factor."""
+def kron_chain(n, factors):
+    """Dense product operator on n sites: factors[site] on the listed sites,
+    identity elsewhere, site 1 the leftmost kron factor."""
     op = np.eye(1, dtype=complex)
     for s in range(1, n + 1):
-        op = np.kron(op, PAULI[axis] if s == site else I2)
+        op = np.kron(op, factors.get(s, I2))
     return op
 
 
+def site_op(n, site, axis):
+    """Dense sigma_axis(site) on n sites."""
+    return kron_chain(n, {site: PAULI[axis]})
+
+
 def dense_h(n, lam):
-    """Periodic chain Hamiltonian assembled from dense site operators."""
+    """Periodic chain Hamiltonian assembled from dense Kronecker chains."""
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(1, n + 1):
         nxt = 1 if l == n else l + 1
-        h -= site_op(n, l, 2) @ site_op(n, nxt, 2)
+        h -= kron_chain(n, {l: SZ, nxt: SZ})
         h += lam * site_op(n, l, 0)
     return h
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import z2memory.eigensolve as es
-from z2memory import build_tfim, build_vcm, lowest_eigenpairs
+from z2memory import build_tfim, build_vcm, gap_scan, lowest_eigenpairs
 from z2memory.cli import main
 
 
@@ -28,6 +28,7 @@ def test_version_and_usage_exit_codes():
     assert main(["--version"]) == 0
     assert main(["no-such-command"]) == 1
     assert main(["scan-e1", "--bogus"]) == 1
+    assert main(["scan-e1", "--threads", "2"]) == 1
     assert main([]) == 1
 
 
@@ -50,24 +51,20 @@ def test_scan_e1_output(tmp_path, solve_cache):
     assert [r[1] for r in rows] == ["6", "7", "8"]
 
 
-def _assert_deterministic_and_thread_invariant(tmp_path, args):
-    code1, a = run(tmp_path, "a.csv", *args, "--threads", "1")
-    code2, b = run(tmp_path, "b.csv", *args, "--threads", "4")
-    code3, c = run(tmp_path, "c.csv", *args, "--threads", "1")
-    assert code1 == code2 == code3 == 0
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
-
-
-def test_scan_e1_deterministic_and_thread_invariant(tmp_path):
-    _assert_deterministic_and_thread_invariant(
-        tmp_path, ["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5,1.5"]
-    )
-
-
-def test_thermal_deterministic_and_thread_invariant(tmp_path):
-    _assert_deterministic_and_thread_invariant(
-        tmp_path, ["thermal", "--n", "6", "--kt-points", "8"]
-    )
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5,1.5"],
+        ["thermal", "--n", "6", "--kt-points", "8"],
+        ["gap", "--n-min", "4", "--n-max", "6"],
+    ],
+    ids=["scan-e1", "thermal", "gap"],
+)
+def test_output_is_deterministic(tmp_path, args):
+    code1, a = run(tmp_path, "a.csv", *args)
+    code2, b = run(tmp_path, "b.csv", *args)
+    assert code1 == code2 == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_scan_e1_range_validation(tmp_path):
@@ -125,6 +122,8 @@ def test_gap_report_and_adiabatic_column(tmp_path):
         assert t == 1.0 / (gap * gap)
     gaps = [float(r[1]) for r in rows]
     assert gaps == sorted(gaps, reverse=True)
+    # the command only formats the library scan
+    assert [(int(r[0]), float(r[1])) for r in rows] == gap_scan(0.5, 4, 6)
 
 
 def test_gap_rejects_zero_field(tmp_path):

@@ -34,6 +34,10 @@ def test_apply_matches_dense_oracle():
         h = build_tfim(n, lam)
         psi = oracles.random_state(rng, n)
         assert np.abs(h.apply(psi) - dense @ psi).max() < 1e-13
+    # the bond diagonal is a sum of integers, so it must match exactly
+    for n in range(3, 11):
+        diag = oracles.dense_h(n, 0.0).diagonal().real
+        assert np.array_equal(build_tfim(n, 0.0)._diag, diag)
 
 
 def test_apply_state_wrapper():
