@@ -1,4 +1,4 @@
-"""Lowest eigenpairs of the chain Hamiltonian, resolved by flip parity.
+"""Ground state and code doublet of the chain Hamiltonian, by flip parity.
 
 The Hamiltonian commutes with the global spin flip, and the two lowest
 states form a doublet whose splitting closes exponentially in N below the
@@ -6,9 +6,10 @@ critical field.  A Krylov solver on the full space cannot tell such a pair
 apart, so each flip-parity sector is solved on its own: the flip maps basis
 index b to its bit complement, hence the half-space of indices below
 2^(N-1) parameterizes either sector and the sector vectors are
-(|b> +- |flipped b>)/sqrt(2).  Within a sector the low end of the spectrum
-is well separated and a Lanczos iteration with full reorthogonalization
-converges quickly; tiny sectors fall back to a dense solve.
+(|b> +- |flipped b>)/sqrt(2).  The doublet is the pair of sector ground
+states, and the ground state lies in the sector that Perron-Frobenius
+names, so one vector per sector is all that is ever solved: a Lanczos
+iteration with full reorthogonalization, or a dense solve for tiny sectors.
 """
 
 from __future__ import annotations
@@ -73,45 +74,33 @@ def _orthogonalize(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 
 
 def _lanczos_smallest(
-    op: _SectorOperator,
-    locked: list[np.ndarray],
-    tol: float,
-    rng: np.random.Generator,
-    budget: int,
+    op: _SectorOperator, tol: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """One eigenvector at the bottom of the sector spectrum, deflated
-    against ``locked``.  Raises ConvergenceError when the budget runs out."""
-    start_count = op.count
+    """The eigenvector at the bottom of the sector spectrum.  Raises
+    ConvergenceError after MATVEC_BUDGET matrix applications."""
     best_residual = np.inf
     scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
-    max_dim = op.dim - len(locked)
 
-    while op.count - start_count < budget:
+    while op.count < MATVEC_BUDGET:
         v = rng.standard_normal(op.dim)
-        v = _orthogonalize(v, locked)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue  # bad draw, try again
-        basis = [v / nv]
+        basis = [v / np.linalg.norm(v)]
         alphas: list[float] = []
         betas: list[float] = []
         restart = False
-        while not restart and op.count - start_count < budget and len(alphas) < max_dim:
+        while not restart and op.count < MATVEC_BUDGET and len(alphas) < op.dim:
             w = op.matvec(basis[-1])
             a = float(basis[-1] @ w)
             alphas.append(a)
             w = w - a * basis[-1]
             if betas:
                 w = w - betas[-1] * basis[-2]
-            w = _orthogonalize(w, locked)
             w = _orthogonalize(w, basis)
             b = float(np.linalg.norm(w))
-            theta, s = _ritz_smallest(alphas, betas)
+            _, s = _ritz_smallest(alphas, betas)
             broke_down = b <= _BREAKDOWN_EPS * scale
             estimate = abs(b * s[-1])
             if estimate < 0.5 * tol or broke_down:
                 x = np.column_stack(basis) @ s
-                x = _orthogonalize(x, locked)
                 x /= np.linalg.norm(x)
                 hx = op.matvec(x)
                 rayleigh = float(x @ hx)
@@ -128,27 +117,22 @@ def _lanczos_smallest(
                 basis.append(w / b)
 
     raise ConvergenceError(
-        f"sector eigensolve exhausted {budget} matrix applications"
+        f"sector eigensolve exhausted {MATVEC_BUDGET} matrix applications"
         f" (best residual {best_residual:.3e})",
         best_residual=None if not np.isfinite(best_residual) else best_residual,
     )
 
 
-def _sector_lowest(op: _SectorOperator, count: int, tol: float) -> list[np.ndarray]:
-    """The ``count`` lowest eigenvectors of one sector, orthonormal."""
-    if op.dim <= DENSE_SECTOR_DIM:
-        _, vecs = eigh(_sector_matrix(op.h, op.sign))
-        return [np.ascontiguousarray(vecs[:, j]) for j in range(count)]
-
-    sector_tag = 0 if op.sign > 0 else 1
-    lam_bits = int.from_bytes(np.float64(op.h.lam).tobytes(), "little")
-    found: list[np.ndarray] = []
-    for pair_index in range(count):
-        rng = np.random.default_rng(
-            (op.h.n_sites, sector_tag, pair_index, lam_bits)
-        )
-        found.append(_lanczos_smallest(op, found, tol, rng, MATVEC_BUDGET))
-    return found
+def _sector_ground(h: TfimHamiltonian, sign: float, tol: float) -> np.ndarray:
+    """The lowest eigenvector of one flip-parity sector, lifted to the full
+    space."""
+    if h.dim // 2 <= DENSE_SECTOR_DIM:
+        _, vecs = eigh(_sector_matrix(h, sign))
+        return _embed(vecs[:, 0], sign)
+    sector_tag = 0 if sign > 0 else 1
+    lam_bits = int.from_bytes(np.float64(h.lam).tobytes(), "little")
+    rng = np.random.default_rng((h.n_sites, sector_tag, 0, lam_bits))
+    return _embed(_lanczos_smallest(_SectorOperator(h, sign), tol, rng), sign)
 
 
 @dataclass(frozen=True)
@@ -198,44 +182,44 @@ class EigenPairs:
 
 
 def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPairs:
-    """The k algebraically smallest eigenpairs of the chain Hamiltonian.
+    """The ground state (k=1) or the code doublet (k=2) of the chain.
 
-    Both flip-parity sectors are solved independently (dense below
-    DENSE_SECTOR_DIM, otherwise Lanczos with full reorthogonalization and
-    deflation) and the results merged, so both members of an exponentially
-    split doublet are always found.  ``tol`` is the residual target;
-    requests looser than the type bound are tightened to it.
+    H commutes with the spin flip, and the two lowest states are the ground
+    states of its two parity sectors, so only those are solved (dense up to
+    DENSE_SECTOR_DIM, otherwise Lanczos with full reorthogonalization).  For
+    k=2 they are ordered by their Rayleigh quotients.  For k=1 algebra
+    names the sector: at lam<0 every off-diagonal entry is <= 0 and the
+    single-flip graph is connected, so Perron-Frobenius gives a unique
+    positive ground state of parity +1; conjugating by prod sigma_z maps
+    lam to -lam and multiplies the flip by (-1)^N, so at lam>0 the ground
+    parity is (-1)^N.  At lam=0 the doublet is degenerate and +1 is taken.
+    ``tol`` is the residual target; requests looser than the type bound
+    are tightened to it.
     """
-    if not 1 <= k <= 4:
-        raise DomainError(f"k must lie in 1..4, got {k!r}")
+    if k not in (1, 2):
+        raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
     tol = float(tol)
     if not tol >= 1e-12:
         raise DomainError(f"tol must be at least 1e-12, got {tol!r}")
     target = min(tol, RESIDUAL_BOUND)
 
-    merged: list[tuple[float, np.ndarray, float]] = []
-    for sign in (1.0, -1.0):
-        op = _SectorOperator(h, sign)
-        for svec in _sector_lowest(op, min(k, op.dim), target):
-            full = _embed(svec, sign)
-            merged.append((float(full @ h.apply(full)), full, sign))
-
-    merged.sort(key=lambda item: item[0])
-    chosen = merged[:k]
-
-    values = []
-    vectors = []
-    residuals = []
-    parities = []
-    for value, full, sign in chosen:
+    if k == 2:
+        signs = (1.0, -1.0)
+    else:
+        signs = (-1.0 if h.lam > 0 and h.n_sites % 2 else 1.0,)
+    found = []
+    for sign in signs:
+        full = _sector_ground(h, sign, target)
         hv = h.apply(full)
-        residuals.append(float(np.linalg.norm(hv - value * full)))
-        values.append(value)
-        vectors.append(StateVector(h.n_sites, full.astype(np.complex128)))
-        parities.append(sign)
+        value = float(full @ hv)
+        found.append((value, float(np.linalg.norm(hv - value * full)), full, sign))
+    found.sort(key=lambda item: item[0])
+    values, residuals, vectors, parities = zip(*found)
     return EigenPairs(
         eigenvalues=np.array(values),
-        eigenvectors=tuple(vectors),
+        eigenvectors=tuple(
+            StateVector(h.n_sites, v.astype(np.complex128)) for v in vectors
+        ),
         residuals=np.array(residuals),
         parities=np.array(parities),
     )

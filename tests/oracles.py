@@ -5,6 +5,7 @@ algebra, deliberately sharing no code with the package's bit-twiddling
 implementations.
 """
 
+import mpmath
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,6 +38,26 @@ def dense_h(n, lam):
         h -= kron_chain(n, {l: SZ, nxt: SZ})
         h += lam * site_op(n, l, 0)
     return h
+
+
+def free_fermion_energies(n, lam, dps=40):
+    """Ground energies (E0, E1) of the two flip-parity sectors in closed form.
+
+    Under Jordan-Wigner the chain is a free-fermion chain (Lieb, Schultz and
+    Mattis, Ann. Phys. 16, 407 (1961)).  With f(k) = sqrt(1 + lam^2 -
+    2|lam| cos k), the antiperiodic modes k = pi(2m+1)/N give the ground
+    state and the periodic modes k = 2 pi m/N, with the k=0 mode at 1-|lam|,
+    give its doublet partner.  Evaluated in mpmath at ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        lam = abs(mpmath.mpf(lam))
+
+        def f(k):
+            return mpmath.sqrt(1 + lam**2 - 2 * lam * mpmath.cos(k))
+
+        e0 = -mpmath.fsum(f(mpmath.pi * (2 * m + 1) / n) for m in range(n))
+        e1 = -mpmath.fsum(f(2 * mpmath.pi * m / n) for m in range(1, n)) - (1 - lam)
+        return +e0, +e1
 
 
 def dense_vcm(amps):

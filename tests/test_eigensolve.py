@@ -26,11 +26,19 @@ E0_N8_HALF = -8.5090822351402782
 E1_N8_HALF = -8.5076263876395029
 GAP_N8_HALF = 0.0014558475007753202
 
+# Eigenvalues against the exact free-fermion energies are held to
+# FREE_FERMION_C * eps * N * (1 + |lam|) in absolute terms: the rounding
+# scale of a Rayleigh quotient of H, whose norm is at most N (1 + |lam|).
+# The constant was fixed before the first comparison, not fitted to it.
+FREE_FERMION_C = 16
+
 
 def test_input_validation():
     h = build_tfim(6, 0.5)
     with pytest.raises(DomainError):
         lowest_eigenpairs(h, 0)
+    with pytest.raises(DomainError):
+        lowest_eigenpairs(h, 3)
     with pytest.raises(DomainError):
         lowest_eigenpairs(h, 5)
     with pytest.raises(DomainError):
@@ -51,15 +59,15 @@ def test_matches_dense_diagonalization():
     # independent route: brute-force eigh of the kron-built matrix
     for n in (3, 4, 5, 6):
         for lam in (0.3, 1.0):
-            want = np.linalg.eigvalsh(oracles.dense_h(n, lam))[:4]
-            got = lowest_eigenpairs(build_tfim(n, lam), 4).eigenvalues
+            want = np.linalg.eigvalsh(oracles.dense_h(n, lam))[:2]
+            got = lowest_eigenpairs(build_tfim(n, lam), 2).eigenvalues
             assert np.abs(got - want).max() < 1e-9
 
 
 def test_eigenvectors_have_true_small_residuals():
     n, lam = 7, 0.8
     dense = oracles.dense_h(n, lam)
-    pairs = lowest_eigenpairs(build_tfim(n, lam), 3)
+    pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
     for val, vec in zip(pairs.eigenvalues, pairs.eigenvectors):
         r = np.linalg.norm(dense @ vec.amplitudes - val * vec.amplitudes)
         assert r < 1e-9 * max(1.0, abs(val))
@@ -73,10 +81,43 @@ def test_vectors_are_flip_parity_eigenstates():
 
 
 def test_orthonormality_across_sectors():
-    pairs = lowest_eigenpairs(build_tfim(9, 1.2), 4)
+    pairs = lowest_eigenpairs(build_tfim(9, 1.2), 2)
     vecs = np.column_stack([v.amplitudes for v in pairs.eigenvectors])
     gram = vecs.conj().T @ vecs
-    assert np.abs(gram - np.eye(4)).max() < 1e-9
+    assert np.abs(gram - np.eye(2)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_doublet_matches_free_fermion_energies(n, solve_cache):
+    # independent route: the closed-form sector ground energies, exact to
+    # 40 digits, so the two lowest states are the sector ground states
+    for lam in (0.3, 0.5, 1.0, 1.5, 3.0, -0.7):
+        want = np.array([float(e) for e in oracles.free_fermion_energies(n, lam)])
+        got = solve_cache(n, lam, k=2).eigenvalues
+        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
+        assert np.abs(got - want).max() < tol
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
+    # lam < 0: every off-diagonal entry of H is <= 0 on a connected
+    # single-flip graph, so the ground state is positive and flip-even;
+    # prod sigma_z maps lam to -lam and multiplies the flip by (-1)^N
+    gauge = (-1.0) ** np.array([bin(b).count("1") for b in range(1 << n)])
+    for lam in (-1.5, -0.7, -1e-3, 0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0):
+        parity = (-1.0) ** n if lam > 0 else 1.0
+        ground = solve_cache(n, lam, k=1)
+        amps = ground.eigenvectors[0].amplitudes
+        assert ground.parities[0] == parity
+        assert np.abs(amps[::-1] - parity * amps).max() < 1e-12
+        doublet = solve_cache(n, lam, k=2)
+        partner = list(doublet.parities).index(parity)
+        assert np.array_equal(doublet.eigenvectors[partner].amplitudes, amps)
+        if abs(lam) >= 0.5:
+            # a one-signed eigenvector of the (gauged) Perron-Frobenius
+            # matrix is its ground state
+            signed = (gauge * amps.real if lam > 0 else amps.real) * np.sign(amps[0].real)
+            assert signed.min() > 0.0
 
 
 def test_exact_degeneracy_at_zero_field():
