@@ -12,7 +12,9 @@ names, so one vector per sector is all that is ever solved: densely for
 tiny sectors, else by Lanczos on the half-space, fully reorthogonalized by
 block classical Gram-Schmidt applied twice, which is as accurate as the
 modified form (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069
-(2005)).
+(2005)).  One flip table states the sector rule: the dense sector matrix
+reads its off-diagonal from it, and the Lanczos matvec runs it as a CSR
+matrix.  scipy is loaded only by that Krylov branch.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .model import TfimHamiltonian, build_tfim
@@ -41,24 +42,69 @@ def _embed(sector_vec: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([sector_vec, sign * sector_vec[::-1]]) / np.sqrt(2.0)
 
 
+def _flip_table(n_sites: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal of H/lam on one flip-parity sector, one row per
+    half-space index b: columns and values, shape (2^(N-1), N).
+
+    The site-1 flip comes first: it lands on the complement of
+    2^(N-1)-1-b, hence value ``sign``.  Then the flips of bits k = 0..N-2,
+    which stay in the half-space, value 1.  The columns stay unsorted: a
+    CSR matvec sums each row in stored order, and this order fixes the
+    rounding of every sector matvec.
+    """
+    half = 1 << (n_sites - 1)
+    b = np.arange(half)
+    cols = np.empty((half, n_sites), dtype=np.int32)
+    cols[:, 0] = half - 1 - b
+    for k in range(n_sites - 1):
+        cols[:, k + 1] = b ^ (1 << k)
+    vals = np.ones(cols.shape)
+    vals[:, 0] = sign
+    return cols, vals
+
+
 class _SectorOperator:
-    """Hamiltonian on one flip-parity sector by _sector_matrix's rule, with a
-    matvec count: the site-1 flip reads sign times the reversed half-space
-    vector, and every other flip stays in the half-space."""
+    """Hamiltonian on one flip-parity sector, diag * s + lam * (F @ s) with
+    F the flip table as a CSR matrix, and a count of its matvecs."""
 
     def __init__(self, h: TfimHamiltonian, sign: float) -> None:
+        # scipy takes ~0.2 s to import, and only this Krylov branch uses it
+        from scipy.sparse import csr_array
+
         self.h = h
-        self.sign = sign
         self.dim = h.dim // 2
+        self.diag = h._diag[: self.dim]
+        cols, vals = _flip_table(h.n_sites, sign)
+        indptr = np.arange(0, cols.size + 1, h.n_sites, dtype=np.int32)
+        self.flips = csr_array(
+            (vals.ravel(), cols.ravel(), indptr), shape=(self.dim, self.dim)
+        )
         self.count = 0
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         self.count += 1
-        n = self.h.n_sites
-        flips = self.sign * s[::-1]
-        for k in range(n - 1):
-            flips += s.reshape(1 << (n - 2 - k), 2, 1 << k)[:, ::-1, :].reshape(s.shape)
-        return self.h._diag[: self.dim] * s + self.h.lam * flips
+        return self.diag * s + self.h.lam * (self.flips @ s)
+
+
+def _lowest_ritz_vector(alphas: list[float], betas: list[float]) -> np.ndarray:
+    """Eigenvector of the lowest eigenvalue of the symmetric tridiagonal
+    matrix with diagonal ``alphas`` and off-diagonal ``betas``.
+
+    Bisection (dstebz) finds the eigenvalue and inverse iteration (dstein)
+    its vector: the LAPACK calls scipy's eigh_tridiagonal makes for one
+    selected index, without its per-call argument checks, so the vector is
+    the same to the bit.  A nonzero LAPACK info raises ConvergenceError.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if not betas:
+        return np.ones(1)
+    _, vals, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = dstein(alphas, betas, vals[:1], iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal Ritz step failed (LAPACK info {info})")
+    return vecs[:, 0]
 
 
 def _lanczos_smallest(
@@ -88,8 +134,7 @@ def _lanczos_smallest(
             for _ in range(2):
                 w -= basis[:m].T @ (basis[:m] @ w)
             b = float(np.linalg.norm(w))
-            _, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-            s = vecs[:, 0]  # the lowest Ritz vector in the Lanczos basis
+            s = _lowest_ritz_vector(alphas, betas)  # in the Lanczos basis
             broke_down = b <= _BREAKDOWN_EPS * scale
             estimate = abs(b * s[-1])
             if estimate < 0.5 * tol or broke_down:
@@ -256,17 +301,11 @@ class FullSpectrum:
 
 
 def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
-    """Dense H on one flip-parity sector, in the basis _embed lifts.
-
-    Flipping a bit below the top one stays in the half-space; flipping the
-    top bit (site 1) lands on the complement of 2^(N-1)-1-b, hence sign.
-    """
-    half = h.dim // 2
-    idx = np.arange(half)
-    mat = np.diag(h._diag[:half])
-    for k in range(h.n_sites - 1):
-        mat[idx, idx ^ (1 << k)] += h.lam
-    mat[idx, half - 1 - idx] += sign * h.lam
+    """Dense H on one flip-parity sector, in the basis _embed lifts, with
+    its off-diagonal read from the flip table."""
+    cols, vals = _flip_table(h.n_sites, sign)
+    mat = np.diag(h._diag[: h.dim // 2])
+    mat[np.arange(cols.shape[0])[:, None], cols] += h.lam * vals
     return mat
 
 

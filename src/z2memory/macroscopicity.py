@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .eigensolve import lowest_eigenpairs
 from .model import build_tfim
-from .pauli import AdditiveOperator, StateVector, _apply_axis, mz_diagonal
+from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_diagonal
 
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
@@ -90,17 +90,28 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
 
     Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
     same-site off-axis terms.  Built as a Gram matrix of the 3N vectors
-    s_a(l)|psi>, which keeps it positive semidefinite by construction.
+    s_a(l)|psi>, which keeps it positive semidefinite by construction.  The
+    rows hold sigma_x, -i sigma_y = sigma_x sigma_z and sigma_z applied to
+    psi, which stay real when psi is: a state with zero imaginary part runs
+    in real arithmetic.  sigma_y's i returns as a phase on the Gram matrix
+    and on the means.
     """
     state.require_normalized()
     n = state.n_sites
     amps = state.amplitudes
-    rows = np.empty((3 * n, state.dim), dtype=np.complex128)
+    if not amps.imag.any():
+        amps = amps.real
+    rows = np.empty((3 * n, state.dim), dtype=amps.dtype)
     for l in range(1, n + 1):
-        for axis in range(3):
-            rows[3 * (l - 1) + axis] = _apply_axis(amps, n, axis, l)
-    means = (rows.conj() @ amps).real  # Hermitian single-site expectations
-    gram = rows.conj() @ rows.T
+        z = _apply_axis(amps, n, PauliAxis.Z, l)
+        rows[3 * (l - 1)] = _apply_axis(amps, n, PauliAxis.X, l)
+        rows[3 * (l - 1) + 1] = _apply_axis(z, n, PauliAxis.X, l)
+        rows[3 * (l - 1) + 2] = z
+    phase = np.tile([1.0, 1.0j, 1.0], n)
+    # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
+    # is the Hermitian single-site expectation
+    means = (phase.conj() * (rows.conj() @ amps)).real
+    gram = phase.conj()[:, None] * (rows.conj() @ rows.T) * phase
     v = gram - np.outer(means, means)
     return CorrelationMatrix(n_sites=n, kind=CorrelationKind.VCM, entries=v)
 

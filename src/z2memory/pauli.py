@@ -2,8 +2,10 @@
 
 Basis convention, fixed once for the whole package: basis index b stores
 site l in bit n-l (site 1 is the most significant bit), and bit value 0
-means sigma_z eigenvalue +1.  Amplitudes are always complex.  All public operations are pure functions on immutable
-inputs and are safe to call from several threads at once.
+means sigma_z eigenvalue +1.  A StateVector's amplitudes are always
+complex; the internal kernels also run on real arrays.  All public
+operations are pure functions on immutable inputs and are safe to call
+from several threads at once.
 """
 
 from __future__ import annotations
@@ -137,10 +139,11 @@ def _check_site(n_sites: int, site: int) -> int:
 
 
 def _apply_axis(amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int) -> np.ndarray:
-    """sigma_axis(site) acting on the leading 2^n index of a complex array.
+    """sigma_axis(site) acting on the leading 2^n index of an array.
 
-    Works on flat state vectors and, row-wise, on density matrices whose
-    first index is the 2^n basis index.
+    sigma_x and sigma_z keep the array's dtype, real or complex; sigma_y
+    needs a complex array.  Works on flat state vectors and, row-wise, on
+    matrices whose first index is the 2^n basis index.
     """
     k = _check_site(n_sites, site)
     lead = 1 << k  # site k+1 occupies bit n-1-k, counted from the top

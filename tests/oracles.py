@@ -60,6 +60,42 @@ def free_fermion_energies(n, lam, dps=40):
         return +e0, +e1
 
 
+def free_fermion_spectrum(n, lam, dps=40):
+    """All 2^N levels of the chain in closed form, ascending, as float64.
+
+    Jordan-Wigner gives two free-fermion sets: the antiperiodic modes
+    k = pi(2m+1)/N and the periodic modes k = 2 pi m/N, m = 0..N-1, each
+    keeping the states with an even number of occupied modes.  A mode costs
+    2 f(k) off k in {0, pi}; the k=0 mode costs 2(1-|lam|), signed, and the
+    k=pi mode 2(1+|lam|).  A level is sum_k eps_k (n_k - 1/2), summed in
+    mpmath at ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        lam = abs(mpmath.mpf(lam))
+        levels = []
+        # mode k = pi j / N: odd j for the antiperiodic set, even j for the
+        # periodic one
+        for js in (range(1, 2 * n, 2), range(0, 2 * n, 2)):
+            eps = []
+            for j in js:
+                if j == 0:
+                    eps.append(2 * (1 - lam))
+                elif j == n:
+                    eps.append(2 * (1 + lam))
+                else:
+                    k = mpmath.pi * j / n
+                    eps.append(2 * mpmath.sqrt(1 + lam**2 - 2 * lam * mpmath.cos(k)))
+            for occ in range(1 << n):
+                if bin(occ).count("1") % 2 == 0:
+                    levels.append(
+                        mpmath.fsum(
+                            e * (((occ >> i) & 1) - mpmath.mpf(1) / 2)
+                            for i, e in enumerate(eps)
+                        )
+                    )
+        return np.sort(np.array([float(x) for x in levels]))
+
+
 def dense_vcm(amps):
     """Connected pair-correlation matrix by explicit operator products."""
     n = int(round(np.log2(amps.size)))

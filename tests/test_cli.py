@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import z2memory
 import z2memory.eigensolve as es
 from z2memory import build_tfim, build_vcm, gap_scan, lowest_eigenpairs
 from z2memory.cli import main
@@ -214,3 +220,25 @@ def test_stabilizer_report(tmp_path):
     assert "code_dimension" in header
     assert all(r[-1] == "pass" for r in rows)
     assert [int(r[1]) for r in rows] == [2, 2, 2]
+
+
+def test_scipy_stays_off_the_import_path():
+    # importing scipy costs a process ~0.2 s; only the Krylov solver needs it
+    script = (
+        "import sys\n"
+        "import z2memory.cli\n"
+        "from z2memory.model import stabilizer_check\n"
+        "from z2memory.rvb import rvb_vcm_check\n"
+        "from z2memory.thermal import thermal_scan\n"
+        "thermal_scan(0.5, 4, [0.5, 1.0])\n"
+        "stabilizer_check(6)\n"
+        "rvb_vcm_check(8)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(z2memory.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

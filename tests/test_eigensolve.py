@@ -147,8 +147,9 @@ def test_repeat_runs_are_deterministic():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_sector_operator_matches_sector_matrix_and_full_space(n):
-    # two independent routes: the dense sector matrix, and H applied in the
-    # full space to the lifted vector, then projected back onto the sector
+    # the dense sector matrix, which reads the same flip table, and H
+    # applied in the full space to the lifted vector, then projected back
+    # onto the sector, which shares no code with the table
     rng = np.random.default_rng(n)
     half = 1 << (n - 1)
     for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
@@ -162,6 +163,50 @@ def test_sector_operator_matches_sector_matrix_and_full_space(n):
             tol *= np.linalg.norm(s)
             assert np.abs(got - es._sector_matrix(h, sign) @ s).max() < tol
             assert np.abs(got - projected).max() < tol
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
+    # the loop the CSR flip table replaced, as the reference: the site-1
+    # flip reads sign times the reversed vector, then one reshape flip per
+    # bit k = 0..N-2, summed in that order
+    rng = np.random.default_rng(100 + n)
+    half = 1 << (n - 1)
+    for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
+        h = build_tfim(n, lam)
+        for sign in (1.0, -1.0):
+            s = rng.standard_normal(half)
+            flips = sign * s[::-1]
+            for k in range(n - 1):
+                flips += s.reshape(1 << (n - 2 - k), 2, 1 << k)[:, ::-1, :].reshape(half)
+            want = h._diag[:half] * s + lam * flips
+            assert np.array_equal(es._SectorOperator(h, sign).matvec(s), want)
+
+
+def test_lowest_ritz_vector_is_eigh_tridiagonal_bit_for_bit():
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(23)
+    for m in range(1, 81):
+        alphas = list(m * rng.standard_normal(m))
+        betas = list(np.abs(rng.standard_normal(m - 1)))
+        _, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        assert np.array_equal(es._lowest_ritz_vector(alphas, betas), vecs[:, 0])
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, routine):
+    import scipy.linalg.lapack as lapack
+
+    real = getattr(lapack, routine)
+
+    def failing(*args):
+        *out, _ = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+        lowest_eigenpairs(build_tfim(8, 0.5), 1)
 
 
 def test_matvec_count_is_reported_and_repeats():
@@ -235,6 +280,15 @@ def test_full_spectrum_small_chain():
         x = oracles.random_state(rng, 5)
         rebuilt = solved.basis @ (solved.eigenvalues * (solved.basis.T @ x))
         assert np.linalg.norm(h.apply(x) - rebuilt) < 1e-8
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_full_spectrum_matches_free_fermion_levels(n):
+    for lam in (0.0, 1e-8, 0.3, -0.7, 1.0, 1.6, -2.2):
+        got = full_spectrum(build_tfim(n, lam)).eigenvalues
+        want = oracles.free_fermion_spectrum(n, lam)
+        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
+        assert np.abs(got - want).max() < tol
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -47,6 +47,28 @@ def test_vcm_matches_dense_oracle_on_ground_state(solve_cache):
     assert got.kind is CorrelationKind.VCM
 
 
+def test_vcm_matches_dense_oracle_on_product_states():
+    # product states carry <sigma_y> of order one, so a wrong phase on the
+    # means would show
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 5):
+        for _ in range(3):
+            psi = oracles.random_product_state(rng, n)
+            got = build_vcm(StateVector(n, psi))
+            assert np.abs(got.entries - oracles.dense_vcm(psi)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_vcm_of_a_real_state_is_phase_invariant(n, solve_cache):
+    # a state with zero imaginary part runs in real arithmetic, its
+    # phase-rotated copy in complex arithmetic, on the same physics
+    for lam in (0.5, 1.0):
+        psi = solve_cache(n, lam, k=1).eigenvectors[0]
+        rotated = StateVector(n, np.exp(0.7j) * psi.amplitudes)
+        diff = np.abs(build_vcm(psi).entries - build_vcm(rotated).entries).max()
+        assert diff < 4 * np.finfo(float).eps * n
+
+
 def test_vcm_requires_normalized_state():
     with pytest.raises(ContractError):
         build_vcm(StateVector(2, [1.0, 1.0, 0.0, 0.0]))

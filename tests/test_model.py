@@ -87,6 +87,31 @@ def test_stabilizer_check_all_sizes():
         assert max(rep.logical_commutation_residuals) < 1e-12
 
 
+def test_stabilizer_residuals_match_dense_operators(monkeypatch):
+    # spoiled site and phase diagonals make the residuals nonzero; dense
+    # matrix products of the same operators must give the same norms
+    rng = np.random.default_rng(13)
+    n = 5
+    z = rng.standard_normal((n, 1 << n))
+    p = rng.standard_normal(1 << n)
+    monkeypatch.setattr(model, "_site_z", lambda n_sites: z)
+    monkeypatch.setattr(model, "_phase_diagonal", lambda n_sites: p)
+    rep = stabilizer_check(n)
+    bonds = [np.diag(d) for d in z * np.roll(z, -1, axis=0)]
+    flip = np.eye(1 << n)[::-1]
+    phase = np.diag(p)
+    product = np.linalg.multi_dot(bonds[:-1])
+    want = (
+        np.linalg.norm(bonds[-1] - product),
+        max(np.linalg.norm(flip @ b - b @ flip) for b in bonds),
+        max(np.linalg.norm(phase @ b - b @ phase) for b in bonds),
+        np.linalg.norm(flip @ phase + phase @ flip),
+    )
+    got = (rep.product_identity_residual, *rep.logical_commutation_residuals)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert min(got[0], got[1], got[3]) > 1.0
+
+
 def test_stabilizer_check_range():
     with pytest.raises(DomainError):
         stabilizer_check(2)
