@@ -167,9 +167,9 @@ def test_sector_operator_matches_sector_matrix_and_full_space(n):
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
-    # the loop the CSR flip table replaced, as the reference: the site-1
-    # flip reads sign times the reversed vector, then one reshape flip per
-    # bit k = 0..N-2, summed in that order
+    # the reshape-flip loop as the reference: the site-1 flip reads sign
+    # times the reversed vector, then one reshape flip per bit k = 0..N-2,
+    # summed in that order, which the CSR rows must keep
     rng = np.random.default_rng(100 + n)
     half = 1 << (n - 1)
     for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
