@@ -9,9 +9,13 @@ maximally mixed state, and reduces to twice the real part of the VCM on a
 pure state.  W is computed in an eigenbasis of rho, so a temperature scan
 works in the energy eigenbasis of H and never forms rho.  A Gibbs state of
 H also keeps flip parity and translation invariance, so in the parity-
-resolved eigenbasis from full_spectrum its W splits into three circulant
-axis blocks; the scan needs only the first row of each, and one matrix
-product gives those rows at every temperature.
+resolved eigenbasis from full_spectrum its W splits into three real
+symmetric circulant axis blocks.  The scan takes the first rows at the
+offsets 0..N/2 from one matrix product over every temperature, with the
+site products formed on the top half of each sector column, and reads the
+spectrum of W from them in closed form: no 3N x 3N matrix is assembled and
+no eigh runs per temperature.  build_w_matrix stays the general route for
+any GibbsState.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .eigensolve import ORTHONORMALITY_TOL, FullSpectrum, full_spectrum
-from .macroscopicity import CorrelationKind, CorrelationMatrix
+from .macroscopicity import PSD_FLOOR, CorrelationKind, CorrelationMatrix
 from .model import TfimHamiltonian, build_tfim
 from .pauli import PauliAxis, _apply_axis
 
@@ -131,8 +135,9 @@ def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
         np.matmul(left, z, out=table[row + 2])
     table = table.reshape(3 * n, -1)
     table *= np.abs(p[:, None] - p[None, :]).reshape(-1)
-    # G @ G.T on one buffer takes BLAS's symmetric rank-k update
-    gram = table.conj() @ table.T if np.iscomplexobj(table) else table @ table.T
+    # for a real table .conj() is the table itself, so G @ G.T on one
+    # buffer takes BLAS's symmetric rank-k update
+    gram = table.conj() @ table.T
     phase = np.tile([1.0, 1.0j, 1.0], n)
     w = phase.conj()[:, None] * gram * phase
     return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w)
@@ -144,60 +149,77 @@ def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.square(d, out=d).reshape(-1, a.shape[1])
 
 
-def _scan_w_matrices(
-    spectrum: FullSpectrum, weights: np.ndarray
-) -> list[CorrelationMatrix]:
-    """W at every temperature column of ``weights`` (one Boltzmann vector
-    over the spectrum per column), from the symmetries of a Gibbs state.
+def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
+    """Eigenvalues of W at every temperature column of ``weights`` (one
+    Boltzmann vector over the spectrum per column), shape (3, N, n_kT):
+    axis, momentum q, temperature.  Three identities of a Gibbs state give
+    them without forming W.
 
-    Every column u of the basis has flip parity u . u[::-1] = +-1.  sigma_x
-    keeps the parity and sigma_z, -i sigma_y flip it, so in the real basis
-    the x-z and x-y terms of W have disjoint support and the z-y terms
-    cancel between the +- and -+ blocks: W = W_xx + W_yy + W_zz.  rho is
-    translation invariant, so each W_aa is circulant with first row
-    W_aa[1, m] = sum_ij d_ij A(1)_ij A(m)_ij, d_ij = (p_i - p_j)^2.  The
-    products P[m] = A(1) * A(m) are formed once, a site at a time; one
-    matrix product with d for every temperature then gives all rows.
+    Axis blocks.  Every column is _embed's mirror u = [v, s v[::-1]]/sqrt2,
+    s = +-1.  sigma_x keeps the flip parity and sigma_z, -i sigma_y flip it,
+    so in the real basis the x-z and x-y terms of W have disjoint support and
+    the z-y terms cancel between the +- and -+ blocks: W = W_xx + W_yy + W_zz.
+    rho is translation invariant, so each W_aa is circulant, with first row
+    r_a[d] = sum_ij (p_i - p_j)^2 A(2)_ij A(2+d)_ij taken from site 2.
+
+    Mirror.  W_aa is real symmetric and circulant, so r_a[d] = r_a[N - d]:
+    only the offsets d = 0..N//2 need site products, and the partner sites
+    2..2 + N//2 stay within the ring for every N >= 3.
+
+    Sector coordinates.  sigma on sites 2..N keeps the half-space
+    b < 2^(N-1) and commutes or anticommutes with the flip exactly as it
+    does on the whole space, so u_i . sigma u_j is twice its sum over the
+    top 2^(N-1) rows, where sigma(l) is _apply_axis(., N-1, axis, l-1).
+    Each block product is then a 2^(N-1)-cubed GEMM.
+
+    Closed form.  W is the direct sum of the three circulants, so its
+    spectrum is lambda_a(q) = sum_d r_a[d] cos(2 pi q d / N), real by
+    construction.  The smallest lambda must clear PSD_FLOOR, and every
+    column must be a mirror within ORTHONORMALITY_TOL, else ContractError:
+    the top-half products read nothing else.
     """
     basis, n = spectrum.basis, spectrum.n_sites
-    parity = np.einsum("ij,ij->j", basis, basis[::-1])
-    plus = parity > 0.0
-    drift = float(np.abs(np.abs(parity) - 1.0).max())
+    half = basis.shape[0] // 2
+    sign = np.where(np.einsum("ij,ij->j", basis, basis[::-1]) > 0.0, 1.0, -1.0)
+    drift = float(np.abs(basis[half:] - sign * basis[half - 1 :: -1]).max())
     if drift > ORTHONORMALITY_TOL:
         raise ContractError(f"eigenbasis fails flip parity by {drift:.3e}")
-    up, um = basis[:, plus], basis[:, ~plus]
-    half = up.shape[1]
+    plus = sign > 0.0
+    up, um = basis[:half, plus], basis[:half, ~plus]
+    reach = n // 2
     # xx over the ++ and -- blocks, then yy and zz over the +- block: the
     # -+ block of sigma_z is its transpose, of -i sigma_y minus it, so it
     # doubles the +- sum
-    prod = np.empty((4, n, half, half))
+    prod = np.empty((4, reach + 1, half, half))
     first = None
-    for site in range(1, n + 1):
-        zm = _apply_axis(um, n, PauliAxis.Z, site)
+    for d in range(reach + 1):
+        site = 1 + d  # site 2 + d of the ring, on the N-1 bits of the half-space
+        zm = _apply_axis(um, n - 1, PauliAxis.Z, site)
         blocks = (
-            up.T @ _apply_axis(up, n, PauliAxis.X, site),
-            um.T @ _apply_axis(um, n, PauliAxis.X, site),
-            up.T @ _apply_axis(zm, n, PauliAxis.X, site),
+            up.T @ _apply_axis(up, n - 1, PauliAxis.X, site),
+            um.T @ _apply_axis(um, n - 1, PauliAxis.X, site),
+            up.T @ _apply_axis(zm, n - 1, PauliAxis.X, site),
             up.T @ zm,
         )
         first = blocks if first is None else first
         for b, (a1, am) in enumerate(zip(first, blocks)):
-            np.multiply(a1, am, out=prod[b, site - 1])
-    prod = prod.reshape(4, n, -1)
+            np.multiply(a1, am, out=prod[b, d])
+    prod = prod.reshape(4, reach + 1, -1)
     wp, wm = weights[plus], weights[~plus]
     xx = prod[0] @ _squared_gaps(wp, wp) + prod[1] @ _squared_gaps(wm, wm)
-    yz = 2.0 * (prod[2:].reshape(2 * n, -1) @ _squared_gaps(wp, wm))
-    rows = np.concatenate([xx, yz]).reshape(3, n, -1)
-    # site-major layout: W[3l + a, 3m + a] = rows[a, (m - l) mod n]
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    out = []
-    for row in rows.transpose(2, 0, 1):
-        w = np.zeros((n, 3, n, 3))
-        for axis in range(3):
-            w[:, axis, :, axis] = row[axis][shift]
-        w = w.reshape(3 * n, 3 * n)
-        out.append(CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w))
-    return out
+    yz = 2.0 * (prod[2:].reshape(2 * (reach + 1), -1) @ _squared_gaps(wp, wm))
+    # each A is twice its top-half product
+    rows = 4.0 * np.concatenate([xx, yz]).reshape(3, reach + 1, -1)
+    offsets = np.arange(n)
+    lag = np.minimum(offsets, n - offsets)
+    cosines = np.cos(2.0 * np.pi * (np.outer(offsets, offsets) % n) / n)
+    spectra = cosines @ rows[:, lag]
+    floor = float(spectra.min())
+    if floor < PSD_FLOOR:
+        raise ContractError(
+            f"smallest eigenvalue {floor:.3e} breaks positive semidefiniteness"
+        )
+    return spectra
 
 
 def gibbs_from_spectrum(spectrum: FullSpectrum, lam: float, kT: float) -> GibbsState:
@@ -245,11 +267,12 @@ def default_kt_grid(
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     """e1 of the commutator Gram matrix across a temperature grid.
 
-    Every point reweights one eigendecomposition of H, and the circulant
-    rows of W come from one matrix product for the whole grid.
-    GibbsState's checks hold by construction: the weights are nonnegative
-    with sum 1, and the checks in full_spectrum bound ||[rho, H]|| by twice
-    the worst residual.
+    Every point reweights one eigendecomposition of H; one matrix product
+    gives the circulant rows of W for the whole grid, and e1 is the largest
+    of their closed-form eigenvalues (see _scan_w_spectra).  GibbsState's
+    checks hold by construction: the weights are nonnegative with sum 1,
+    and the checks in full_spectrum bound ||[rho, H]|| by twice the worst
+    residual.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()
@@ -264,5 +287,5 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     weights = np.column_stack(
         [_boltzmann_weights(spectrum.eigenvalues, kT) for kT in grid]
     )
-    ws = _scan_w_matrices(spectrum, weights)
-    return [(float(kT), w.e1) for kT, w in zip(grid, ws)]
+    e1 = _scan_w_spectra(spectrum, weights).max(axis=(0, 1))
+    return [(float(kT), float(e)) for kT, e in zip(grid, e1)]

@@ -138,18 +138,32 @@ _SCAN_CASES = [
     for n in range(3, 7)
     for lam in (0.0, -0.7, 0.5, 1.5)
     if (n, lam) != (6, 0.5)
-] + [pytest.param(6, 0.5, id="6"), pytest.param(8, 0.5, id="8")]
+] + [
+    pytest.param(6, 0.5, id="6"),
+    pytest.param(7, 0.5, id="7"),
+    pytest.param(8, 0.5, id="8"),
+]
 
 
 @pytest.mark.parametrize("n, lam", _SCAN_CASES)
 def test_thermal_scan_matches_per_point_route(n, lam):
+    # N=3 is the edge of the mirror: offsets 0..1 only
     grid = default_kt_grid(0.05, 2.0, 12)
     spectrum = full_spectrum(build_tfim(n, lam))
+    weights = np.column_stack(
+        [thermal._boltzmann_weights(spectrum.eigenvalues, kt) for kt in grid]
+    )
+    spectra = thermal._scan_w_spectra(spectrum, weights)
+    assert spectra.shape == (3, n, grid.size)
     rows = thermal_scan(lam, n, grid)
     assert [kt for kt, _ in rows] == list(grid)
-    for kt, e1 in rows:
-        want = build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt)).e1
-        assert abs(e1 - want) <= 1e-12 * want
+    for col, (kt, e1) in enumerate(rows):
+        want = np.linalg.eigvalsh(
+            build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt)).entries
+        )
+        assert abs(e1 - want[-1]) <= 1e-12 * want[-1]
+        got = np.sort(spectra[:, :, col], axis=None)
+        assert np.abs(got - want).max() <= 1e-12 * want[-1]
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -183,6 +197,43 @@ def test_thermal_scan_needs_a_flip_parity_eigenbasis(monkeypatch):
     monkeypatch.setattr(thermal, "full_spectrum", lambda h: mixed)
     with pytest.raises(ContractError, match="flip parity"):
         thermal_scan(0.0, n, default_kt_grid(0.1, 1.0, 3))
+
+
+def test_thermal_scan_needs_mirrored_columns(monkeypatch):
+    # the scan reads only the top half of each column, so a column whose
+    # bottom half is not the mirror of its top must be refused, even when
+    # u . u[::-1] is still +-1: at zero field the columns are basis states
+    # with exact zeros, and a zero whose mirror is zero keeps the parity
+    n = 4
+    spectrum = full_spectrum(build_tfim(n, 0.0))
+    basis = spectrum.basis.copy()
+    col = 0
+    row = next(
+        r
+        for r in range(basis.shape[0] // 2, basis.shape[0])
+        if basis[r, col] == 0.0 and basis[-1 - r, col] == 0.0
+    )
+    basis[row, col] = 1e-6
+    parity = basis[:, col] @ basis[::-1, col]
+    assert abs(abs(parity) - 1.0) < 1e-15
+    broken = FullSpectrum(n, spectrum.eigenvalues, basis)
+    monkeypatch.setattr(thermal, "full_spectrum", lambda h: broken)
+    with pytest.raises(ContractError, match="flip parity"):
+        thermal_scan(0.0, n, default_kt_grid(0.1, 1.0, 3))
+
+
+def test_scan_spectra_refuse_weights_that_break_translation():
+    # the closed form reads one circulant row; a pure state on one real
+    # member of a degenerate momentum pair is not translation invariant,
+    # so that row's cosine sums go negative and the PSD floor must catch it
+    n = 4
+    spectrum = full_spectrum(build_tfim(n, 0.7))
+    vals = spectrum.eigenvalues
+    level = next(i for i in range(vals.size - 1) if vals[i + 1] - vals[i] < 1e-10)
+    weights = np.zeros((vals.size, 1))
+    weights[level] = 1.0
+    with pytest.raises(ContractError, match="positive semidefiniteness"):
+        thermal._scan_w_spectra(spectrum, weights)
 
 
 def test_gibbs_state_keeps_its_eigensystem():
