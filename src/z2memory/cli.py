@@ -86,8 +86,12 @@ def _comments(flags: str, extra: list[str] | None = None) -> list[str]:
     return out
 
 
-def _check_n_range(n_min: int, n_max: int, hi: int = SCAN_MAX_SITES) -> None:
-    if not MIN_SITES <= n_min <= n_max <= hi:
+def _check_n_range(n_min: int, n_max: int | None = None, hi: int = SCAN_MAX_SITES) -> None:
+    """Bounds of --n-min/--n-max, or of --n alone when n_max is None."""
+    if n_max is None:
+        if not MIN_SITES <= n_min <= hi:
+            raise DomainError(f"need {MIN_SITES} <= n <= {hi}, got {n_min}")
+    elif not MIN_SITES <= n_min <= n_max <= hi:
         raise DomainError(
             f"need {MIN_SITES} <= n-min <= n-max <= {hi},"
             f" got {n_min}..{n_max}"
@@ -135,7 +139,7 @@ def _cmd_scan_e1(args) -> int:
 
 
 def _cmd_pz(args) -> int:
-    _check_n_range(args.n, args.n)
+    _check_n_range(args.n)
     h = build_tfim(args.n, args.lam)
     if args.state == "ground":
         vec = lowest_eigenpairs(h, 1).eigenvectors[0]

@@ -38,6 +38,9 @@ COMMUTE_TOL = 1e-8
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
+# Bytes of one squared-gap table in _scan_w_spectra; the temperature columns
+# are taken in chunks that keep each table under it
+GAP_TABLE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,9 @@ def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
     b < 2^(N-1) and commutes or anticommutes with the flip exactly as it
     does on the whole space, so u_i . sigma u_j is twice its sum over the
     top 2^(N-1) rows, where sigma(l) is _apply_axis(., N-1, axis, l-1).
-    Each block product is then a 2^(N-1)-cubed GEMM.
+    Each block product is then a 2^(N-1)-cubed GEMM.  The (p_i - p_j)^2
+    tables it meets are built for chunks of temperature columns, each
+    table under GAP_TABLE_BYTES.
 
     Closed form.  W is the direct sum of the three circulants, so its
     spectrum is lambda_a(q) = sum_d r_a[d] cos(2 pi q d / N), real by
@@ -206,10 +211,16 @@ def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
             np.multiply(a1, am, out=prod[b, d])
     prod = prod.reshape(4, reach + 1, -1)
     wp, wm = weights[plus], weights[~plus]
-    xx = prod[0] @ _squared_gaps(wp, wp) + prod[1] @ _squared_gaps(wm, wm)
-    yz = 2.0 * (prod[2:].reshape(2 * (reach + 1), -1) @ _squared_gaps(wp, wm))
-    # each A is twice its top-half product
-    rows = 4.0 * np.concatenate([xx, yz]).reshape(3, reach + 1, -1)
+    n_kt = weights.shape[1]
+    width = max(1, GAP_TABLE_BYTES // (8 * max(wp.shape[0], wm.shape[0]) ** 2))
+    rows = np.empty((3, reach + 1, n_kt))
+    for start in range(0, n_kt, width):
+        cols = slice(start, start + width)
+        p, m = wp[:, cols], wm[:, cols]
+        xx = prod[0] @ _squared_gaps(p, p) + prod[1] @ _squared_gaps(m, m)
+        yz = 2.0 * (prod[2:].reshape(2 * (reach + 1), -1) @ _squared_gaps(p, m))
+        # each A is twice its top-half product
+        rows[..., cols] = 4.0 * np.concatenate([xx, yz]).reshape(3, reach + 1, -1)
     offsets = np.arange(n)
     lag = np.minimum(offsets, n - offsets)
     cosines = np.cos(2.0 * np.pi * (np.outer(offsets, offsets) % n) / n)

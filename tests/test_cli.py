@@ -63,8 +63,9 @@ def test_scan_e1_output(tmp_path, solve_cache):
         ["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5,1.5"],
         ["thermal", "--n", "6", "--kt-points", "8"],
         ["gap", "--n-min", "4", "--n-max", "6"],
+        ["rvb", "--n", "14"],
     ],
-    ids=["scan-e1", "thermal", "gap"],
+    ids=["scan-e1", "thermal", "gap", "rvb"],
 )
 def test_output_is_deterministic(tmp_path, args):
     code1, a = run(tmp_path, "a.csv", *args)
@@ -106,6 +107,14 @@ def test_pz_superposed_is_one_sided(tmp_path):
 def test_pz_rejects_unknown_state(tmp_path):
     code, _ = run(tmp_path, "bad.csv", "pz", "--n", "6", "--state", "warm")
     assert code == 1
+
+
+def test_pz_range_message_names_its_flag(tmp_path, capsys):
+    code, _ = run(tmp_path, "big.csv", "pz", "--n", "15")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "need 3 <= n <= 14, got 15" in err
+    assert "n-min" not in err and "n-max" not in err
 
 
 def test_e2_report(tmp_path):

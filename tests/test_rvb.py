@@ -45,7 +45,7 @@ def test_build_vb_matches_brute_force():
             got = build_vb(cov).amplitudes
             want = oracles.brute_vb(n, cov.pairs)
             assert np.abs(got - want).max() < 1e-14
-    scrambled = PairCovering(6, ((1, 4), (2, 6), (3, 5)))
+    scrambled = PairCovering(6, ((1, 4), (6, 2), (3, 5)))
     got = build_vb(scrambled).amplitudes
     assert np.abs(got - oracles.brute_vb(6, scrambled.pairs)).max() < 1e-14
 
@@ -108,6 +108,22 @@ def test_singlet_projector_is_idempotent_projector():
         singlet_projector_apply(state, 0)
     with pytest.raises(DomainError):
         singlet_projector_apply(state, 7)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_singlet_projector_matches_dense_oracle(n):
+    # (I - XX - YY - ZZ)/4 on every bond, the wrap bond (N, 1) included
+    rng = np.random.default_rng(100 + n)
+    amps = oracles.random_state(rng, n)
+    state = StateVector(n, amps)
+    for l in range(1, n + 1):
+        m = 1 if l == n else l + 1
+        dense = np.eye(1 << n, dtype=complex)
+        for axis in range(3):
+            dense -= oracles.site_op(n, l, axis) @ oracles.site_op(n, m, axis)
+        want = (dense / 4.0) @ amps
+        got = singlet_projector_apply(state, l).amplitudes
+        assert np.abs(got - want).max() < 1e-14
 
 
 def test_singlet_projector_fixes_its_own_bond():

@@ -166,6 +166,32 @@ def test_thermal_scan_matches_per_point_route(n, lam):
         assert np.abs(got - want).max() <= 1e-12 * want[-1]
 
 
+@pytest.mark.parametrize("columns", [1, 5])
+def test_scan_spectra_chunk_the_temperature_columns(monkeypatch, columns):
+    # a budget of `columns` gap-table columns splits 12 temperatures into
+    # chunks, the last one short; the spectra must match the one-chunk scan
+    n, lam = 7, 0.5
+    half = 1 << (n - 1)
+    grid = default_kt_grid(0.05, 2.0, 12)
+    spectrum = full_spectrum(build_tfim(n, lam))
+    weights = np.column_stack(
+        [thermal._boltzmann_weights(spectrum.eigenvalues, kt) for kt in grid]
+    )
+    assert grid.size * 8 * half * half <= thermal.GAP_TABLE_BYTES
+    whole = thermal._scan_w_spectra(spectrum, weights)
+    monkeypatch.setattr(thermal, "GAP_TABLE_BYTES", columns * 8 * half * half)
+    chunked = thermal._scan_w_spectra(spectrum, weights)
+    assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
+
+
+def test_default_grids_stay_one_gap_chunk():
+    # the default 40 points at N=8 and 12 points at N=9 build each
+    # squared-gap table whole
+    for n, points in ((8, thermal.DEFAULT_KT_POINTS), (9, 12)):
+        half = 1 << (n - 1)
+        assert points * 8 * half * half <= thermal.GAP_TABLE_BYTES
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_gibbs_w_is_axis_diagonal_and_circulant(n):
     # the two facts the scan's circulant route rests on, checked on the
