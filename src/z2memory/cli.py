@@ -86,7 +86,9 @@ def _comments(flags: str, extra: list[str] | None = None) -> list[str]:
     return out
 
 
-def _check_n_range(n_min: int, n_max: int | None = None, hi: int = SCAN_MAX_SITES) -> None:
+def _check_n_range(
+    n_min: int, n_max: int | None = None, hi: int = SCAN_MAX_SITES
+) -> None:
     """Bounds of --n-min/--n-max, or of --n alone when n_max is None."""
     if n_max is None:
         if not MIN_SITES <= n_min <= hi:

@@ -212,7 +212,8 @@ def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
     prod = prod.reshape(4, reach + 1, -1)
     wp, wm = weights[plus], weights[~plus]
     n_kt = weights.shape[1]
-    width = max(1, GAP_TABLE_BYTES // (8 * max(wp.shape[0], wm.shape[0]) ** 2))
+    column_bytes = wp.itemsize * max(wp.shape[0], wm.shape[0]) ** 2
+    width = max(1, GAP_TABLE_BYTES // column_bytes)
     rows = np.empty((3, reach + 1, n_kt))
     for start in range(0, n_kt, width):
         cols = slice(start, start + width)
