@@ -269,6 +269,13 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     )
 
 
+def _check_traceless(vals: np.ndarray) -> None:
+    """H is traceless: every term is a non-identity Pauli string."""
+    total = abs(float(vals.sum()))
+    if total > 1e-8 * max(1.0, float(np.abs(vals).sum())):
+        raise ContractError(f"spectrum sums to {total:.3e}, expected 0")
+
+
 @dataclass(frozen=True)
 class FullSpectrum:
     """Complete eigendecomposition of the chain Hamiltonian.
@@ -287,10 +294,7 @@ class FullSpectrum:
             raise ContractError("eigenvalue count must be 2^N")
         if np.any(np.diff(vals) < 0):
             raise ContractError("eigenvalues must be sorted ascending")
-        # the Hamiltonian is traceless: every term is a non-identity Pauli string
-        total = abs(float(vals.sum()))
-        if total > 1e-8 * max(1.0, float(np.abs(vals).sum())):
-            raise ContractError(f"spectrum sums to {total:.3e}, expected 0")
+        _check_traceless(vals)
         basis = np.array(self.basis, dtype=np.float64, copy=True)
         if basis.shape != (vals.size, vals.size):
             raise ContractError("eigenvector basis has the wrong shape")
@@ -309,22 +313,19 @@ def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
     return mat
 
 
-def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
-    """Dense eigendecomposition, feasible up to FULL_SPECTRUM_MAX_SITES.
-
-    Each flip-parity sector is built as a 2^(N-1) matrix and solved with
-    its own eigh; the columns are lifted by _embed's rule, so every column
-    has definite parity u . u[::-1] = +-1, and merged in ascending order.
-    In each sector every eigenvector residual ||H u_i - E_i u_i|| stays
-    below RESIDUAL_BOUND and the basis is orthonormal within
-    ORTHONORMALITY_TOL, else ContractError: any state diagonal in this
-    basis then commutes with H up to twice the worst residual.
+def _sector_spectra(h: TfimHamiltonian) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(sign, ascending eigenvalues, eigenvectors on the 2^(N-1) half-space)
+    of the flip sectors +1 and -1, each by one dense eigh, feasible up to
+    FULL_SPECTRUM_MAX_SITES.  Every residual ||H v_i - E_i v_i|| stays below
+    RESIDUAL_BOUND, each basis is orthonormal within ORTHONORMALITY_TOL and
+    the spectra sum to 0, else ContractError: any state diagonal in these
+    bases then commutes with H up to twice the worst residual.
     """
     if h.n_sites > FULL_SPECTRUM_MAX_SITES:
         raise CapabilityError(
             f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
         )
-    values, columns = [], []
+    sectors = []
     for sign in (1.0, -1.0):
         mat = _sector_matrix(h, sign)
         vals, vecs = eigh(mat)
@@ -336,10 +337,19 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
         drift = float(np.abs(vecs.T @ vecs - np.eye(vals.size)).max())
         if drift > ORTHONORMALITY_TOL:
             raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
-        values.append(vals)
-        columns.append(_embed(vecs, sign))
-    vals = np.concatenate(values)
+        sectors.append((sign, vals, vecs))
+    _check_traceless(np.concatenate([vals for _, vals, _ in sectors]))
+    return sectors
+
+
+def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
+    """Dense eigendecomposition: the _sector_spectra eigenvectors lifted by
+    _embed's rule, so every column has definite parity u . u[::-1] = +-1,
+    and merged in ascending order."""
+    sectors = _sector_spectra(h)
+    vals = np.concatenate([vals for _, vals, _ in sectors])
     order = np.argsort(vals, kind="stable")
+    columns = [_embed(vecs, sign) for sign, _, vecs in sectors]
     basis = np.concatenate(columns, axis=1)[:, order]
     return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
 

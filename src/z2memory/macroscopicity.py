@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .eigensolve import lowest_eigenpairs
-from .model import build_tfim
+from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs
+from .model import MIN_SITES, build_tfim
 from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_diagonal
 
 HERMITICITY_TOL = 1e-10
@@ -194,10 +194,15 @@ def fit_exponential_gap(points) -> ScalingFit:
 
 def second_eigenvalue_scan(lam: float, n_range) -> list[tuple[int, float]]:
     """e2 of the ground-state correlation matrix per chain length."""
+    sizes = [int(n) for n in n_range]
+    if not all(MIN_SITES <= n <= SCAN_MAX_SITES for n in sizes):
+        raise DomainError(
+            f"chain lengths must lie in {MIN_SITES}..{SCAN_MAX_SITES}, got {sizes}"
+        )
     out = []
-    for n in n_range:
-        ground = lowest_eigenpairs(build_tfim(int(n), lam), 1).eigenvectors[0]
-        out.append((int(n), build_vcm(ground).e2))
+    for n in sizes:
+        ground = lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
+        out.append((n, build_vcm(ground).e2))
     return out
 
 

@@ -8,14 +8,14 @@ additive operator fails to commute with rho, collapses to zero on the
 maximally mixed state, and reduces to twice the real part of the VCM on a
 pure state.  W is computed in an eigenbasis of rho, so a temperature scan
 works in the energy eigenbasis of H and never forms rho.  A Gibbs state of
-H also keeps flip parity and translation invariance, so in the parity-
-resolved eigenbasis from full_spectrum its W splits into three real
-symmetric circulant axis blocks.  The scan takes the first rows at the
-offsets 0..N/2 from one matrix product over every temperature, with the
-site products formed on the top half of each sector column, and reads the
-spectrum of W from them in closed form: no 3N x 3N matrix is assembled and
-no eigh runs per temperature.  build_w_matrix stays the general route for
-any GibbsState.
+H also keeps flip parity and translation invariance, so in the eigenbasis
+of the two flip-parity sectors its W splits into three real symmetric
+circulant axis blocks.  The scan reads the first rows at the offsets
+0..N/2 straight from the sector eigenvectors on the 2^(N-1) half-space,
+one matrix product per block over every temperature, and reads the
+spectrum of W from them in closed form: no 2^N eigenvector is lifted, no
+3N x 3N matrix is assembled and no eigh runs per temperature.
+build_w_matrix stays the general route for any GibbsState.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .eigensolve import ORTHONORMALITY_TOL, FullSpectrum, full_spectrum
+from .eigensolve import FullSpectrum, _sector_spectra, full_spectrum
 from .macroscopicity import PSD_FLOOR, CorrelationKind, CorrelationMatrix
 from .model import TfimHamiltonian, build_tfim
 from .pauli import PauliAxis, _apply_axis
@@ -38,9 +38,6 @@ COMMUTE_TOL = 1e-8
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
-# Bytes of one squared-gap table in _scan_w_spectra; the temperature columns
-# are taken in chunks that keep each table under it
-GAP_TABLE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def _check_temperature(kT: float) -> float:
 def _boltzmann_weights(energies: np.ndarray, kT: float) -> np.ndarray:
     """exp(-E_i/kT)/Z, relative to the ground energy so nothing overflows."""
     with np.errstate(under="ignore"):
-        weights = np.exp(-(energies - energies[0]) / kT)
+        weights = np.exp(-(energies - energies.min()) / kT)
     return weights / weights.sum()
 
 
@@ -146,56 +143,52 @@ def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
     return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w)
 
 
-def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a_i - b_j)^2 per temperature column, flattened over (i, j)."""
-    d = a[:, None, :] - b[None, :, :]
-    return np.square(d, out=d).reshape(-1, a.shape[1])
+def _gap_weighted_sums(prod: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_ij (p_i - q_j)^2 prod_ij per temperature column of p and q,
+    expanded as (prod 1) . p^2 + (prod^T 1) . q^2 - 2 p . (prod q): one
+    matrix product, and no table of squared gaps."""
+    cross = np.einsum("ik,ik->k", p, prod @ q)
+    return prod.sum(axis=1) @ (p * p) + prod.sum(axis=0) @ (q * q) - 2.0 * cross
 
 
-def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
-    """Eigenvalues of W at every temperature column of ``weights`` (one
-    Boltzmann vector over the spectrum per column), shape (3, N, n_kT):
-    axis, momentum q, temperature.  Three identities of a Gibbs state give
-    them without forming W.
+def _scan_w_spectra(
+    n: int, vectors: tuple[np.ndarray, ...], weights: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Eigenvalues of W at every temperature column, shape (3, N, n_kT):
+    axis, momentum q, temperature.  ``vectors`` are the eigenvectors of the
+    flip sectors +1 and -1 on the 2^(N-1) half-space (_sector_spectra), and
+    ``weights`` their Boltzmann weights, one column per temperature.  Three
+    identities of a Gibbs state give the spectra without forming W.
 
-    Axis blocks.  Every column is _embed's mirror u = [v, s v[::-1]]/sqrt2,
-    s = +-1.  sigma_x keeps the flip parity and sigma_z, -i sigma_y flip it,
-    so in the real basis the x-z and x-y terms of W have disjoint support and
-    the z-y terms cancel between the +- and -+ blocks: W = W_xx + W_yy + W_zz.
-    rho is translation invariant, so each W_aa is circulant, with first row
-    r_a[d] = sum_ij (p_i - p_j)^2 A(2)_ij A(2+d)_ij taken from site 2.
+    Axis blocks.  sigma_x keeps the flip parity and sigma_z, -i sigma_y flip
+    it, so in the real sector basis the x-z and x-y terms of W have disjoint
+    support and the z-y terms cancel between the +- and -+ blocks:
+    W = W_xx + W_yy + W_zz.  rho is translation invariant, so each W_aa is
+    circulant, with first row r_a[d] = sum_ij (p_i - p_j)^2 A(2)_ij A(2+d)_ij
+    taken from site 2.
 
     Mirror.  W_aa is real symmetric and circulant, so r_a[d] = r_a[N - d]:
     only the offsets d = 0..N//2 need site products, and the partner sites
     2..2 + N//2 stay within the ring for every N >= 3.
 
-    Sector coordinates.  sigma on sites 2..N keeps the half-space
-    b < 2^(N-1) and commutes or anticommutes with the flip exactly as it
-    does on the whole space, so u_i . sigma u_j is twice its sum over the
-    top 2^(N-1) rows, where sigma(l) is _apply_axis(., N-1, axis, l-1).
-    Each block product is then a 2^(N-1)-cubed GEMM.  The (p_i - p_j)^2
-    tables it meets are built for chunks of temperature columns, each
-    table under GAP_TABLE_BYTES.
+    Sector coordinates.  A sector state is (|b> +- |flipped b>)/sqrt2 over
+    b < 2^(N-1).  sigma on sites 2..N keeps that half-space and commutes or
+    anticommutes with the flip, so between sector states it acts as
+    _apply_axis(., N-1, axis, l-1): each block is a 2^(N-1)-cubed GEMM, and
+    no lifted column needs a flip-mirror check.  Each P = A(2) o A(2+d)
+    meets all temperatures in _gap_weighted_sums, on weights centred on the
+    maximally mixed 2^-N: that leaves p_i - q_j as it is, and the expansion
+    no longer cancels the common part of p at high temperature.
 
     Closed form.  W is the direct sum of the three circulants, so its
     spectrum is lambda_a(q) = sum_d r_a[d] cos(2 pi q d / N), real by
-    construction.  The smallest lambda must clear PSD_FLOOR, and every
-    column must be a mirror within ORTHONORMALITY_TOL, else ContractError:
-    the top-half products read nothing else.
+    construction.  The smallest lambda must clear PSD_FLOOR, else
+    ContractError.
     """
-    basis, n = spectrum.basis, spectrum.n_sites
-    half = basis.shape[0] // 2
-    sign = np.where(np.einsum("ij,ij->j", basis, basis[::-1]) > 0.0, 1.0, -1.0)
-    drift = float(np.abs(basis[half:] - sign * basis[half - 1 :: -1]).max())
-    if drift > ORTHONORMALITY_TOL:
-        raise ContractError(f"eigenbasis fails flip parity by {drift:.3e}")
-    plus = sign > 0.0
-    up, um = basis[:half, plus], basis[:half, ~plus]
+    up, um = vectors
+    wp, wm = (w - 0.5**n for w in weights)
     reach = n // 2
-    # xx over the ++ and -- blocks, then yy and zz over the +- block: the
-    # -+ block of sigma_z is its transpose, of -i sigma_y minus it, so it
-    # doubles the +- sum
-    prod = np.empty((4, reach + 1, half, half))
+    rows = np.empty((3, reach + 1, wp.shape[1]))
     first = None
     for d in range(reach + 1):
         site = 1 + d  # site 2 + d of the ring, on the N-1 bits of the half-space
@@ -207,21 +200,13 @@ def _scan_w_spectra(spectrum: FullSpectrum, weights: np.ndarray) -> np.ndarray:
             up.T @ zm,
         )
         first = blocks if first is None else first
-        for b, (a1, am) in enumerate(zip(first, blocks)):
-            np.multiply(a1, am, out=prod[b, d])
-    prod = prod.reshape(4, reach + 1, -1)
-    wp, wm = weights[plus], weights[~plus]
-    n_kt = weights.shape[1]
-    column_bytes = wp.itemsize * max(wp.shape[0], wm.shape[0]) ** 2
-    width = max(1, GAP_TABLE_BYTES // column_bytes)
-    rows = np.empty((3, reach + 1, n_kt))
-    for start in range(0, n_kt, width):
-        cols = slice(start, start + width)
-        p, m = wp[:, cols], wm[:, cols]
-        xx = prod[0] @ _squared_gaps(p, p) + prod[1] @ _squared_gaps(m, m)
-        yz = 2.0 * (prod[2:].reshape(2 * (reach + 1), -1) @ _squared_gaps(p, m))
-        # each A is twice its top-half product
-        rows[..., cols] = 4.0 * np.concatenate([xx, yz]).reshape(3, reach + 1, -1)
+        xp, xm, y, z = (a1 * ad for a1, ad in zip(first, blocks))
+        rows[0, d] = _gap_weighted_sums(xp, wp, wp) + _gap_weighted_sums(xm, wm, wm)
+        # xx comes from the ++ and -- blocks, yy and zz from the +- block:
+        # the -+ block of sigma_z is its transpose, of -i sigma_y minus it,
+        # so it doubles the +- sum
+        rows[1, d] = 2.0 * _gap_weighted_sums(y, wp, wm)
+        rows[2, d] = 2.0 * _gap_weighted_sums(z, wp, wm)
     offsets = np.arange(n)
     lag = np.minimum(offsets, n - offsets)
     cosines = np.cos(2.0 * np.pi * (np.outer(offsets, offsets) % n) / n)
@@ -279,12 +264,12 @@ def default_kt_grid(
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     """e1 of the commutator Gram matrix across a temperature grid.
 
-    Every point reweights one eigendecomposition of H; one matrix product
-    gives the circulant rows of W for the whole grid, and e1 is the largest
-    of their closed-form eigenvalues (see _scan_w_spectra).  GibbsState's
-    checks hold by construction: the weights are nonnegative with sum 1,
-    and the checks in full_spectrum bound ||[rho, H]|| by twice the worst
-    residual.
+    Every point reweights one eigendecomposition of H per flip sector; one
+    matrix product per block gives the circulant rows of W for the whole
+    grid, and e1 is the largest of their closed-form eigenvalues (see
+    _scan_w_spectra).  GibbsState's checks hold by construction: the
+    weights are nonnegative with sum 1, and the checks in _sector_spectra
+    bound ||[rho, H]|| by twice the worst residual.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()
@@ -295,9 +280,8 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
         raise DomainError("temperatures must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("temperature grid must be strictly ascending")
-    spectrum = full_spectrum(build_tfim(n, lam))
-    weights = np.column_stack(
-        [_boltzmann_weights(spectrum.eigenvalues, kT) for kT in grid]
-    )
-    e1 = _scan_w_spectra(spectrum, weights).max(axis=(0, 1))
-    return [(float(kT), float(e)) for kT, e in zip(grid, e1)]
+    (_, ep, up), (_, em, um) = _sector_spectra(build_tfim(n, lam))
+    energies = np.concatenate([ep, em])
+    weights = np.column_stack([_boltzmann_weights(energies, kT) for kT in grid])
+    spectra = _scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+    return [(float(kT), float(e)) for kT, e in zip(grid, spectra.max(axis=(0, 1)))]

@@ -19,6 +19,7 @@ from z2memory import (
     lowest_eigenpairs,
     thermal_scan,
 )
+from z2memory.eigensolve import _sector_spectra
 from z2memory.thermal import _boltzmann_weights, _scan_w_spectra
 
 
@@ -29,10 +30,12 @@ from z2memory.thermal import _boltzmann_weights, _scan_w_spectra
     kt=st.floats(0.05, 5.0),
 )
 def test_thermal_scan_matches_per_point_route_and_is_psd(n, lam, kt):
-    spectrum = full_spectrum(build_tfim(n, lam))
-    weights = _boltzmann_weights(spectrum.eigenvalues, kt)[:, None]
-    got = np.sort(_scan_w_spectra(spectrum, weights), axis=None)
-    want = build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt))
+    h = build_tfim(n, lam)
+    (_, ep, up), (_, em, um) = _sector_spectra(h)
+    weights = _boltzmann_weights(np.concatenate([ep, em]), kt)[:, None]
+    spectra = _scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+    got = np.sort(spectra, axis=None)
+    want = build_w_matrix(gibbs_from_spectrum(full_spectrum(h), lam, kt))
     [(_, e1)] = thermal_scan(lam, n, np.array([kt]))
     assert abs(e1 - want.e1) <= 1e-10 * want.e1
     assert np.abs(got[::-1] - want.eigenvalues).max() <= 1e-10 * want.e1

@@ -17,8 +17,7 @@ from z2memory import (
     lowest_eigenpairs,
     thermal_scan,
 )
-from z2memory import thermal
-from z2memory.eigensolve import FullSpectrum
+from z2memory import eigensolve, thermal
 from z2memory.thermal import GibbsState
 
 
@@ -133,27 +132,42 @@ def test_w_matrix_of_non_translation_invariant_commuting_state():
     assert np.abs(got - want).max() < 1e-12
 
 
+def _sector_scan(n, lam, grid):
+    # the scan's kernel on its own inputs: both sectors' half-space
+    # eigenvectors and their Boltzmann weights
+    (_, ep, up), (_, em, um) = eigensolve._sector_spectra(build_tfim(n, lam))
+    energies = np.concatenate([ep, em])
+    weights = np.column_stack(
+        [thermal._boltzmann_weights(energies, kt) for kt in grid]
+    )
+    return thermal._scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+
+
+_COLD = default_kt_grid(0.05, 2.0, 12)
+_HOT = np.array([1e2, 1e4])
 _SCAN_CASES = [
-    pytest.param(n, lam, id=f"n{n}-lam{lam}")
+    pytest.param(n, lam, _COLD, 1e-12, id=f"n{n}-lam{lam}")
     for n in range(3, 7)
     for lam in (0.0, -0.7, 0.5, 1.5)
     if (n, lam) != (6, 0.5)
 ] + [
-    pytest.param(6, 0.5, id="6"),
-    pytest.param(7, 0.5, id="7"),
-    pytest.param(8, 0.5, id="8"),
+    pytest.param(6, 0.5, _COLD, 1e-12, id="6"),
+    pytest.param(7, 0.5, _COLD, 1e-12, id="7"),
+    pytest.param(8, 0.5, _COLD, 1e-12, id="8"),
+] + [
+    # at high temperature every weight is near 2^-N: only the centred
+    # expansion of the squared gaps keeps these digits
+    pytest.param(n, lam, _HOT, 1e-10, id=f"hot-n{n}-lam{lam}")
+    for n in (6, 8)
+    for lam in (0.5, -1.3)
 ]
 
 
-@pytest.mark.parametrize("n, lam", _SCAN_CASES)
-def test_thermal_scan_matches_per_point_route(n, lam):
+@pytest.mark.parametrize("n, lam, grid, rtol", _SCAN_CASES)
+def test_thermal_scan_matches_per_point_route(n, lam, grid, rtol):
     # N=3 is the edge of the mirror: offsets 0..1 only
-    grid = default_kt_grid(0.05, 2.0, 12)
     spectrum = full_spectrum(build_tfim(n, lam))
-    weights = np.column_stack(
-        [thermal._boltzmann_weights(spectrum.eigenvalues, kt) for kt in grid]
-    )
-    spectra = thermal._scan_w_spectra(spectrum, weights)
+    spectra = _sector_scan(n, lam, grid)
     assert spectra.shape == (3, n, grid.size)
     rows = thermal_scan(lam, n, grid)
     assert [kt for kt, _ in rows] == list(grid)
@@ -161,35 +175,9 @@ def test_thermal_scan_matches_per_point_route(n, lam):
         want = np.linalg.eigvalsh(
             build_w_matrix(gibbs_from_spectrum(spectrum, lam, kt)).entries
         )
-        assert abs(e1 - want[-1]) <= 1e-12 * want[-1]
+        assert abs(e1 - want[-1]) <= rtol * want[-1]
         got = np.sort(spectra[:, :, col], axis=None)
-        assert np.abs(got - want).max() <= 1e-12 * want[-1]
-
-
-@pytest.mark.parametrize("columns", [1, 5])
-def test_scan_spectra_chunk_the_temperature_columns(monkeypatch, columns):
-    # a budget of `columns` gap-table columns splits 12 temperatures into
-    # chunks, the last one short; the spectra must match the one-chunk scan
-    n, lam = 7, 0.5
-    half = 1 << (n - 1)
-    grid = default_kt_grid(0.05, 2.0, 12)
-    spectrum = full_spectrum(build_tfim(n, lam))
-    weights = np.column_stack(
-        [thermal._boltzmann_weights(spectrum.eigenvalues, kt) for kt in grid]
-    )
-    assert grid.size * 8 * half * half <= thermal.GAP_TABLE_BYTES
-    whole = thermal._scan_w_spectra(spectrum, weights)
-    monkeypatch.setattr(thermal, "GAP_TABLE_BYTES", columns * 8 * half * half)
-    chunked = thermal._scan_w_spectra(spectrum, weights)
-    assert np.abs(chunked - whole).max() <= 1e-12 * whole.max()
-
-
-def test_default_grids_stay_one_gap_chunk():
-    # the default 40 points at N=8 and 12 points at N=9 build each
-    # squared-gap table whole
-    for n, points in ((8, thermal.DEFAULT_KT_POINTS), (9, 12)):
-        half = 1 << (n - 1)
-        assert points * 8 * half * half <= thermal.GAP_TABLE_BYTES
+        assert np.abs(got - want).max() <= rtol * want[-1]
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -209,57 +197,18 @@ def test_gibbs_w_is_axis_diagonal_and_circulant(n):
                     assert np.abs(block - shifted).max() < 1e-14
 
 
-def test_thermal_scan_needs_a_flip_parity_eigenbasis(monkeypatch):
-    # at zero field |0000> and |1111> span the ground level: an eigenbasis
-    # of H, but without definite flip parity
-    n = 4
-    spectrum = full_spectrum(build_tfim(n, 0.0))
-    basis = spectrum.basis.copy()
-    assert spectrum.eigenvalues[0] == spectrum.eigenvalues[1]
-    pair = basis[:, :2].copy()
-    basis[:, 0] = (pair[:, 0] + pair[:, 1]) / np.sqrt(2.0)
-    basis[:, 1] = (pair[:, 0] - pair[:, 1]) / np.sqrt(2.0)
-    mixed = FullSpectrum(n, spectrum.eigenvalues, basis)
-    monkeypatch.setattr(thermal, "full_spectrum", lambda h: mixed)
-    with pytest.raises(ContractError, match="flip parity"):
-        thermal_scan(0.0, n, default_kt_grid(0.1, 1.0, 3))
-
-
-def test_thermal_scan_needs_mirrored_columns(monkeypatch):
-    # the scan reads only the top half of each column, so a column whose
-    # bottom half is not the mirror of its top must be refused, even when
-    # u . u[::-1] is still +-1: at zero field the columns are basis states
-    # with exact zeros, and a zero whose mirror is zero keeps the parity
-    n = 4
-    spectrum = full_spectrum(build_tfim(n, 0.0))
-    basis = spectrum.basis.copy()
-    col = 0
-    row = next(
-        r
-        for r in range(basis.shape[0] // 2, basis.shape[0])
-        if basis[r, col] == 0.0 and basis[-1 - r, col] == 0.0
-    )
-    basis[row, col] = 1e-6
-    parity = basis[:, col] @ basis[::-1, col]
-    assert abs(abs(parity) - 1.0) < 1e-15
-    broken = FullSpectrum(n, spectrum.eigenvalues, basis)
-    monkeypatch.setattr(thermal, "full_spectrum", lambda h: broken)
-    with pytest.raises(ContractError, match="flip parity"):
-        thermal_scan(0.0, n, default_kt_grid(0.1, 1.0, 3))
-
-
 def test_scan_spectra_refuse_weights_that_break_translation():
     # the closed form reads one circulant row; a pure state on one real
-    # member of a degenerate momentum pair is not translation invariant,
-    # so that row's cosine sums go negative and the PSD floor must catch it
+    # member of a degenerate momentum pair inside a sector (the E = -1.4
+    # pair of parity -1) is not translation invariant, so that row's cosine
+    # sums go negative and the PSD floor must catch it
     n = 4
-    spectrum = full_spectrum(build_tfim(n, 0.7))
-    vals = spectrum.eigenvalues
-    level = next(i for i in range(vals.size - 1) if vals[i + 1] - vals[i] < 1e-10)
-    weights = np.zeros((vals.size, 1))
-    weights[level] = 1.0
+    (_, ep, up), (_, em, um) = eigensolve._sector_spectra(build_tfim(n, 0.7))
+    level = next(i for i in range(em.size - 1) if em[i + 1] - em[i] < 1e-10)
+    wp, wm = np.zeros((ep.size, 1)), np.zeros((em.size, 1))
+    wm[level] = 1.0
     with pytest.raises(ContractError, match="positive semidefiniteness"):
-        thermal._scan_w_spectra(spectrum, weights)
+        thermal._scan_w_spectra(n, (up, um), (wp, wm))
 
 
 def test_gibbs_state_keeps_its_eigensystem():
