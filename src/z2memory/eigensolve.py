@@ -1,4 +1,4 @@
-"""Ground state and code doublet of the chain Hamiltonian, by flip parity.
+"""Ground state and code doublet of the chain Hamiltonian, by symmetry.
 
 The Hamiltonian commutes with the global spin flip, and the two lowest
 states form a doublet whose splitting closes exponentially in N below the
@@ -8,21 +8,33 @@ index b to its bit complement, hence the half-space of indices below
 2^(N-1) parameterizes either sector and the sector vectors are
 (|b> +- |flipped b>)/sqrt(2).  The doublet is the pair of sector ground
 states, and the ground state lies in the sector that Perron-Frobenius
-names, so one vector per sector is all that is ever solved: densely for
-tiny sectors, else by Lanczos on the half-space, fully reorthogonalized by
-block classical Gram-Schmidt applied twice, which is as accurate as the
-modified form (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069
-(2005)).  One flip table states the sector rule: the dense sector matrix
-reads its off-diagonal from it, and the Lanczos matvec runs it as a CSR
-matrix.  scipy is loaded only by that Krylov branch.
+names.
+
+The ground state alone is unique in its sector, so it is also invariant
+under the ring's translations and reflections: it lives in the block of
+zero momentum, reflection parity +1 and flip parity s, one symmetric
+state per orbit of basis strings under rotation, reflection and
+complement (at most 362 states at N=14, against 2^13 in the sector).
+That block is solved by one dense eigh and lifted back to 2^N by a
+gather; its matrix elements follow Sandvik, arXiv:1101.3281.
+
+The doublet solves one vector per flip sector: densely for tiny sectors,
+else by Lanczos on the half-space, fully reorthogonalized by block
+classical Gram-Schmidt applied twice, which is as accurate as the modified
+form (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
+One flip table states the sector rule: the dense sector matrix reads its
+off-diagonal from it, and the Lanczos matvec runs it as a CSR matrix.
+scipy is loaded only by that Krylov branch, so only by doublet solves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import eigh
+from numpy.linalg import LinAlgError, eigh
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .model import TfimHamiltonian, build_tfim
@@ -68,7 +80,8 @@ class _SectorOperator:
     F the flip table as a CSR matrix, and a count of its matvecs."""
 
     def __init__(self, h: TfimHamiltonian, sign: float) -> None:
-        # scipy takes ~0.2 s to import, and only this Krylov branch uses it
+        # scipy takes ~0.2 s to import, and only the doublet's Krylov
+        # branch uses it
         from scipy.sparse import csr_array
 
         self.h = h
@@ -175,11 +188,91 @@ def _sector_ground(
     return _embed(_lanczos_smallest(op, tol, rng), sign), op.count
 
 
+class _SymmetricBlock(NamedTuple):
+    """The zero-momentum, reflection-even block of one flip sector.
+
+    ``reps`` are the orbit representatives (smallest string of each orbit)
+    that span the block.  Basis string b lifts from block entry ``col[b]``
+    with weight ``coef[b]``: the orbit sign over sqrt(orbit size), 0 on
+    orbits that the block excludes.  ``flips`` is the block of
+    sum_l sigma_x(l), so H restricted to the block is
+    diag(H_diag[reps]) + lam * flips.
+    """
+
+    reps: np.ndarray
+    col: np.ndarray
+    coef: np.ndarray
+    flips: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
+    """The orbit table of the 4N-element group of rotations, reflection and
+    complement, the complement with character ``sign``, and the block of the
+    transverse field on it, built once per (N, sign).
+
+    Row g of ``images`` holds g(b) for every string b, and odd rows carry
+    the complement; a string's representative is its smallest image.  An
+    orbit spans a block state unless an element of character -1 fixes its
+    strings, which needs sign = -1.  On every other orbit, all elements
+    that map b to its representative share one character: the sign of b
+    in the block state.  With |i> = sum_b coef[b] |b>, the field block is
+    F[j, i] = sqrt(|orbit i|) sum_k coef[r_i ^ 2^k] [col(r_i ^ 2^k) = j].
+    """
+    dim = 1 << n_sites
+    mask = dim - 1
+    b = np.arange(dim)
+    mirror = np.zeros(dim, dtype=b.dtype)
+    for k in range(n_sites):
+        mirror |= ((b >> k) & 1) << (n_sites - 1 - k)
+    images = np.empty((4 * n_sites, dim), dtype=b.dtype)
+    for r in range(n_sites):
+        for half, start in enumerate((b, mirror)):
+            row = 2 * (half * n_sites + r)
+            images[row] = ((start << r) | (start >> (n_sites - r))) & mask
+            images[row + 1] = images[row] ^ mask
+    which = images.argmin(axis=0)
+    rep = images[which, b]
+    keep = np.ones(dim, dtype=bool)
+    if sign < 0:
+        keep = ~(images[1::2] == b).any(axis=0)
+    reps = np.flatnonzero((rep == b) & keep)
+    col = np.where(keep, np.searchsorted(reps, rep), 0)
+    size = np.bincount(col[keep], minlength=reps.size)
+    coef = np.where(keep, np.where(which % 2, sign, 1.0) / np.sqrt(size[col]), 0.0)
+
+    targets = reps[:, None] ^ (1 << np.arange(n_sites))
+    flips = np.zeros((reps.size, reps.size))
+    np.add.at(
+        flips,
+        (col[targets], np.arange(reps.size)[:, None]),
+        np.sqrt(size)[:, None] * coef[targets],
+    )
+    for arr in (reps, col, coef, flips):
+        arr.flags.writeable = False
+    return _SymmetricBlock(reps, col, coef, flips)
+
+
+def _symmetric_ground(h: TfimHamiltonian, sign: float) -> np.ndarray:
+    """The lowest eigenvector of the symmetric block of flip sector
+    ``sign``, lifted to the full space.  A LAPACK failure of the block
+    eigh raises ConvergenceError."""
+    block = _symmetric_block(h.n_sites, sign)
+    mat = h.lam * block.flips
+    mat[np.diag_indices_from(mat)] += h._diag[block.reps]
+    try:
+        _, vecs = eigh(mat)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"symmetric block eigh failed: {exc}") from exc
+    return block.coef * vecs[block.col, 0]
+
+
 @dataclass(frozen=True)
 class EigenPairs:
     """The k lowest eigenpairs: ascending eigenvalues, orthonormal
     eigenvectors, true residuals, and the flip-parity label of each vector;
-    ``matvecs`` counts the sector matvecs of every solved sector."""
+    ``matvecs`` counts the Lanczos matvecs of every solved sector (0 where
+    every solve was dense)."""
 
     eigenvalues: np.ndarray
     eigenvectors: tuple[StateVector, ...]
@@ -227,16 +320,20 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     """The ground state (k=1) or the code doublet (k=2) of the chain.
 
     H commutes with the spin flip, and the two lowest states are the ground
-    states of its two parity sectors, so only those are solved (dense up to
-    DENSE_SECTOR_DIM, otherwise Lanczos with full reorthogonalization).  For
-    k=2 they are ordered by their Rayleigh quotients.  For k=1 algebra
-    names the sector: at lam<0 every off-diagonal entry is <= 0 and the
-    single-flip graph is connected, so Perron-Frobenius gives a unique
-    positive ground state of parity +1; conjugating by prod sigma_z maps
-    lam to -lam and multiplies the flip by (-1)^N, so at lam>0 the ground
-    parity is (-1)^N.  At lam=0 the doublet is degenerate and +1 is taken.
-    ``tol`` is the residual target; requests looser than the type bound
-    are tightened to it.
+    states of its two parity sectors, so only those are solved.  For k=2
+    each sector is solved densely up to DENSE_SECTOR_DIM, otherwise by
+    Lanczos with full reorthogonalization, and the two are ordered by their
+    Rayleigh quotients.  For k=1 algebra names the sector: at lam<0 every
+    off-diagonal entry is <= 0 and the single-flip graph is connected, so
+    Perron-Frobenius gives a unique positive ground state of parity +1;
+    conjugating by prod sigma_z maps lam to -lam and multiplies the flip by
+    (-1)^N, so at lam>0 the ground parity is (-1)^N.  At lam=0 the doublet
+    is degenerate and +1 is taken.  Being unique, the ground state is also
+    invariant under every translation and reflection, which commute with H
+    and with prod sigma_z, so it is solved on the symmetric block of its
+    sector by one dense eigh, and ``matvecs`` is 0.  ``tol`` is the
+    residual target of the Lanczos solves; requests looser than the type
+    bound are tightened to it.
     """
     if k not in (1, 2):
         raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
@@ -251,7 +348,10 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
         signs = (-1.0 if h.lam > 0 and h.n_sites % 2 else 1.0,)
     found, matvecs = [], 0
     for sign in signs:
-        full, count = _sector_ground(h, sign, target)
+        if k == 1:
+            full, count = _symmetric_ground(h, sign), 0
+        else:
+            full, count = _sector_ground(h, sign, target)
         matvecs += count
         hv = h.apply(full)
         value = float(full @ hv)

@@ -194,15 +194,19 @@ def fit_exponential_gap(points) -> ScalingFit:
 
 def second_eigenvalue_scan(lam: float, n_range) -> list[tuple[int, float]]:
     """e2 of the ground-state correlation matrix per chain length."""
-    sizes = [int(n) for n in n_range]
-    if not all(MIN_SITES <= n <= SCAN_MAX_SITES for n in sizes):
+    sizes = list(n_range)
+    if not all(
+        isinstance(n, (int, np.integer)) and MIN_SITES <= n <= SCAN_MAX_SITES
+        for n in sizes
+    ):
         raise DomainError(
-            f"chain lengths must lie in {MIN_SITES}..{SCAN_MAX_SITES}, got {sizes}"
+            f"chain lengths must be integers in {MIN_SITES}..{SCAN_MAX_SITES},"
+            f" got {sizes}"
         )
     out = []
     for n in sizes:
         ground = lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
-        out.append((n, build_vcm(ground).e2))
+        out.append((int(n), build_vcm(ground).e2))
     return out
 
 

@@ -193,6 +193,18 @@ def test_thermal_exits_1_when_the_spectrum_breaks_its_contract(tmp_path, monkeyp
 def test_convergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(es, "MATVEC_BUDGET", 3)
     code, _ = run(
+        tmp_path, "conv.csv", "gap", "--n-min", "8", "--n-max", "8",
+        "--lambda", "0.5",
+    )
+    assert code == 2
+
+
+def test_block_eigh_failure_exit_code(tmp_path, monkeypatch):
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(es, "eigh", failing)
+    code, _ = run(
         tmp_path, "conv.csv", "scan-e1", "--n-min", "8", "--n-max", "8",
         "--lambdas", "0.5",
     )
@@ -232,16 +244,21 @@ def test_stabilizer_report(tmp_path):
 
 
 def test_scipy_stays_off_the_import_path():
-    # importing scipy costs a process ~0.2 s; only the Krylov solver needs it
+    # importing scipy costs a process ~0.2 s; only the doublet's Krylov
+    # solver needs it, so ground-state runs never load it
     script = (
         "import sys\n"
         "import z2memory.cli\n"
-        "from z2memory.model import stabilizer_check\n"
+        "from z2memory.eigensolve import lowest_eigenpairs\n"
+        "from z2memory.macroscopicity import second_eigenvalue_scan\n"
+        "from z2memory.model import build_tfim, stabilizer_check\n"
         "from z2memory.rvb import rvb_vcm_check\n"
         "from z2memory.thermal import thermal_scan\n"
         "thermal_scan(0.5, 4, [0.5, 1.0])\n"
         "stabilizer_check(6)\n"
         "rvb_vcm_check(8)\n"
+        "second_eigenvalue_scan(0.5, [8, 9, 10])\n"
+        "lowest_eigenpairs(build_tfim(10, 0.5), 1)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(z2memory.__file__).resolve().parents[1])

@@ -103,21 +103,88 @@ def test_doublet_matches_free_fermion_energies(n, solve_cache):
         assert np.abs(got - want).max() < tol
 
 
+# the fields of the Perron-Frobenius parity test below
+GROUND_FIELDS = (-1.5, -0.7, -1e-3, 0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_ground_energy_matches_free_fermion_energy(n, solve_cache):
+    # independent route: the closed-form ground energy, exact to 40 digits
+    for lam in GROUND_FIELDS:
+        want = float(min(oracles.free_fermion_energies(n, lam)))
+        got = solve_cache(n, lam, k=1)
+        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
+        assert abs(got.eigenvalues[0] - want) < tol
+        assert got.matvecs == 0
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_ground_state_is_translation_and_reflection_even(n, solve_cache):
+    # the symmetries act on the (2,)*N tensor axes, site 1 first, sharing
+    # no code with the orbit table
+    for lam in GROUND_FIELDS:
+        ground = solve_cache(n, lam, k=1)
+        amps = ground.eigenvectors[0].amplitudes
+        tensor = amps.reshape((2,) * n)
+        images = {
+            "translation": (np.moveaxis(tensor, 0, -1).ravel(), 1.0),
+            "reflection": (tensor.transpose(tuple(range(n))[::-1]).ravel(), 1.0),
+            "flip": (tensor[(slice(None, None, -1),) * n].ravel(), ground.parities[0]),
+        }
+        for name, (image, eigenvalue) in images.items():
+            assert np.abs(image - eigenvalue * amps).max() < 1e-14, (name, lam)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symmetric_block_spectrum_lies_in_the_dense_spectrum(n):
+    # every block eigenvalue, not only the lowest, must be a level of the
+    # Kronecker-built H: this tests the whole field table of both signs
+    for lam in (0.0, 0.3, -0.7, 1.0, 1.6):
+        levels = np.linalg.eigvalsh(oracles.dense_h(n, lam))
+        h = build_tfim(n, lam)
+        for sign in (1.0, -1.0):
+            block = es._symmetric_block(n, sign)
+            mat = np.diag(h._diag[block.reps]) + lam * block.flips
+            for value in np.linalg.eigvalsh(mat):
+                assert np.abs(levels - value).min() < 1e-12
+
+
+def test_symmetric_block_dimensions():
+    # orbit counts of rotation, reflection and complement that admit the
+    # trivial character (sign +1) or the complement-odd one (sign -1)
+    dims = {(12, 1.0): 122, (12, -1.0): 102, (13, 1.0): 190, (13, -1.0): 190,
+            (14, 1.0): 362, (14, -1.0): 325}
+    for (n, sign), dim in dims.items():
+        assert es._symmetric_block(n, sign).reps.size == dim
+
+
+def test_block_lapack_failure_is_a_convergence_error(monkeypatch):
+    def failing(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(es, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        lowest_eigenpairs(build_tfim(8, 0.5), 1)
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
     # lam < 0: every off-diagonal entry of H is <= 0 on a connected
     # single-flip graph, so the ground state is positive and flip-even;
     # prod sigma_z maps lam to -lam and multiplies the flip by (-1)^N
     gauge = (-1.0) ** np.array([bin(b).count("1") for b in range(1 << n)])
-    for lam in (-1.5, -0.7, -1e-3, 0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0):
+    for lam in GROUND_FIELDS:
         parity = (-1.0) ** n if lam > 0 else 1.0
         ground = solve_cache(n, lam, k=1)
         amps = ground.eigenvectors[0].amplitudes
         assert ground.parities[0] == parity
         assert np.abs(amps[::-1] - parity * amps).max() < 1e-12
+        # k=1 and k=2 reach the same sector ground state by two routes
         doublet = solve_cache(n, lam, k=2)
         partner = list(doublet.parities).index(parity)
-        assert np.array_equal(doublet.eigenvectors[partner].amplitudes, amps)
+        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
+        assert abs(doublet.eigenvalues[partner] - ground.eigenvalues[0]) < tol
+        assert abs(doublet.eigenvectors[partner].inner(ground.eigenvectors[0])) >= 1 - 1e-12
         if abs(lam) >= 0.5:
             # a one-signed eigenvector of the (gauged) Perron-Frobenius
             # matrix is its ground state
@@ -206,7 +273,7 @@ def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, rou
 
     monkeypatch.setattr(lapack, routine, failing)
     with pytest.raises(ConvergenceError, match="LAPACK info 1"):
-        lowest_eigenpairs(build_tfim(8, 0.5), 1)
+        lowest_eigenpairs(build_tfim(8, 0.5), 2)
 
 
 def test_matvec_count_is_reported_and_repeats():
@@ -215,8 +282,8 @@ def test_matvec_count_is_reported_and_repeats():
             a = lowest_eigenpairs(build_tfim(n, 0.5), k)
             b = lowest_eigenpairs(build_tfim(n, 0.5), k)
             assert a.matvecs == b.matvecs
-            if n <= 4:
-                assert a.matvecs == 0  # dense sector solve
+            if k == 1 or n <= 4:
+                assert a.matvecs == 0  # dense block or dense sector solve
             else:
                 assert a.matvecs > 0
 
@@ -263,7 +330,7 @@ def test_gap_property_needs_two_levels():
 def test_convergence_error_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(es, "MATVEC_BUDGET", 3)
     with pytest.raises(ConvergenceError) as exc:
-        lowest_eigenpairs(build_tfim(8, 0.5), 1)
+        lowest_eigenpairs(build_tfim(8, 0.5), 2)
     best = exc.value.best_residual
     assert best is None or best >= 0.0
 

@@ -152,7 +152,7 @@ def test_second_eigenvalue_stays_order_one():
         assert 1.0 < e2 < 1.2
     fit = fit_index_p(points)
     assert abs(fit.slope) < 0.3
-    for sizes in ([15], [2], [6, 15]):
+    for sizes in ([15], [2], [6, 15], [6.7]):
         with pytest.raises(DomainError):
             second_eigenvalue_scan(0.5, sizes)
 
