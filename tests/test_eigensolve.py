@@ -184,7 +184,8 @@ def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
         partner = list(doublet.parities).index(parity)
         tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
         assert abs(doublet.eigenvalues[partner] - ground.eigenvalues[0]) < tol
-        assert abs(doublet.eigenvectors[partner].inner(ground.eigenvectors[0])) >= 1 - 1e-12
+        overlap = doublet.eigenvectors[partner].inner(ground.eigenvectors[0])
+        assert abs(overlap) >= 1 - 1e-12
         if abs(lam) >= 0.5:
             # a one-signed eigenvector of the (gauged) Perron-Frobenius
             # matrix is its ground state
