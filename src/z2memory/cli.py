@@ -12,6 +12,7 @@ not converge / 3 request exceeds a hard capability limit.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -396,10 +397,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """argparse reads a token that starts with '-' as a flag unless it is a
+    single number, so a list such as ``--lambdas -0.7,0.5`` is joined to its
+    flag as ``--lambdas=-0.7,0.5``."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--lambdas" and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"--lambdas={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 1)

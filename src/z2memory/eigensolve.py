@@ -15,8 +15,11 @@ under the ring's translations and reflections: it lives in the block of
 zero momentum, reflection parity +1 and flip parity s, one symmetric
 state per orbit of basis strings under rotation, reflection and
 complement (at most 362 states at N=14, against 2^13 in the sector).
-That block is solved by one dense eigh and lifted back to 2^N by a
-gather; its matrix elements follow Sandvik, arXiv:1101.3281.
+Its energy is known in closed form (Lieb, Schultz and Mattis, Ann. Phys.
+16, 407 (1961)), so the block is not diagonalized: two shifted solves just
+below that energy find the vector, which a gather lifts back to 2^N, and
+its Rayleigh quotient must then meet the closed form.  The block's matrix
+elements follow Sandvik, arXiv:1101.3281.
 
 The doublet solves one vector per flip sector: densely for tiny sectors,
 else by Lanczos on the half-space, fully reorthogonalized by block
@@ -30,15 +33,16 @@ scipy is loaded only by that Krylov branch, so only by doublet solves.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigh
+from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .model import TfimHamiltonian, build_tfim
-from .pauli import StateVector, mz_diagonal
+from .pauli import StateVector, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
 RESIDUAL_BOUND = 1e-9  # ceiling on every reported residual
@@ -46,6 +50,10 @@ ORTHONORMALITY_TOL = 1e-9
 DENSE_SECTOR_DIM = 8  # sectors at or below this dimension are solved densely
 FULL_SPECTRUM_MAX_SITES = 10
 SCAN_MAX_SITES = 14
+CLOSED_FORM_C = 64  # ground quotients stay within C eps N (1 + |lam|) of E0
+SHIFT_REL = 1e-12  # inverse-iteration shift below E0, relative to max(1, |E0|)
+SHIFT_STEPS = 2
+_EPS = float(np.finfo(float).eps)
 _BREAKDOWN_EPS = 1e-13
 
 
@@ -253,18 +261,52 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     return _SymmetricBlock(reps, col, coef, flips)
 
 
-def _symmetric_ground(h: TfimHamiltonian, sign: float) -> np.ndarray:
+def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
+    """Exact ground energy of the chain, -sum_m f(pi (2m+1)/N) over the
+    antiperiodic free-fermion modes, f(k) = sqrt(1 + lam^2 - 2|lam| cos k)
+    (Lieb, Schultz and Mattis 1961).  f is evaluated as
+    hypot(1 - |lam|, 2 sqrt|lam| sin(k/2)), free of cancellation at
+    |lam| = 1, and the positive terms are summed by math.fsum, so the
+    result is good to a few ulps."""
+    a = abs(float(lam))
+    half_k = np.pi * (2 * np.arange(n_sites) + 1) / (2 * n_sites)
+    return -math.fsum(np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k)))
+
+
+def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     """The lowest eigenvector of the symmetric block of flip sector
-    ``sign``, lifted to the full space.  A LAPACK failure of the block
-    eigh raises ConvergenceError."""
+    ``sign``, whose eigenvalue is ``e0``, lifted to the full space.
+
+    Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with
+    sigma = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest
+    level.  Each step shrinks every other component against the target's
+    by (e0 - sigma) / (E' - sigma).  Every other level of the sector adds
+    at least two free-fermion modes, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N)
+    at any field: O(1), and the factor stays below 2e-11 up to N=14 (worst
+    at |lam| = 1).  Two steps thus take the vector to rounding, even in the
+    far tails of its Mz distribution.  The shift stays below the block's
+    lowest level by a thousand times more than the few-ulp errors of e0
+    and of the block's rounding.  The start
+    vector has the ground state's signs: 1 per orbit for lam <= 0, where
+    Perron-Frobenius makes every block entry positive, and (-1)^popcount
+    for lam > 0, its image under prod sigma_z, so its overlap with the
+    target is provably nonzero.  A LAPACK failure of a solve raises
+    ConvergenceError.
+    """
     block = _symmetric_block(h.n_sites, sign)
     mat = h.lam * block.flips
-    mat[np.diag_indices_from(mat)] += h._diag[block.reps]
+    sigma = e0 - SHIFT_REL * max(1.0, abs(e0))
+    mat[np.diag_indices_from(mat)] += h._diag[block.reps] - sigma
+    x = np.ones(block.reps.size)
+    if h.lam > 0:
+        x -= 2.0 * (popcounts(h.n_sites, block.reps) & 1)
     try:
-        _, vecs = eigh(mat)
+        for _ in range(SHIFT_STEPS):
+            x = solve(mat, x)
+            x /= np.linalg.norm(x)
     except LinAlgError as exc:
-        raise ConvergenceError(f"symmetric block eigh failed: {exc}") from exc
-    return block.coef * vecs[block.col, 0]
+        raise ConvergenceError(f"symmetric block solve failed: {exc}") from exc
+    return block.coef * x[block.col]
 
 
 @dataclass(frozen=True)
@@ -331,9 +373,12 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     is degenerate and +1 is taken.  Being unique, the ground state is also
     invariant under every translation and reflection, which commute with H
     and with prod sigma_z, so it is solved on the symmetric block of its
-    sector by one dense eigh, and ``matvecs`` is 0.  ``tol`` is the
-    residual target of the Lanczos solves; requests looser than the type
-    bound are tightened to it.
+    sector by inverse iteration just below the closed-form energy
+    free_fermion_ground_energy, and ``matvecs`` is 0.  Its Rayleigh
+    quotient must lie within CLOSED_FORM_C eps N (1 + |lam|) of that
+    energy, else ContractError: the iteration found the ground state and
+    not another block level.  ``tol`` is the residual target of the
+    Lanczos solves; requests looser than the type bound are tightened to it.
     """
     if k not in (1, 2):
         raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
@@ -349,12 +394,20 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     found, matvecs = [], 0
     for sign in signs:
         if k == 1:
-            full, count = _symmetric_ground(h, sign), 0
+            e0 = free_fermion_ground_energy(h.n_sites, h.lam)
+            full, count = _symmetric_ground(h, sign, e0), 0
         else:
             full, count = _sector_ground(h, sign, target)
         matvecs += count
         hv = h.apply(full)
         value = float(full @ hv)
+        if k == 1:
+            bound = CLOSED_FORM_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
+            if not abs(value - e0) <= bound:
+                raise ContractError(
+                    f"ground quotient {value!r} misses the closed-form energy"
+                    f" {e0!r} by more than {bound:.3e}"
+                )
         found.append((value, float(np.linalg.norm(hv - value * full)), full, sign))
     found.sort(key=lambda item: item[0])
     values, residuals, vectors, parities = zip(*found)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .pauli import StateVector, site_bits
+from .pauli import StateVector, popcounts, site_bits
 
 MIN_SITES = 3  # a periodic 2-site ring would double-count its single bond
 STABILIZER_MAX_SITES = 12
@@ -27,9 +27,15 @@ def _site_z(n_sites: int) -> np.ndarray:
 
 
 def _bond_diagonal(n_sites: int) -> np.ndarray:
-    """Diagonal of the bond term -sum_l z_l z_{l+1} over all basis states."""
-    z = _site_z(n_sites)
-    return -(z * np.roll(z, -1, axis=0)).sum(axis=0)
+    """Diagonal of the bond term -sum_l z_l z_{l+1} over all basis states.
+
+    Each domain wall, a bit that differs from its cyclic neighbour, turns
+    one bond from +1 to -1, so the bond sum is N - 2 * popcount(b XOR
+    rot(b)); written as -(N - 2 walls), its zeros keep the sign of the
+    negated site-product sum."""
+    b = np.arange(1 << n_sites)
+    rotated = ((b << 1) | (b >> (n_sites - 1))) & ((1 << n_sites) - 1)
+    return -(n_sites - 2.0 * popcounts(n_sites, b ^ rotated))
 
 
 class TfimHamiltonian:

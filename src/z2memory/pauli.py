@@ -118,10 +118,13 @@ def site_bits(n_sites: int, site: int) -> np.ndarray:
     return (np.arange(1 << n_sites) >> (n_sites - site)) & 1
 
 
-def popcounts(n_sites: int) -> np.ndarray:
-    """Number of set bits for every basis index, shape (2^n,)."""
-    idx = np.arange(1 << n_sites)
-    counts = np.zeros(idx.size, dtype=np.int64)
+def popcounts(n_sites: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """Number of set bits among the low ``n_sites`` bits of each entry of
+    ``idx``, by default of every basis index, shape (2^n,).  A shift-and-mask
+    loop, since np.bitwise_count needs numpy 2."""
+    if idx is None:
+        idx = np.arange(1 << n_sites)
+    counts = np.zeros(idx.shape, dtype=np.int64)
     for k in range(n_sites):
         counts += (idx >> k) & 1
     return counts

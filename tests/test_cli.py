@@ -83,6 +83,17 @@ def test_scan_e1_range_validation(tmp_path):
     assert code == 1
 
 
+def test_scan_e1_takes_a_list_that_starts_negative(tmp_path):
+    scan = ("scan-e1", "--n-min", "6", "--n-max", "7")
+    code, spaced = run(tmp_path, "spaced.csv", *scan, "--lambdas", "-0.7,0.5")
+    assert code == 0
+    code, joined = run(tmp_path, "joined.csv", *scan, "--lambdas=-0.7,0.5")
+    assert code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    _, _, rows = parse_csv(spaced)
+    assert [r[0] for r in rows] == ["-0.69999999999999996"] * 2 + ["0.5"] * 2
+
+
 def test_pz_ground_distribution(tmp_path):
     code, out = run(tmp_path, "pz.csv", "pz", "--n", "6", "--state", "ground")
     assert code == 0
@@ -199,11 +210,11 @@ def test_convergence_exit_code(tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_block_eigh_failure_exit_code(tmp_path, monkeypatch):
-    def failing(mat):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def test_block_solve_failure_exit_code(tmp_path, monkeypatch):
+    def failing(mat, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(es, "eigh", failing)
+    monkeypatch.setattr(es, "solve", failing)
     code, _ = run(
         tmp_path, "conv.csv", "scan-e1", "--n-min", "8", "--n-max", "8",
         "--lambdas", "0.5",

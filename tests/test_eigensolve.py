@@ -159,12 +159,64 @@ def test_symmetric_block_dimensions():
 
 
 def test_block_lapack_failure_is_a_convergence_error(monkeypatch):
+    def failing(mat, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(es, "solve", failing)
+    with pytest.raises(ConvergenceError, match="Singular matrix"):
+        lowest_eigenpairs(build_tfim(8, 0.5), 1)
+
+
+# the fields of the closed-form and shifted-solve tests below
+CLOSED_FORM_FIELDS = (0.0, 1e-8, -1e-8, 0.3, 0.5, 1.0, 1.5, -1.7, 5.0)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_closed_form_ground_energy_matches_the_oracle(n):
+    for lam in CLOSED_FORM_FIELDS:
+        want = float(oracles.free_fermion_energies(n, lam)[0])
+        got = es.free_fermion_ground_energy(n, lam)
+        assert abs(got - want) <= 1e-14 * abs(want), lam
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_shifted_solve_is_the_block_eigh_vector(n, solve_cache):
+    # independent route: the lowest vector of a full eigh of the same
+    # block, lifted by the same gather
+    for lam in (*CLOSED_FORM_FIELDS, -20.0):
+        ground = solve_cache(n, lam, k=1)
+        block = es._symmetric_block(n, ground.parities[0])
+        mat = np.diag(build_tfim(n, lam)._diag[block.reps]) + lam * block.flips
+        want = block.coef * np.linalg.eigh(mat)[1][block.col, 0]
+        got = ground.eigenvectors[0].amplitudes.real
+        assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-12
+        assert ground.residuals[0] <= 1e-12
+
+
+def test_ground_path_runs_no_full_eigh(monkeypatch):
     def failing(mat):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise AssertionError("the ground state must not diagonalize a block")
 
     monkeypatch.setattr(es, "eigh", failing)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        lowest_eigenpairs(build_tfim(8, 0.5), 1)
+    ground = lowest_eigenpairs(build_tfim(14, 1.0), 1)
+    assert ground.residuals[0] < 1e-12
+
+
+def test_closed_form_mismatch_is_a_contract_error(monkeypatch):
+    # an energy 4 too high, and enough steps to settle, take the iteration
+    # to an excited block level that passes every other contract
+    exact = es.free_fermion_ground_energy
+    monkeypatch.setattr(
+        es, "free_fermion_ground_energy", lambda n, lam: exact(n, lam) + 4.0
+    )
+    monkeypatch.setattr(es, "SHIFT_STEPS", 40)
+    h = build_tfim(8, 0.5)
+    with pytest.raises(ContractError, match="closed-form energy"):
+        lowest_eigenpairs(h, 1)
+    monkeypatch.setattr(es, "CLOSED_FORM_C", np.inf)
+    excited = lowest_eigenpairs(h, 1)
+    assert excited.eigenvalues[0] > exact(8, 0.5) + 3.0
+    assert excited.residuals[0] < 1e-12
 
 
 @pytest.mark.parametrize("n", range(3, 15))

@@ -112,6 +112,18 @@ def test_stabilizer_residuals_match_dense_operators(monkeypatch):
     assert min(got[0], got[1], got[3]) > 1.0
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_bond_diagonal_is_the_site_product_sum(n):
+    # the domain-wall count against -sum_l z_l z_{l+1} from the site
+    # diagonals, to the bit, signed zeros included
+    z = model._site_z(n)
+    want = -(z * np.roll(z, -1, axis=0)).sum(axis=0)
+    got = model._bond_diagonal(n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_stabilizer_check_range():
     with pytest.raises(DomainError):
         stabilizer_check(2)
