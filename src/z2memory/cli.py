@@ -108,6 +108,9 @@ def _parse_lambdas(text: str) -> list[float]:
         raise DomainError(f"cannot parse --lambdas {text!r}") from exc
     if not lams:
         raise DomainError("--lambdas must name at least one field value")
+    for i, lam in enumerate(lams):
+        if lam in lams[:i]:
+            raise DomainError(f"--lambdas names the field value {_flag(lam)} twice")
     return lams
 
 

@@ -8,6 +8,11 @@ develops a macroscopic fluctuation, e1 ~ N means some operator's variance
 reaches order N^2.  This module builds that matrix, extracts e1/e2 and the
 maximizing operator, fits scaling exponents, and histograms total
 z magnetization.
+
+The matrix has two routes.  A state whose amplitudes equal their one-site
+rotation exactly, as the k=1 ground states do, has a block-circulant
+matrix, filled from the site-1 rows against sites 1..N/2+1.  Every other
+state gets the Gram matrix of all 3N vectors s_a(l)|psi>.
 """
 
 from __future__ import annotations
@@ -85,34 +90,85 @@ class CorrelationMatrix:
         return float(self.eigenvalues[1])
 
 
-def build_vcm(state: StateVector) -> CorrelationMatrix:
-    """Connected pair-correlation matrix of a normalized pure state.
-
-    Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
-    same-site off-axis terms.  Built as a Gram matrix of the 3N vectors
-    s_a(l)|psi>, which keeps it positive semidefinite by construction.  The
-    rows hold sigma_x, -i sigma_y = sigma_x sigma_z and sigma_z applied to
-    psi, which stay real when psi is: a state with zero imaginary part runs
-    in real arithmetic.  sigma_y's i returns as a phase on the Gram matrix
-    and on the means.
-    """
-    state.require_normalized()
+def _axis_rows(state: StateVector, sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state's amplitudes and the rows sigma_x psi, sigma_x sigma_z psi
+    and sigma_z psi of sites 1..sites, row 3*(l-1)+a.  A state with zero
+    imaginary part gives real arrays."""
     n = state.n_sites
     amps = state.amplitudes
     if not amps.imag.any():
         amps = amps.real
-    rows = np.empty((3 * n, state.dim), dtype=amps.dtype)
-    for l in range(1, n + 1):
+    rows = np.empty((3 * sites, state.dim), dtype=amps.dtype)
+    for l in range(1, sites + 1):
         z = _apply_axis(amps, n, PauliAxis.Z, l)
         rows[3 * (l - 1)] = _apply_axis(amps, n, PauliAxis.X, l)
         rows[3 * (l - 1) + 1] = _apply_axis(z, n, PauliAxis.X, l)
         rows[3 * (l - 1) + 2] = z
+    return amps, rows
+
+
+def _gram_entries(state: StateVector) -> np.ndarray:
+    """The connected correlations as a Gram matrix of all 3N rows."""
+    n = state.n_sites
+    amps, rows = _axis_rows(state, n)
     phase = np.tile([1.0, 1.0j, 1.0], n)
     # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
     # is the Hermitian single-site expectation
     means = (phase.conj() * (rows.conj() @ amps)).real
     gram = phase.conj()[:, None] * (rows.conj() @ rows.T) * phase
-    v = gram - np.outer(means, means)
+    return gram - np.outer(means, means)
+
+
+def _circulant_entries(state: StateVector) -> np.ndarray:
+    """The connected correlations of a translation-invariant state from the
+    site-1 rows against sites 1..N/2+1.
+
+    G(d)[a, b] = <s_a(1) s_b(1+d)> fills every block (l, m) with
+    d = (m - l) mod N; offsets past N/2 use G(d) = G(N-d)^T, since
+    operators on different sites commute.
+    """
+    n = state.n_sites
+    half = n // 2
+    amps, rows = _axis_rows(state, half + 1)
+    phase = np.tile([1.0, 1.0j, 1.0], half + 1)
+    site1, p1 = rows[:3], phase[:3]
+    means = (p1.conj() * (site1.conj() @ amps)).real
+    g = p1.conj()[:, None] * (site1.conj() @ rows.T) * phase
+    near = g.reshape(3, half + 1, 3).transpose(1, 0, 2)  # near[d] = G(d)
+    far = near[n - np.arange(half + 1, n)].transpose(0, 2, 1)
+    blocks = np.concatenate((near, far))  # blocks[d] = G(d), d = 0..N-1
+    sites = np.arange(n)
+    offset = (sites[None, :] - sites[:, None]) % n
+    v = blocks[offset].transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    means = np.tile(means, n)
+    return v - np.outer(means, means)
+
+
+def build_vcm(state: StateVector) -> CorrelationMatrix:
+    """Connected pair-correlation matrix of a normalized pure state.
+
+    Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
+    same-site off-axis terms.  The rows hold sigma_x, -i sigma_y =
+    sigma_x sigma_z and sigma_z applied to psi, which stay real when psi
+    is: a state with zero imaginary part runs in real arithmetic.
+    sigma_y's i returns as a phase on the products and on the means.
+
+    Two routes give the same matrix up to summation order.  A state whose
+    amplitudes equal their one-site rotation exactly (np.array_equal, no
+    tolerance) has a block-circulant matrix: it is filled from the
+    products of the site-1 rows with the rows of sites 1..N/2+1.  Every
+    other state gets the Gram matrix of all 3N vectors s_a(l)|psi>, which
+    is positive semidefinite by construction.  The circulant matrix is
+    that Gram matrix only up to rounding, so the Hermiticity check and
+    the PSD floor of CorrelationMatrix are what hold it to it.
+    """
+    state.require_normalized()
+    n = state.n_sites
+    tensor = state.amplitudes.reshape((2,) * n)
+    if np.array_equal(tensor, np.moveaxis(tensor, 0, -1)):
+        v = _circulant_entries(state)
+    else:
+        v = _gram_entries(state)
     return CorrelationMatrix(n_sites=n, kind=CorrelationKind.VCM, entries=v)
 
 

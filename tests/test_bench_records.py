@@ -44,3 +44,10 @@ def test_bench_claims_name_a_measured_benchmark_metric():
         assert claim["pairs"] == measured["pairs"], name
         assert claim["change_wins"] == sides["change_wins"], name
         assert 0 <= claim["change_wins"] <= claim["pairs"], name
+        # a gain counts only if the change wins at least nine pairs in ten
+        # and its median drop exceeds the parent's interquartile range
+        met = (
+            claim["change_wins"] >= 0.9 * claim["pairs"]
+            and claim["median_drop_s"] > claim["parent_iqr_s"]
+        )
+        assert claim["met"] == met, name

@@ -94,6 +94,15 @@ def test_scan_e1_takes_a_list_that_starts_negative(tmp_path):
     assert [r[0] for r in rows] == ["-0.69999999999999996"] * 2 + ["0.5"] * 2
 
 
+def test_scan_e1_rejects_a_repeated_field(tmp_path, capsys):
+    scan = ("scan-e1", "--n-min", "6", "--n-max", "7")
+    for lambdas in ("0.5,0.5", "0.5,1.5,5e-1"):
+        code, out = run(tmp_path, "dup.csv", *scan, "--lambdas", lambdas)
+        assert code == 1
+        assert not out.exists()
+        assert "field value 0.5 twice" in capsys.readouterr().err
+
+
 def test_pz_ground_distribution(tmp_path):
     code, out = run(tmp_path, "pz.csv", "pz", "--n", "6", "--state", "ground")
     assert code == 0

@@ -23,7 +23,9 @@ from z2memory import (
     max_fluctuation_operator,
     mz_distribution,
     second_eigenvalue_scan,
+    superposed_state,
 )
+from z2memory import macroscopicity
 
 E1_N8_HALF = 7.5266204262250023
 E2_N8_HALF = 1.1325559901550457
@@ -38,13 +40,67 @@ def test_vcm_matches_dense_oracle_random_states():
         assert np.abs(got.entries - want).max() < 1e-10
 
 
+GROUND_FIELDS = (0.0, 1e-8, 0.3, 0.5, 1.0, 1.5, -0.7)
+
+
 def test_vcm_matches_dense_oracle_on_ground_state(solve_cache):
-    pairs = solve_cache(6, 0.5, k=1)
-    psi = pairs.eigenvectors[0].amplitudes
-    got = build_vcm(pairs.eigenvectors[0])
-    want = oracles.dense_vcm(psi)
-    assert np.abs(got.entries - want).max() < 1e-9
-    assert got.kind is CorrelationKind.VCM
+    # ground states are translation invariant, so this checks the
+    # circulant route against the Kronecker-product oracle
+    for n in range(3, 9):
+        for lam in GROUND_FIELDS:
+            ground = solve_cache(n, lam, k=1).eigenvectors[0]
+            got = build_vcm(ground)
+            want = oracles.dense_vcm(ground.amplitudes)
+            assert np.abs(got.entries - want).max() < 1e-12, (n, lam)
+            assert got.kind is CorrelationKind.VCM
+
+
+def _gram_route(state):
+    return CorrelationMatrix(
+        state.n_sites, CorrelationKind.VCM, macroscopicity._gram_entries(state)
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_circulant_route_matches_gram_route(n, solve_cache):
+    states = [ghz_state(n), basis_state(n)]
+    for lam in (*GROUND_FIELDS, -20.0):
+        ground = solve_cache(n, lam, k=1).eigenvectors[0]
+        states += [ground, StateVector(n, np.exp(0.7j) * ground.amplitudes)]
+    for state in states:
+        tensor = state.amplitudes.reshape((2,) * n)
+        assert np.array_equal(tensor, np.moveaxis(tensor, 0, -1))
+        got, want = build_vcm(state), _gram_route(state)
+        assert np.abs(got.entries - want.entries).max() < 1e-13
+        assert abs(got.e1 - want.e1) <= 1e-13 * abs(want.e1)
+        assert abs(got.e2 - want.e2) <= 1e-13 * abs(want.e2)
+
+
+def test_vcm_route_follows_exact_translation_invariance(monkeypatch, solve_cache):
+    calls = []
+    circulant = macroscopicity._circulant_entries
+
+    def counted(state):
+        calls.append(state)
+        return circulant(state)
+
+    monkeypatch.setattr(macroscopicity, "_circulant_entries", counted)
+    for n in (6, 9, 12):
+        ground = solve_cache(n, 0.5, k=1).eigenvectors[0]
+        build_vcm(ground)
+        assert calls == [ground]
+        calls.clear()
+        amps = ground.amplitudes.copy()
+        amps[1] = np.nextafter(amps[1].real, np.inf)
+        nudged = StateVector(n, amps).normalized()
+        tensor = nudged.amplitudes.reshape((2,) * n)
+        assert not np.array_equal(tensor, np.moveaxis(tensor, 0, -1))
+        doublet = solve_cache(n, 0.5, k=2).eigenvectors
+        superposed = superposed_state(doublet[0], doublet[1])
+        for state in (nudged, doublet[0], doublet[1], superposed):
+            got = build_vcm(state)
+            assert np.array_equal(got.entries, _gram_route(state).entries)
+        assert calls == []
 
 
 def test_vcm_matches_dense_oracle_on_product_states():
