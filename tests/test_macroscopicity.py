@@ -61,9 +61,27 @@ def _gram_route(state):
     )
 
 
+def _random_invariant_state(rng, n, dtype):
+    # one random amplitude per rotation orbit: translation invariant but,
+    # unlike the ground states, not reflection symmetric, so a block
+    # transposed or an offset taken the wrong way round would show
+    index = np.arange(1 << n)
+    rep, rotated = index.copy(), index
+    for _ in range(n - 1):
+        rotated = ((rotated << 1) | (rotated >> (n - 1))) & ((1 << n) - 1)
+        rep = np.minimum(rep, rotated)
+    amps = rng.standard_normal(1 << n).astype(dtype)
+    if dtype is complex:
+        amps += 1j * rng.standard_normal(1 << n)
+    amps = amps[rep]
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_circulant_route_matches_gram_route(n, solve_cache):
+    rng = np.random.default_rng(43 + n)
     states = [ghz_state(n), basis_state(n)]
+    states += [_random_invariant_state(rng, n, t) for t in (float, complex)]
     for lam in (*GROUND_FIELDS, -20.0):
         ground = solve_cache(n, lam, k=1).eigenvectors[0]
         states += [ground, StateVector(n, np.exp(0.7j) * ground.amplitudes)]
