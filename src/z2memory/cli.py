@@ -5,8 +5,9 @@ flags, unit conventions) followed by one CSV table.  Output is
 byte-identical across runs with the same flags: floats are printed with 17
 significant digits.
 
-Exit codes: 0 success / 1 usage, domain, or failed check / 2 iteration did
-not converge / 3 request exceeds a hard capability limit.
+Exit codes: 0 success / 1 usage, domain, failed check, or unwritable
+output / 2 iteration did not converge / 3 request exceeds a hard capability
+limit.
 """
 
 from __future__ import annotations
@@ -76,10 +77,24 @@ def _emit(path: str, comments: list[str], header: list[str], rows) -> None:
             fh.write(text)
 
 
-def _comments(flags: str, extra: list[str] | None = None) -> list[str]:
+def _echo(value) -> str:
+    """A parsed flag value as the header prints it."""
+    if isinstance(value, list):
+        return ",".join(_flag(v) for v in value)
+    return _flag(value) if isinstance(value, float) else str(value)
+
+
+def _comments(
+    args: argparse.Namespace, extra: list[str] | None = None
+) -> list[str]:
+    """Header comments; the command line echoes every flag of the command
+    but --out, parsed, in declaration order."""
+    words = [args.command]
+    for action in args.echoed:
+        words += [action.option_strings[0], _echo(getattr(args, action.dest))]
     out = [
         f"z2mem {__version__}",
-        f"command: {flags}",
+        f"command: {' '.join(words)}",
         "conventions: J=1; e1 raw (unrescaled); floats .17g",
     ]
     if extra:
@@ -102,15 +117,18 @@ def _check_n_range(
 
 
 def _parse_lambdas(text: str) -> list[float]:
+    """The --lambdas type: distinct floats, comma separated."""
     try:
         lams = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise DomainError(f"cannot parse --lambdas {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
     if not lams:
-        raise DomainError("--lambdas must name at least one field value")
+        raise argparse.ArgumentTypeError("must name at least one field value")
     for i, lam in enumerate(lams):
         if lam in lams[:i]:
-            raise DomainError(f"--lambdas names the field value {_flag(lam)} twice")
+            raise argparse.ArgumentTypeError(
+                f"names the field value {_flag(lam)} twice"
+            )
     return lams
 
 
@@ -119,7 +137,7 @@ def _ground(n: int, lam: float):
 
 
 def _cmd_scan_e1(args) -> int:
-    lams = _parse_lambdas(args.lambdas)
+    lams = args.lambdas
     _check_n_range(args.n_min, args.n_max)
     results = sorted(
         (lam, n, build_vcm(_ground(n, lam)).e1)
@@ -135,12 +153,8 @@ def _cmd_scan_e1(args) -> int:
                 f"fit lambda={_f(lam)} p={_f(1.0 + fit.slope)}"
                 f" r_squared={_f(fit.r_squared)}"
             )
-    flags = (
-        f"scan-e1 --n-min {args.n_min} --n-max {args.n_max}"
-        f" --lambdas {','.join(_flag(l) for l in lams)}"
-    )
     rows = [(_f(lam), str(n), _f(e1)) for lam, n, e1 in results]
-    _emit(args.out, _comments(flags, extra), ["lambda", "n", "e1"], rows)
+    _emit(args.out, _comments(args, extra), ["lambda", "n", "e1"], rows)
     return 0
 
 
@@ -156,12 +170,11 @@ def _cmd_pz(args) -> int:
         else:
             vec = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
     dist = mz_distribution(vec)
-    flags = f"pz --n {args.n} --lambda {_flag(args.lam)} --state {args.state}"
     rows = [
         (str(int(mz)), _f(p))
         for mz, p in zip(dist.support, dist.probabilities)
     ]
-    _emit(args.out, _comments(flags), ["mz", "probability"], rows)
+    _emit(args.out, _comments(args), ["mz", "probability"], rows)
     return 0
 
 
@@ -172,9 +185,8 @@ def _cmd_e2(args) -> int:
     if len(results) >= 3:
         fit = fit_index_p(results)
         extra.append(f"fit slope={_f(fit.slope)} r_squared={_f(fit.r_squared)}")
-    flags = f"e2 --n-min {args.n_min} --n-max {args.n_max} --lambda {_flag(args.lam)}"
     rows = [(_f(args.lam), str(n), _f(e2)) for n, e2 in results]
-    _emit(args.out, _comments(flags, extra), ["lambda", "n", "e2"], rows)
+    _emit(args.out, _comments(args, extra), ["lambda", "n", "e2"], rows)
     return 0
 
 
@@ -188,9 +200,8 @@ def _cmd_gap(args) -> int:
             f"fit slope={_f(fit.slope)} intercept={_f(fit.intercept)}"
             f" r_squared={_f(fit.r_squared)}"
         )
-    flags = f"gap --n-min {args.n_min} --n-max {args.n_max} --lambda {_flag(args.lam)}"
     rows = [(str(n), _f(g), _f(times[n])) for n, g in gaps]
-    _emit(args.out, _comments(flags, extra), ["n", "gap", "adiabatic_time"], rows)
+    _emit(args.out, _comments(args, extra), ["n", "gap", "adiabatic_time"], rows)
     return 0
 
 
@@ -205,24 +216,16 @@ def _cmd_superpose(args) -> int:
     if len(results) >= 3:
         fit = fit_index_p(results)
         extra.append(f"fit slope={_f(fit.slope)} r_squared={_f(fit.r_squared)}")
-    flags = (
-        f"superpose --n-min {args.n_min} --n-max {args.n_max}"
-        f" --lambda {_flag(args.lam)}"
-    )
     rows = [(_f(args.lam), str(n), _f(e1)) for n, e1 in results]
-    _emit(args.out, _comments(flags, extra), ["lambda", "n", "e1"], rows)
+    _emit(args.out, _comments(args, extra), ["lambda", "n", "e1"], rows)
     return 0
 
 
 def _cmd_thermal(args) -> int:
     grid = default_kt_grid(args.kt_min, args.kt_max, args.kt_points)
     results = thermal_scan(args.lam, args.n, grid)
-    flags = (
-        f"thermal --n {args.n} --lambda {_flag(args.lam)} --kt-min {_flag(args.kt_min)}"
-        f" --kt-max {_flag(args.kt_max)} --kt-points {args.kt_points}"
-    )
     rows = [(_f(kt), _f(e1)) for kt, e1 in results]
-    _emit(args.out, _comments(flags), ["kt", "e1"], rows)
+    _emit(args.out, _comments(args), ["kt", "e1"], rows)
     return 0
 
 
@@ -281,14 +284,13 @@ def _cmd_rvb(args) -> int:
     iterated = iterated_swap_residual(n)
     add("iterated_swap_residual", iterated, "<=1e-10", iterated <= 1e-10)
 
-    flags = f"rvb --n {n}"
     rows = [
         (name, _f(value), threshold, "pass" if ok else "fail")
         for name, value, threshold, ok in checks
     ]
     _emit(
         args.out,
-        _comments(flags),
+        _comments(args),
         ["check", "observed", "threshold", "status"],
         rows,
     )
@@ -316,7 +318,6 @@ def _cmd_stabilizer(args) -> int:
                 "pass" if ok else "fail",
             )
         )
-    flags = f"stabilizer --n-min {args.n_min} --n-max {args.n_max}"
     header = [
         "n",
         "code_dimension",
@@ -326,7 +327,7 @@ def _cmd_stabilizer(args) -> int:
         "logical_anticommutator_residual",
         "status",
     ]
-    _emit(args.out, _comments(flags), header, rows)
+    _emit(args.out, _comments(args), header, rows)
     return 0 if all_ok else 1
 
 
@@ -343,59 +344,65 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_command(name: str, help_text: str):
+    def add_command(name: str, help_text: str, handler, *flags) -> None:
+        """A subcommand with --out and ``flags``, (flag, add_argument
+        keywords) pairs: the header echoes these, in this order."""
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        return sp
+        echoed = [sp.add_argument(flag, **kw) for flag, kw in flags]
+        sp.set_defaults(handler=handler, echoed=echoed)
 
-    sp = add_command("scan-e1", "largest correlation eigenvalue across chain sizes")
-    sp.add_argument("--n-min", type=int, default=6)
-    sp.add_argument("--n-max", type=int, default=13)
-    sp.add_argument("--lambdas", default="0.5,1.0,1.5", help="comma list of fields")
-    sp.set_defaults(handler=_cmd_scan_e1)
+    def n(default: int):
+        return ("--n", dict(type=int, default=default))
 
-    sp = add_command("pz", "total z magnetization distribution of one state")
-    sp.add_argument("--n", type=int, default=13)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.add_argument(
-        "--state", choices=("ground", "excited", "superposed"), default="ground"
+    def n_range(n_min: int, n_max: int):
+        return (
+            ("--n-min", dict(type=int, default=n_min)),
+            ("--n-max", dict(type=int, default=n_max)),
+        )
+
+    lam = ("--lambda", dict(dest="lam", type=float, default=0.5))
+
+    add_command(
+        "scan-e1", "largest correlation eigenvalue across chain sizes",
+        _cmd_scan_e1, *n_range(6, 13),
+        ("--lambdas", dict(
+            type=_parse_lambdas, default="0.5,1.0,1.5", help="comma list of fields"
+        )),
     )
-    sp.set_defaults(handler=_cmd_pz)
-
-    sp = add_command("e2", "second correlation eigenvalue across chain sizes")
-    sp.add_argument("--n-min", type=int, default=6)
-    sp.add_argument("--n-max", type=int, default=13)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.set_defaults(handler=_cmd_e2)
-
-    sp = add_command("gap", "doublet splitting, exponential fit, adiabatic times")
-    sp.add_argument("--n-min", type=int, default=4)
-    sp.add_argument("--n-max", type=int, default=13)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.set_defaults(handler=_cmd_gap)
-
-    sp = add_command("superpose", "e1 of the one-branch doublet combination")
-    sp.add_argument("--n-min", type=int, default=6)
-    sp.add_argument("--n-max", type=int, default=13)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.set_defaults(handler=_cmd_superpose)
-
-    sp = add_command("thermal", "largest commutator-Gram eigenvalue vs temperature")
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.add_argument("--kt-min", type=float, default=0.05)
-    sp.add_argument("--kt-max", type=float, default=2.0)
-    sp.add_argument("--kt-points", type=int, default=40)
-    sp.set_defaults(handler=_cmd_thermal)
-
-    sp = add_command("rvb", "valence-bond identity checks, exit 0 iff all pass")
-    sp.add_argument("--n", type=int, default=8)
-    sp.set_defaults(handler=_cmd_rvb)
-
-    sp = add_command("stabilizer", "bond-stabilizer algebra report")
-    sp.add_argument("--n-min", type=int, default=3)
-    sp.add_argument("--n-max", type=int, default=10)
-    sp.set_defaults(handler=_cmd_stabilizer)
+    add_command(
+        "pz", "total z magnetization distribution of one state", _cmd_pz,
+        n(13), lam,
+        ("--state", dict(
+            choices=("ground", "excited", "superposed"), default="ground"
+        )),
+    )
+    add_command(
+        "e2", "second correlation eigenvalue across chain sizes", _cmd_e2,
+        *n_range(6, 13), lam,
+    )
+    add_command(
+        "gap", "doublet splitting, exponential fit, adiabatic times", _cmd_gap,
+        *n_range(4, 13), lam,
+    )
+    add_command(
+        "superpose", "e1 of the one-branch doublet combination", _cmd_superpose,
+        *n_range(6, 13), lam,
+    )
+    add_command(
+        "thermal", "largest commutator-Gram eigenvalue vs temperature", _cmd_thermal,
+        n(8), lam,
+        ("--kt-min", dict(type=float, default=0.05)),
+        ("--kt-max", dict(type=float, default=2.0)),
+        ("--kt-points", dict(type=int, default=40)),
+    )
+    add_command(
+        "rvb", "valence-bond identity checks, exit 0 iff all pass", _cmd_rvb, n(8)
+    )
+    add_command(
+        "stabilizer", "bond-stabilizer algebra report", _cmd_stabilizer,
+        *n_range(3, 10),
+    )
 
     return parser
 
@@ -403,14 +410,15 @@ def _build_parser() -> _Parser:
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
-def _attach_negative_lists(argv: list[str]) -> list[str]:
+def _attach_negative_fields(argv: list[str]) -> list[str]:
     """argparse reads a token that starts with '-' as a flag unless it is a
-    single number, so a list such as ``--lambdas -0.7,0.5`` is joined to its
-    flag as ``--lambdas=-0.7,0.5``."""
+    plain decimal number, so a field such as ``--lambda -1e-08`` or a list
+    such as ``--lambdas -0.7,0.5`` is joined to its flag as
+    ``--lambdas=-0.7,0.5``."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--lambdas" and _NEGATIVE_VALUE.match(tok):
-            out[-1] = f"--lambdas={tok}"
+        if out and out[-1] in ("--lambda", "--lambdas") and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -420,13 +428,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_negative_lists(argv))
+        args = parser.parse_args(_attach_negative_fields(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 1)
     try:
         return args.handler(args)
-    except (DomainError, ContractError) as exc:
+    except (DomainError, ContractError, OSError) as exc:
         print(f"z2mem: error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

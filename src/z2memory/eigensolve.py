@@ -21,13 +21,13 @@ below that energy find the vector, which a gather lifts back to 2^N, and
 its Rayleigh quotient must then meet the closed form.  The block's matrix
 elements follow Sandvik, arXiv:1101.3281.
 
-The doublet solves one vector per flip sector: densely for tiny sectors,
-else by Lanczos on the half-space, fully reorthogonalized by block
-classical Gram-Schmidt applied twice, which is as accurate as the modified
-form (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
-One flip table states the sector rule: the dense sector matrix reads its
-off-diagonal from it, and the Lanczos matvec runs it as a CSR matrix.
-scipy is loaded only by that Krylov branch, so only by doublet solves.
+The doublet solves one vector per flip sector by Lanczos on the
+half-space, fully reorthogonalized by block classical Gram-Schmidt applied
+twice, which is as accurate as the modified form (Giraud, Langou and
+Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  One flip table states
+the sector rule: the Lanczos matvec runs it as a CSR matrix, and the dense
+sector matrices of full spectra read their off-diagonal from it.  scipy is
+loaded only by that Krylov solver, so only by doublet solves.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from .model import TfimHamiltonian, build_tfim
 from .pauli import StateVector, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
+LANCZOS_TOL = 1e-10  # residual target of the doublet's sector solves
 RESIDUAL_BOUND = 1e-9  # ceiling on every reported residual
 ORTHONORMALITY_TOL = 1e-9
-DENSE_SECTOR_DIM = 8  # sectors at or below this dimension are solved densely
 FULL_SPECTRUM_MAX_SITES = 10
 SCAN_MAX_SITES = 14
 CLOSED_FORM_C = 64  # ground quotients stay within C eps N (1 + |lam|) of E0
@@ -128,13 +128,12 @@ def _lowest_ritz_vector(alphas: list[float], betas: list[float]) -> np.ndarray:
     return vecs[:, 0]
 
 
-def _lanczos_smallest(
-    op: _SectorOperator, tol: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The eigenvector at the bottom of the sector spectrum.  Raises
-    ConvergenceError after MATVEC_BUDGET matrix applications.  The Lanczos
-    vectors are the first m rows of ``basis``, grown in 16-row blocks; each
-    step is the three-term recurrence, then two block Gram-Schmidt passes."""
+def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarray:
+    """The eigenvector at the bottom of the sector spectrum, to a residual
+    below LANCZOS_TOL.  Raises ConvergenceError after MATVEC_BUDGET matrix
+    applications.  The Lanczos vectors are the first m rows of ``basis``,
+    grown in 16-row blocks; each step is the three-term recurrence, then
+    two block Gram-Schmidt passes."""
     best_residual = np.inf
     scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
 
@@ -158,13 +157,13 @@ def _lanczos_smallest(
             s = _lowest_ritz_vector(alphas, betas)  # in the Lanczos basis
             broke_down = b <= _BREAKDOWN_EPS * scale
             estimate = abs(b * s[-1])
-            if estimate < 0.5 * tol or broke_down:
+            if estimate < 0.5 * LANCZOS_TOL or broke_down:
                 x = s @ basis[:m]
                 x /= np.linalg.norm(x)
                 hx = op.matvec(x)
                 residual = float(np.linalg.norm(hx - float(x @ hx) * x))
                 best_residual = min(best_residual, residual)
-                if residual < tol:
+                if residual < LANCZOS_TOL:
                     return x
                 if broke_down:
                     break  # invariant subspace missed the target: restart
@@ -181,19 +180,14 @@ def _lanczos_smallest(
     )
 
 
-def _sector_ground(
-    h: TfimHamiltonian, sign: float, tol: float
-) -> tuple[np.ndarray, int]:
+def _sector_ground(h: TfimHamiltonian, sign: float) -> tuple[np.ndarray, int]:
     """The lowest eigenvector of one flip-parity sector, lifted to the full
-    space, and the sector matvecs it took (0 on the dense path)."""
-    if h.dim // 2 <= DENSE_SECTOR_DIM:
-        _, vecs = eigh(_sector_matrix(h, sign))
-        return _embed(vecs[:, 0], sign), 0
+    space, and the sector matvecs it took."""
     sector_tag = 0 if sign > 0 else 1
     lam_bits = int.from_bytes(np.float64(h.lam).tobytes(), "little")
     rng = np.random.default_rng((h.n_sites, sector_tag, 0, lam_bits))
     op = _SectorOperator(h, sign)
-    return _embed(_lanczos_smallest(op, tol, rng), sign), op.count
+    return _embed(_lanczos_smallest(op, rng), sign), op.count
 
 
 class _SymmetricBlock(NamedTuple):
@@ -313,8 +307,8 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
 class EigenPairs:
     """The k lowest eigenpairs: ascending eigenvalues, orthonormal
     eigenvectors, true residuals, and the flip-parity label of each vector;
-    ``matvecs`` counts the Lanczos matvecs of every solved sector (0 where
-    every solve was dense)."""
+    ``matvecs`` counts the Lanczos matvecs of every solved sector (0 for the
+    ground state, which no Lanczos solves)."""
 
     eigenvalues: np.ndarray
     eigenvectors: tuple[StateVector, ...]
@@ -358,14 +352,14 @@ class EigenPairs:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
 
 
-def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPairs:
+def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     """The ground state (k=1) or the code doublet (k=2) of the chain.
 
     H commutes with the spin flip, and the two lowest states are the ground
     states of its two parity sectors, so only those are solved.  For k=2
-    each sector is solved densely up to DENSE_SECTOR_DIM, otherwise by
-    Lanczos with full reorthogonalization, and the two are ordered by their
-    Rayleigh quotients.  For k=1 algebra names the sector: at lam<0 every
+    each sector is solved by Lanczos with full reorthogonalization to a
+    residual below LANCZOS_TOL, and the two are ordered by their Rayleigh
+    quotients.  For k=1 algebra names the sector: at lam<0 every
     off-diagonal entry is <= 0 and the single-flip graph is connected, so
     Perron-Frobenius gives a unique positive ground state of parity +1;
     conjugating by prod sigma_z maps lam to -lam and multiplies the flip by
@@ -377,15 +371,10 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     free_fermion_ground_energy, and ``matvecs`` is 0.  Its Rayleigh
     quotient must lie within CLOSED_FORM_C eps N (1 + |lam|) of that
     energy, else ContractError: the iteration found the ground state and
-    not another block level.  ``tol`` is the residual target of the
-    Lanczos solves; requests looser than the type bound are tightened to it.
+    not another block level.
     """
     if k not in (1, 2):
         raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
-    tol = float(tol)
-    if not tol >= 1e-12:
-        raise DomainError(f"tol must be at least 1e-12, got {tol!r}")
-    target = min(tol, RESIDUAL_BOUND)
 
     if k == 2:
         signs = (1.0, -1.0)
@@ -397,7 +386,7 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
             e0 = free_fermion_ground_energy(h.n_sites, h.lam)
             full, count = _symmetric_ground(h, sign, e0), 0
         else:
-            full, count = _sector_ground(h, sign, target)
+            full, count = _sector_ground(h, sign)
         matvecs += count
         hv = h.apply(full)
         value = float(full @ hv)
@@ -413,9 +402,7 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int, tol: float = 1e-10) -> EigenPa
     values, residuals, vectors, parities = zip(*found)
     return EigenPairs(
         eigenvalues=np.array(values),
-        eigenvectors=tuple(
-            StateVector(h.n_sites, v.astype(np.complex128)) for v in vectors
-        ),
+        eigenvectors=tuple(StateVector(h.n_sites, v) for v in vectors),
         residuals=np.array(residuals),
         parities=np.array(parities),
         matvecs=matvecs,
@@ -507,9 +494,7 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
     return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
 
 
-def gap_scan(
-    lam: float, n_min: int, n_max: int, tol: float = 1e-10
-) -> list[tuple[int, float]]:
+def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:
     """Energy gap E1 - E0 for every chain length in [n_min, n_max]."""
     if lam == 0.0:
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
@@ -520,7 +505,7 @@ def gap_scan(
         )
     out = []
     for n in range(n_min, n_max + 1):
-        pairs = lowest_eigenpairs(build_tfim(n, lam), 2, tol)
+        pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
         gap = pairs.gap
         if gap <= 0.0:
             raise ContractError(f"nonpositive gap {gap!r} at {n} sites")

@@ -47,15 +47,13 @@ class CorrelationMatrix:
     """3N x 3N Hermitian correlation matrix with its spectrum attached.
 
     Row 3*(l-1)+a addresses axis a (0:x, 1:y, 2:z) on site l.  Eigenvalues
-    are stored descending; the top two eigenvectors are kept for operator
-    reconstruction.
+    are stored descending.
     """
 
     n_sites: int
     kind: CorrelationKind
     entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False)
-    principal_vectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
         side = 3 * self.n_sites
@@ -68,18 +66,15 @@ class CorrelationMatrix:
         if drift > HERMITICITY_TOL:
             raise ContractError(f"matrix fails Hermiticity by {drift:.3e}")
         m = (m + m.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(m)
-        vals = vals[::-1].copy()  # descending
+        vals = np.linalg.eigvalsh(m)[::-1].copy()  # descending
         if vals[-1] < PSD_FLOOR:
             raise ContractError(
                 f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
             )
-        principal = np.ascontiguousarray(vecs[:, -1:-3:-1])
-        for arr in (m, vals, principal):
+        for arr in (m, vals):
             arr.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "principal_vectors", principal)
 
     @property
     def e1(self) -> float:
@@ -302,8 +297,7 @@ def max_fluctuation_operator(vcm: CorrelationMatrix) -> FluctuationOperator:
     is meaningful.
     """
     n = vcm.n_sites
-    real_part = np.ascontiguousarray(vcm.entries.real)
-    rvals, rvecs = np.linalg.eigh((real_part + real_part.T) / 2.0)
+    rvals, rvecs = np.linalg.eigh(vcm.entries.real)
     best = float(rvals[-1])
     direction = rvecs[:, -1]
     pivot = direction[int(np.argmax(np.abs(direction)))]

@@ -54,8 +54,13 @@ class TfimHamiltonian:
                 f"the chain needs at least {MIN_SITES} sites, got {n_sites!r}"
             )
         lam = float(lam)
-        if not math.isfinite(lam):
-            raise DomainError("the transverse field must be finite")
+        # N (1 + |lam|) bounds the norm of H, hence every energy and every
+        # term of the closed-form ground-energy sum
+        if not math.isfinite(n_sites * (1.0 + abs(lam))):
+            raise DomainError(
+                f"the transverse field {lam!r} leaves the energy scale"
+                f" N (1 + |lam|) non-finite at {n_sites} sites"
+            )
         object.__setattr__(self, "n_sites", int(n_sites))
         object.__setattr__(self, "lam", lam)
         diag = _bond_diagonal(int(n_sites))

@@ -14,10 +14,10 @@ def solve_cache():
     """Session-wide memo for eigenpair solves shared across test modules."""
     cache = {}
 
-    def solve(n, lam, k=1, tol=1e-10):
-        key = (n, float(lam), k, float(tol))
+    def solve(n, lam, k=1):
+        key = (n, float(lam), k)
         if key not in cache:
-            cache[key] = lowest_eigenpairs(build_tfim(n, lam), k, tol)
+            cache[key] = lowest_eigenpairs(build_tfim(n, lam), k)
         return cache[key]
 
     return solve

@@ -99,7 +99,7 @@ P13_FROZEN = {
 
 def test_criterion_02_ground_state_magnetization_distribution(solve_cache):
     t0 = time.perf_counter()
-    pairs = solve_cache(13, 0.5, k=2, tol=1e-11)
+    pairs = solve_cache(13, 0.5, k=2)
     dist = mz_distribution(pairs.eigenvectors[0])
     asym = dist.max_asymmetry()
     order = np.argsort(dist.probabilities)[::-1]
@@ -164,7 +164,7 @@ def test_criterion_04_gap_closure_and_adiabatic_cost():
 def test_criterion_05_superposition_is_not_macroscopic(solve_cache):
     points = []
     for n in SIZES:
-        pairs = solve_cache(n, 0.5, k=2, tol=1e-11)
+        pairs = solve_cache(n, 0.5, k=2)
         cat = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
         points.append((n, build_vcm(cat).e1))
     slope = abs(fit_index_p(points).slope)

@@ -74,6 +74,63 @@ def test_output_is_deterministic(tmp_path, args):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan-e1", "--lambdas", "-0.7,5e-1", "--n-max", "7", "--n-min", "6"],
+        ["pz", "--state", "superposed", "--lambda", "1.5", "--n", "6"],
+        ["pz", "--n", "6", "--lambda=-1e-8"],
+        ["e2", "--n-min", "6", "--n-max", "8"],
+        ["gap", "--lambda", "0.4", "--n-max", "7", "--n-min", "5"],
+        ["superpose", "--n-min", "6", "--n-max", "7", "--lambda", "-0.6"],
+        ["thermal", "--n", "4", "--kt-points", "3", "--kt-min", ".1"],
+        ["rvb", "--n", "8"],
+        ["stabilizer", "--n-max", "4"],
+    ],
+    ids=[
+        "scan-e1", "pz", "pz-exponent-field", "e2", "gap", "superpose",
+        "thermal", "rvb", "stabilizer",
+    ],
+)
+def test_header_command_line_reproduces_the_file(tmp_path, args):
+    code, first = run(tmp_path, "first.csv", *args)
+    prefix = "# command: "
+    echoed = next(c for c in parse_csv(first)[0] if c.startswith(prefix))
+    again, second = run(tmp_path, "second.csv", *echoed[len(prefix):].split())
+    assert again == code
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code = main(["stabilizer", "--n-min", "3", "--n-max", "3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("z2mem: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam", ["1e308", "-1e308"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan-e1", "--lambdas={}"],
+        ["e2", "--lambda={}"],
+        ["gap", "--lambda={}"],
+        ["pz", "--n", "14", "--lambda={}"],
+        ["superpose", "--lambda={}"],
+        ["thermal", "--lambda={}"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_overflowing_field_is_a_domain_error(tmp_path, capsys, args, lam):
+    code, out = run(tmp_path, "huge.csv", *(a.format(lam) for a in args))
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("z2mem: error: ") and err.count("\n") == 1
+    assert "energy scale N (1 + |lam|) non-finite" in err
+
+
 def test_scan_e1_range_validation(tmp_path):
     code, _ = run(tmp_path, "x.csv", "scan-e1", "--n-min", "6", "--n-max", "15")
     assert code == 1

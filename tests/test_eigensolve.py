@@ -46,8 +46,6 @@ def test_input_validation():
         lowest_eigenpairs(h, 3)
     with pytest.raises(DomainError):
         lowest_eigenpairs(h, 5)
-    with pytest.raises(DomainError):
-        lowest_eigenpairs(h, 1, tol=1e-13)
 
 
 def test_frozen_anchor_n8(solve_cache):
@@ -335,8 +333,8 @@ def test_matvec_count_is_reported_and_repeats():
             a = lowest_eigenpairs(build_tfim(n, 0.5), k)
             b = lowest_eigenpairs(build_tfim(n, 0.5), k)
             assert a.matvecs == b.matvecs
-            if k == 1 or n <= 4:
-                assert a.matvecs == 0  # dense block or dense sector solve
+            if k == 1:
+                assert a.matvecs == 0  # shifted solves on the symmetric block
             else:
                 assert a.matvecs > 0
 

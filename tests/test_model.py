@@ -23,6 +23,10 @@ def test_constructor_domain():
         build_tfim(4, np.inf)
     with pytest.raises(DomainError):
         build_tfim(4, np.nan)
+    for lam in (1e308, -1e308, 6e307):  # N (1 + |lam|) overflows at N=3
+        with pytest.raises(DomainError, match="energy scale"):
+            build_tfim(3, lam)
+    assert build_tfim(3, 5e307).lam == 5e307
     h = build_tfim(3, 0.0)
     assert h.dim == 8
 
