@@ -34,6 +34,7 @@ from .macroscopicity import (
     build_vcm,
     fit_exponential_gap,
     fit_index_p,
+    largest_eigenvalue_scan,
     mz_distribution,
     second_eigenvalue_scan,
 )
@@ -132,18 +133,9 @@ def _parse_lambdas(text: str) -> list[float]:
     return lams
 
 
-def _ground(n: int, lam: float):
-    return lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
-
-
 def _cmd_scan_e1(args) -> int:
     lams = args.lambdas
-    _check_n_range(args.n_min, args.n_max)
-    results = sorted(
-        (lam, n, build_vcm(_ground(n, lam)).e1)
-        for lam in lams
-        for n in range(args.n_min, args.n_max + 1)
-    )
+    results = largest_eigenvalue_scan(lams, range(args.n_min, args.n_max + 1))
     extra = []
     for lam in lams:
         points = [(n, e1) for lam2, n, e1 in results if lam2 == lam]
@@ -179,7 +171,6 @@ def _cmd_pz(args) -> int:
 
 
 def _cmd_e2(args) -> int:
-    _check_n_range(args.n_min, args.n_max)
     results = second_eigenvalue_scan(args.lam, range(args.n_min, args.n_max + 1))
     extra = []
     if len(results) >= 3:

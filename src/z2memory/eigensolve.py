@@ -33,7 +33,6 @@ loaded only by that Krylov solver, so only by doublet solves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +40,8 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
-from .model import TfimHamiltonian, build_tfim
+from .majorana import CLOSED_FORM_C, free_fermion_ground_energy, ground_parity
+from .model import MIN_SITES, TfimHamiltonian, build_tfim
 from .pauli import StateVector, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
@@ -50,7 +50,6 @@ RESIDUAL_BOUND = 1e-9  # ceiling on every reported residual
 ORTHONORMALITY_TOL = 1e-9
 FULL_SPECTRUM_MAX_SITES = 10
 SCAN_MAX_SITES = 14
-CLOSED_FORM_C = 64  # ground quotients stay within C eps N (1 + |lam|) of E0
 SHIFT_REL = 1e-12  # inverse-iteration shift below E0, relative to max(1, |E0|)
 SHIFT_STEPS = 2
 _EPS = float(np.finfo(float).eps)
@@ -255,18 +254,6 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     return _SymmetricBlock(reps, col, coef, flips)
 
 
-def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
-    """Exact ground energy of the chain, -sum_m f(pi (2m+1)/N) over the
-    antiperiodic free-fermion modes, f(k) = sqrt(1 + lam^2 - 2|lam| cos k)
-    (Lieb, Schultz and Mattis 1961).  f is evaluated as
-    hypot(1 - |lam|, 2 sqrt|lam| sin(k/2)), free of cancellation at
-    |lam| = 1, and the positive terms are summed by math.fsum, so the
-    result is good to a few ulps."""
-    a = abs(float(lam))
-    half_k = np.pi * (2 * np.arange(n_sites) + 1) / (2 * n_sites)
-    return -math.fsum(np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k)))
-
-
 def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     """The lowest eigenvector of the symmetric block of flip sector
     ``sign``, whose eigenvalue is ``e0``, lifted to the full space.
@@ -359,16 +346,16 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     states of its two parity sectors, so only those are solved.  For k=2
     each sector is solved by Lanczos with full reorthogonalization to a
     residual below LANCZOS_TOL, and the two are ordered by their Rayleigh
-    quotients.  For k=1 algebra names the sector: at lam<0 every
-    off-diagonal entry is <= 0 and the single-flip graph is connected, so
-    Perron-Frobenius gives a unique positive ground state of parity +1;
-    conjugating by prod sigma_z maps lam to -lam and multiplies the flip by
-    (-1)^N, so at lam>0 the ground parity is (-1)^N.  At lam=0 the doublet
-    is degenerate and +1 is taken.  Being unique, the ground state is also
-    invariant under every translation and reflection, which commute with H
-    and with prod sigma_z, so it is solved on the symmetric block of its
-    sector by inverse iteration just below the closed-form energy
-    free_fermion_ground_energy, and ``matvecs`` is 0.  Its Rayleigh
+    quotients.  For k=1 algebra names the sector (ground_parity): at
+    lam<0 every off-diagonal entry is <= 0 and the single-flip graph is
+    connected, so Perron-Frobenius gives a unique positive ground state of
+    parity +1; conjugating by prod sigma_z maps lam to -lam and multiplies
+    the flip by (-1)^N, so at lam>0 the ground parity is (-1)^N.  At lam=0
+    the doublet is degenerate and +1 is taken.  Being unique, the ground
+    state is also invariant under every translation and reflection, which
+    commute with H and with prod sigma_z, so it is solved on the symmetric
+    block of its sector by inverse iteration just below the closed-form
+    energy free_fermion_ground_energy, and ``matvecs`` is 0.  Its Rayleigh
     quotient must lie within CLOSED_FORM_C eps N (1 + |lam|) of that
     energy, else ContractError: the iteration found the ground state and
     not another block level.
@@ -379,7 +366,7 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     if k == 2:
         signs = (1.0, -1.0)
     else:
-        signs = (-1.0 if h.lam > 0 and h.n_sites % 2 else 1.0,)
+        signs = (ground_parity(h.n_sites, h.lam),)
     found, matvecs = [], 0
     for sign in signs:
         if k == 1:
@@ -498,10 +485,10 @@ def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:
     """Energy gap E1 - E0 for every chain length in [n_min, n_max]."""
     if lam == 0.0:
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
-    if not 3 <= n_min <= n_max <= SCAN_MAX_SITES:
+    if not MIN_SITES <= n_min <= n_max <= SCAN_MAX_SITES:
         raise DomainError(
-            f"scan range must satisfy 3 <= n_min <= n_max <= {SCAN_MAX_SITES},"
-            f" got {n_min}..{n_max}"
+            f"scan range must satisfy {MIN_SITES} <= n_min <= n_max <="
+            f" {SCAN_MAX_SITES}, got {n_min}..{n_max}"
         )
     out = []
     for n in range(n_min, n_max + 1):

@@ -9,10 +9,13 @@ reaches order N^2.  This module builds that matrix, extracts e1/e2 and the
 maximizing operator, fits scaling exponents, and histograms total
 z magnetization.
 
-The matrix has two routes.  A state whose amplitudes equal their one-site
-rotation exactly, as the k=1 ground states do, has a block-circulant
-matrix, filled from the site-1 rows against sites 1..N/2+1.  Every other
-state gets the Gram matrix of all 3N vectors s_a(l)|psi>.
+build_vcm takes any pure state as a 2^N vector and forms the Gram matrix
+of all 3N vectors s_a(l)|psi>.  The e1 scan needs no such vector: the
+ground state is Gaussian in Jordan-Wigner fermions, so
+majorana.ground_correlations gives its pair correlations, and its matrix
+is block circulant with one 3 x 3 block per momentum, whose eigenvalues
+are closed-form (_ground_spectrum).  That reaches N in the hundreds.  The
+e2 scan still reads the Gram matrix of the 2^N ground state.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs
+from .majorana import ground_correlations
 from .model import MIN_SITES, build_tfim
 from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_diagonal
 
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
 DEGENERACY_REL_TOL = 1e-10
+GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~1.1 s at N = 512 on 2 cores
 
 
 class CorrelationKind(enum.Enum):
@@ -85,16 +90,16 @@ class CorrelationMatrix:
         return float(self.eigenvalues[1])
 
 
-def _axis_rows(state: StateVector, sites: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """The state's amplitudes and the rows sigma_x psi, sigma_x sigma_z psi
-    and sigma_z psi of sites 1..sites, row 3*(l-1)+a.  A state with zero
+    and sigma_z psi of every site, row 3*(l-1)+a.  A state with zero
     imaginary part gives real arrays."""
     n = state.n_sites
     amps = state.amplitudes
     if not amps.imag.any():
         amps = amps.real
-    rows = np.empty((3 * sites, state.dim), dtype=amps.dtype)
-    for l in range(1, sites + 1):
+    rows = np.empty((3 * n, state.dim), dtype=amps.dtype)
+    for l in range(1, n + 1):
         z = _apply_axis(amps, n, PauliAxis.Z, l)
         rows[3 * (l - 1)] = _apply_axis(amps, n, PauliAxis.X, l)
         rows[3 * (l - 1) + 1] = _apply_axis(z, n, PauliAxis.X, l)
@@ -105,7 +110,7 @@ def _axis_rows(state: StateVector, sites: int) -> tuple[np.ndarray, np.ndarray]:
 def _gram_entries(state: StateVector) -> np.ndarray:
     """The connected correlations as a Gram matrix of all 3N rows."""
     n = state.n_sites
-    amps, rows = _axis_rows(state, n)
+    amps, rows = _axis_rows(state)
     phase = np.tile([1.0, 1.0j, 1.0], n)
     # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
     # is the Hermitian single-site expectation
@@ -114,57 +119,51 @@ def _gram_entries(state: StateVector) -> np.ndarray:
     return gram - np.outer(means, means)
 
 
-def _circulant_entries(state: StateVector) -> np.ndarray:
-    """The connected correlations of a translation-invariant state from the
-    site-1 rows against sites 1..N/2+1.
-
-    G(d)[a, b] = <s_a(1) s_b(1+d)> fills every block (l, m) with
-    d = (m - l) mod N; offsets past N/2 use G(d) = G(N-d)^T, since
-    operators on different sites commute.
-    """
-    n = state.n_sites
-    half = n // 2
-    amps, rows = _axis_rows(state, half + 1)
-    phase = np.tile([1.0, 1.0j, 1.0], half + 1)
-    site1, p1 = rows[:3], phase[:3]
-    means = (p1.conj() * (site1.conj() @ amps)).real
-    g = p1.conj()[:, None] * (site1.conj() @ rows.T) * phase
-    near = g.reshape(3, half + 1, 3).transpose(1, 0, 2)  # near[d] = G(d)
-    far = near[n - np.arange(half + 1, n)].transpose(0, 2, 1)
-    blocks = np.concatenate((near, far))  # blocks[d] = G(d), d = 0..N-1
-    sites = np.arange(n)
-    offset = (sites[None, :] - sites[:, None]) % n
-    v = blocks[offset].transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    means = np.tile(means, n)
-    return v - np.outer(means, means)
-
-
 def build_vcm(state: StateVector) -> CorrelationMatrix:
     """Connected pair-correlation matrix of a normalized pure state.
 
     Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
-    same-site off-axis terms.  The rows hold sigma_x, -i sigma_y =
-    sigma_x sigma_z and sigma_z applied to psi, which stay real when psi
-    is: a state with zero imaginary part runs in real arithmetic.
-    sigma_y's i returns as a phase on the products and on the means.
-
-    Two routes give the same matrix up to summation order.  A state whose
-    amplitudes equal their one-site rotation exactly (np.array_equal, no
-    tolerance) has a block-circulant matrix: it is filled from the
-    products of the site-1 rows with the rows of sites 1..N/2+1.  Every
-    other state gets the Gram matrix of all 3N vectors s_a(l)|psi>, which
-    is positive semidefinite by construction.  The circulant matrix is
-    that Gram matrix only up to rounding, so the Hermiticity check and
-    the PSD floor of CorrelationMatrix are what hold it to it.
+    same-site off-axis terms: the Gram matrix of all 3N vectors
+    s_a(l)|psi>, positive semidefinite by construction.  The rows hold
+    sigma_x, -i sigma_y = sigma_x sigma_z and sigma_z applied to psi, which
+    stay real when psi is: a state with zero imaginary part runs in real
+    arithmetic.  sigma_y's i returns as a phase on the products and on the
+    means.
     """
     state.require_normalized()
-    n = state.n_sites
-    tensor = state.amplitudes.reshape((2,) * n)
-    if np.array_equal(tensor, np.moveaxis(tensor, 0, -1)):
-        v = _circulant_entries(state)
-    else:
-        v = _gram_entries(state)
-    return CorrelationMatrix(n_sites=n, kind=CorrelationKind.VCM, entries=v)
+    return CorrelationMatrix(
+        n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=_gram_entries(state)
+    )
+
+
+def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
+    """The 3N eigenvalues of the ground state's correlation matrix,
+    descending, from majorana.ground_correlations.
+
+    The ground state is translation invariant, so block (l, m) of the
+    matrix depends only on d = m - l mod N, and the spectrum is the union
+    of the 3 x 3 blocks V(q) = sum_d V(d) e^(2 pi i q d / N).  Flip parity
+    kills every x-y and x-z entry, and a real state every y-z entry
+    between different sites, leaving the same-site <s_y s_z> = i<s_x> =
+    i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, x
+    decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with eigenvalues
+    (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
+    PSD_FLOOR, else ContractError.
+    """
+    m, corr = ground_correlations(n_sites, lam)
+    corr[0] -= m * m  # <s_y> and <s_z> vanish by flip parity
+    d = np.arange(n_sites)
+    blocks = corr[:, np.minimum(d, n_sites - d)] @ np.cos(
+        2.0 * np.pi * (np.outer(d, d) % n_sites) / n_sites
+    )
+    mid = 0.5 * (blocks[1] + blocks[2])
+    radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
+    vals = np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
+    if vals[-1] < PSD_FLOOR:
+        raise ContractError(
+            f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
+        )
+    return vals
 
 
 @dataclass(frozen=True)
@@ -243,21 +242,42 @@ def fit_exponential_gap(points) -> ScalingFit:
     )
 
 
-def second_eigenvalue_scan(lam: float, n_range) -> list[tuple[int, float]]:
-    """e2 of the ground-state correlation matrix per chain length."""
-    sizes = list(n_range)
-    if not all(
-        isinstance(n, (int, np.integer)) and MIN_SITES <= n <= SCAN_MAX_SITES
+def _scan_sizes(n_range, max_sites: int) -> list[int]:
+    """The chain lengths of a scan, each an integer in MIN_SITES..max_sites,
+    else DomainError.  The first bad length stops the check, so a huge
+    range is never listed."""
+    sizes = []
+    for n in n_range:
+        if not (isinstance(n, (int, np.integer)) and MIN_SITES <= n <= max_sites):
+            raise DomainError(
+                f"chain lengths must be integers in {MIN_SITES}..{max_sites},"
+                f" got {n!r}"
+            )
+        sizes.append(int(n))
+    if not sizes:
+        raise DomainError("the scan needs at least one chain length")
+    return sizes
+
+
+def largest_eigenvalue_scan(lams, n_range) -> list[tuple[float, int, float]]:
+    """(lam, N, e1) of the ground-state correlation matrix for every field
+    and chain length up to GAUSSIAN_SCAN_MAX_SITES, sorted by field, then
+    length, from the Gaussian route (_ground_spectrum)."""
+    sizes = _scan_sizes(n_range, GAUSSIAN_SCAN_MAX_SITES)
+    return sorted(
+        (float(lam), n, float(_ground_spectrum(n, lam)[0]))
+        for lam in lams
         for n in sizes
-    ):
-        raise DomainError(
-            f"chain lengths must be integers in {MIN_SITES}..{SCAN_MAX_SITES},"
-            f" got {sizes}"
-        )
+    )
+
+
+def second_eigenvalue_scan(lam: float, n_range) -> list[tuple[int, float]]:
+    """e2 of the ground-state correlation matrix per chain length up to
+    SCAN_MAX_SITES, from the 2^N ground state."""
     out = []
-    for n in sizes:
+    for n in _scan_sizes(n_range, SCAN_MAX_SITES):
         ground = lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
-        out.append((int(n), build_vcm(ground).e2))
+        out.append((n, build_vcm(ground).e2))
     return out
 
 

@@ -38,6 +38,25 @@ def _bond_diagonal(n_sites: int) -> np.ndarray:
     return -(n_sites - 2.0 * popcounts(n_sites, b ^ rotated))
 
 
+def check_chain(n_sites: int, lam: float) -> tuple[int, float]:
+    """The site count and field of a chain as int and float, or DomainError
+    for fewer than MIN_SITES sites or a field that leaves N (1 + |lam|)
+    non-finite."""
+    if not isinstance(n_sites, (int, np.integer)) or n_sites < MIN_SITES:
+        raise DomainError(
+            f"the chain needs at least {MIN_SITES} sites, got {n_sites!r}"
+        )
+    lam = float(lam)
+    # N (1 + |lam|) bounds the norm of H, hence every energy and every
+    # term of the closed-form ground-energy sum
+    if not math.isfinite(n_sites * (1.0 + abs(lam))):
+        raise DomainError(
+            f"the transverse field {lam!r} leaves the energy scale"
+            f" N (1 + |lam|) non-finite at {n_sites} sites"
+        )
+    return int(n_sites), lam
+
+
 class TfimHamiltonian:
     """Matrix-free action of the chain Hamiltonian.
 
@@ -49,21 +68,10 @@ class TfimHamiltonian:
     __slots__ = ("n_sites", "lam", "_diag")
 
     def __init__(self, n_sites: int, lam: float) -> None:
-        if not isinstance(n_sites, (int, np.integer)) or n_sites < MIN_SITES:
-            raise DomainError(
-                f"the chain needs at least {MIN_SITES} sites, got {n_sites!r}"
-            )
-        lam = float(lam)
-        # N (1 + |lam|) bounds the norm of H, hence every energy and every
-        # term of the closed-form ground-energy sum
-        if not math.isfinite(n_sites * (1.0 + abs(lam))):
-            raise DomainError(
-                f"the transverse field {lam!r} leaves the energy scale"
-                f" N (1 + |lam|) non-finite at {n_sites} sites"
-            )
-        object.__setattr__(self, "n_sites", int(n_sites))
+        n_sites, lam = check_chain(n_sites, lam)
+        object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "lam", lam)
-        diag = _bond_diagonal(int(n_sites))
+        diag = _bond_diagonal(n_sites)
         diag.flags.writeable = False
         object.__setattr__(self, "_diag", diag)
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import z2memory
+import z2memory.cli as cli
 import z2memory.eigensolve as es
-from z2memory import build_tfim, build_vcm, gap_scan, lowest_eigenpairs
+import z2memory.macroscopicity as mac
+from z2memory import build_vcm, gap_scan, largest_eigenvalue_scan
 from z2memory.cli import main
 
 
@@ -50,11 +52,30 @@ def test_scan_e1_output(tmp_path, solve_cache):
     assert any("J=1" in c for c in comments)
     assert any("fit lambda=" in c and "p=" in c for c in comments)
     assert len(rows) == 3
-    # the printed floats round-trip to the library values exactly
-    pairs = solve_cache(6, 0.5, k=1)
-    want = build_vcm(pairs.eigenvectors[0]).e1
-    assert float(rows[0][2]) == want
+    # the printed floats round-trip to the library sweep's values exactly,
+    # and those meet the correlation matrix of the 2^N ground state
+    want = largest_eigenvalue_scan([0.5], range(6, 9))
+    assert [(float(r[0]), int(r[1]), float(r[2])) for r in rows] == want
+    for _, n, e1 in want:
+        ed = build_vcm(solve_cache(n, 0.5, k=1).eigenvectors[0]).e1
+        assert abs(e1 - ed) <= 1e-13 * ed
     assert [r[1] for r in rows] == ["6", "7", "8"]
+
+
+def test_scan_e1_builds_no_state_vector(tmp_path, monkeypatch):
+    def failing(*args):
+        raise AssertionError("scan-e1 must not build a 2^N vector")
+
+    for module in (cli, mac, es, z2memory):
+        for name in ("lowest_eigenpairs", "build_vcm"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, failing)
+    code, out = run(
+        tmp_path, "scan.csv", "scan-e1", "--n-min", "3", "--n-max", "40",
+        "--lambdas", "0.5,-0.7",
+    )
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 2 * 38
 
 
 @pytest.mark.parametrize(
@@ -132,7 +153,8 @@ def test_overflowing_field_is_a_domain_error(tmp_path, capsys, args, lam):
 
 
 def test_scan_e1_range_validation(tmp_path):
-    code, _ = run(tmp_path, "x.csv", "scan-e1", "--n-min", "6", "--n-max", "15")
+    too_long = str(mac.GAUSSIAN_SCAN_MAX_SITES + 1)
+    code, _ = run(tmp_path, "x.csv", "scan-e1", "--n-min", "6", "--n-max", too_long)
     assert code == 1
     code, _ = run(tmp_path, "y.csv", "scan-e1", "--n-min", "8", "--n-max", "6")
     assert code == 1
@@ -281,10 +303,7 @@ def test_block_solve_failure_exit_code(tmp_path, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(es, "solve", failing)
-    code, _ = run(
-        tmp_path, "conv.csv", "scan-e1", "--n-min", "8", "--n-max", "8",
-        "--lambdas", "0.5",
-    )
+    code, _ = run(tmp_path, "conv.csv", "pz", "--n", "8", "--state", "ground")
     assert code == 2
 
 
@@ -327,7 +346,8 @@ def test_scipy_stays_off_the_import_path():
         "import sys\n"
         "import z2memory.cli\n"
         "from z2memory.eigensolve import lowest_eigenpairs\n"
-        "from z2memory.macroscopicity import second_eigenvalue_scan\n"
+        "from z2memory.macroscopicity import (\n"
+        "    largest_eigenvalue_scan, second_eigenvalue_scan)\n"
         "from z2memory.model import build_tfim, stabilizer_check\n"
         "from z2memory.rvb import rvb_vcm_check\n"
         "from z2memory.thermal import thermal_scan\n"
@@ -335,6 +355,7 @@ def test_scipy_stays_off_the_import_path():
         "stabilizer_check(6)\n"
         "rvb_vcm_check(8)\n"
         "second_eigenvalue_scan(0.5, [8, 9, 10])\n"
+        "largest_eigenvalue_scan([0.5], [64])\n"
         "lowest_eigenpairs(build_tfim(10, 0.5), 1)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )

@@ -13,17 +13,15 @@ from z2memory import (
     StateVector,
     additive_variance,
     basis_state,
-    build_tfim,
     build_vcm,
     fit_exponential_gap,
     fit_index_p,
     gap_scan,
     ghz_state,
-    lowest_eigenpairs,
+    largest_eigenvalue_scan,
     max_fluctuation_operator,
     mz_distribution,
     second_eigenvalue_scan,
-    superposed_state,
 )
 from z2memory import macroscopicity
 
@@ -44,8 +42,6 @@ GROUND_FIELDS = (0.0, 1e-8, 0.3, 0.5, 1.0, 1.5, -0.7)
 
 
 def test_vcm_matches_dense_oracle_on_ground_state(solve_cache):
-    # ground states are translation invariant, so this checks the
-    # circulant route against the Kronecker-product oracle
     for n in range(3, 9):
         for lam in GROUND_FIELDS:
             ground = solve_cache(n, lam, k=1).eigenvectors[0]
@@ -55,70 +51,44 @@ def test_vcm_matches_dense_oracle_on_ground_state(solve_cache):
             assert got.kind is CorrelationKind.VCM
 
 
-def _gram_route(state):
-    return CorrelationMatrix(
-        state.n_sites, CorrelationKind.VCM, macroscopicity._gram_entries(state)
-    )
-
-
-def _random_invariant_state(rng, n, dtype):
-    # one random amplitude per rotation orbit: translation invariant but,
-    # unlike the ground states, not reflection symmetric, so a block
-    # transposed or an offset taken the wrong way round would show
-    index = np.arange(1 << n)
-    rep, rotated = index.copy(), index
-    for _ in range(n - 1):
-        rotated = ((rotated << 1) | (rotated >> (n - 1))) & ((1 << n) - 1)
-        rep = np.minimum(rep, rotated)
-    amps = rng.standard_normal(1 << n).astype(dtype)
-    if dtype is complex:
-        amps += 1j * rng.standard_normal(1 << n)
-    amps = amps[rep]
-    return StateVector(n, amps / np.linalg.norm(amps))
-
-
 @pytest.mark.parametrize("n", range(3, 15))
 def test_circulant_route_matches_gram_route(n, solve_cache):
-    rng = np.random.default_rng(43 + n)
-    states = [ghz_state(n), basis_state(n)]
-    states += [_random_invariant_state(rng, n, t) for t in (float, complex)]
+    # the Gaussian ground state's spectrum, read per momentum from the
+    # block-circulant matrix, against the Gram matrix of the 2^N ground
+    # state
     for lam in (*GROUND_FIELDS, -20.0):
-        ground = solve_cache(n, lam, k=1).eigenvectors[0]
-        states += [ground, StateVector(n, np.exp(0.7j) * ground.amplitudes)]
-    for state in states:
-        tensor = state.amplitudes.reshape((2,) * n)
-        assert np.array_equal(tensor, np.moveaxis(tensor, 0, -1))
-        got, want = build_vcm(state), _gram_route(state)
-        assert np.abs(got.entries - want.entries).max() < 1e-13
-        assert abs(got.e1 - want.e1) <= 1e-13 * abs(want.e1)
-        assert abs(got.e2 - want.e2) <= 1e-13 * abs(want.e2)
+        got = macroscopicity._ground_spectrum(n, lam)
+        want = build_vcm(solve_cache(n, lam, k=1).eigenvectors[0]).eigenvalues
+        assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0]), lam
+        assert abs(got[1] - want[1]) <= 1e-13 * abs(want[1]), lam
+        assert np.abs(got - want).max() <= 1e-12, lam
 
 
-def test_vcm_route_follows_exact_translation_invariance(monkeypatch, solve_cache):
-    calls = []
-    circulant = macroscopicity._circulant_entries
+def test_ground_spectrum_matches_dense_oracle():
+    # independent route: the Kronecker-product matrix of the lowest vector
+    # of the dense Hamiltonian, at fields that split the doublet far above
+    # rounding
+    for n in range(3, 9):
+        for lam in (0.3, 1.0, 1.5, -0.7, 3.0):
+            ground = np.linalg.eigh(oracles.dense_h(n, lam))[1][:, 0]
+            want = np.linalg.eigvalsh(oracles.dense_vcm(ground))[::-1]
+            got = macroscopicity._ground_spectrum(n, lam)
+            assert np.abs(got - want).max() < 1e-12, (n, lam)
 
-    def counted(state):
-        calls.append(state)
-        return circulant(state)
 
-    monkeypatch.setattr(macroscopicity, "_circulant_entries", counted)
-    for n in (6, 9, 12):
-        ground = solve_cache(n, 0.5, k=1).eigenvectors[0]
-        build_vcm(ground)
-        assert calls == [ground]
-        calls.clear()
-        amps = ground.amplitudes.copy()
-        amps[1] = np.nextafter(amps[1].real, np.inf)
-        nudged = StateVector(n, amps).normalized()
-        tensor = nudged.amplitudes.reshape((2,) * n)
-        assert not np.array_equal(tensor, np.moveaxis(tensor, 0, -1))
-        doublet = solve_cache(n, 0.5, k=2).eigenvectors
-        superposed = superposed_state(doublet[0], doublet[1])
-        for state in (nudged, doublet[0], doublet[1], superposed):
-            got = build_vcm(state)
-            assert np.array_equal(got.entries, _gram_route(state).entries)
-        assert calls == []
+def test_ground_spectrum_psd_floor_is_enforced(monkeypatch):
+    lowest = macroscopicity._ground_spectrum(8, 0.5)[-1]
+    monkeypatch.setattr(macroscopicity, "PSD_FLOOR", lowest + 1e-9)
+    with pytest.raises(ContractError, match="positive semidefiniteness"):
+        largest_eigenvalue_scan([0.5], [8])
+
+
+@pytest.mark.parametrize("lam, p", [(0.5, 2.0), (1.0, 1.75), (1.5, 1.0)])
+def test_index_p_at_large_n(lam, p):
+    # e1 ~ N^(p-1): the ordered phase's m0^2 N, the critical
+    # <s_z s_z>(r) ~ r^(-1/4) and the disordered phase's O(1)
+    points = [(n, e1) for _, n, e1 in largest_eigenvalue_scan([lam], (64, 128, 256))]
+    assert abs(1.0 + fit_index_p(points).slope - p) < 0.01
 
 
 def test_vcm_matches_dense_oracle_on_product_states():
@@ -226,7 +196,7 @@ def test_second_eigenvalue_stays_order_one():
         assert 1.0 < e2 < 1.2
     fit = fit_index_p(points)
     assert abs(fit.slope) < 0.3
-    for sizes in ([15], [2], [6, 15], [6.7]):
+    for sizes in ([15], [2], [6, 15], [6.7], []):
         with pytest.raises(DomainError):
             second_eigenvalue_scan(0.5, sizes)
 

@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+
+import oracles
+import z2memory.majorana as mj
+from z2memory import ContractError, ConvergenceError, DomainError
+from z2memory.cli import main
+
+FIELDS = (0.0, 1e-8, -1e-8, 0.3, 1.0, 1.5, -0.7, 1e3)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_covariance_is_a_pure_gaussian_state(n):
+    # c is real antisymmetric with c @ c = -1, a pure state, and a real
+    # Hamiltonian leaves no <a a> or <b b> term
+    for lam in FIELDS:
+        c = mj._ground_covariance(n, lam)
+        assert np.abs(c + c.T).max() < 1e-15
+        assert np.abs(c @ c + np.eye(2 * n)).max() < 1e-13, lam
+        assert np.abs(c[0::2, 0::2]).max() < 1e-15
+        assert np.abs(c[1::2, 1::2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_correlations_match_the_dense_ground_state(n):
+    # independent route: the lowest vector of the dense Kronecker
+    # Hamiltonian, at fields that split the doublet far above rounding
+    for lam in (0.3, 1.0, 1.5, -0.7, 3.0):
+        psi = np.linalg.eigh(oracles.dense_h(n, lam))[1][:, 0]
+        m, corr = mj.ground_correlations(n, lam)
+        sx = oracles.site_op(n, 1, 0)
+        assert abs(m - np.vdot(psi, sx @ psi).real) < 1e-13
+        for d in range(n // 2 + 1):
+            for axis in range(3):
+                pair = oracles.site_op(n, 1, axis) @ oracles.site_op(n, 1 + d, axis)
+                want = np.vdot(psi, pair @ psi).real
+                assert abs(corr[axis, d] - want) < 1e-13, (lam, d, axis)
+
+
+def test_energy_mismatch_is_a_contract_error(monkeypatch):
+    exact = mj.free_fermion_ground_energy
+    monkeypatch.setattr(
+        mj, "free_fermion_ground_energy", lambda n, lam: exact(n, lam) + 4.0
+    )
+    with pytest.raises(ContractError, match="closed-form energy"):
+        mj.ground_correlations(8, 0.5)
+
+
+@pytest.mark.parametrize("n, lam", [(8, 0.5), (7, 0.5), (7, -1.5), (12, 1.0)])
+def test_wrong_parity_covariance_is_a_contract_error(monkeypatch, n, lam):
+    # the other sector's couplings fill the periodic modes, whose sum misses
+    # the ground energy; at |lam| = 1 their k=0 mode is a zero mode of iA
+    parity = mj.ground_parity
+    monkeypatch.setattr(mj, "ground_parity", lambda n, lam: -parity(n, lam))
+    with pytest.raises(ContractError, match="closed-form energy|negative eigenvalues"):
+        mj.ground_correlations(n, lam)
+
+
+def test_negative_mode_count_is_a_contract_error(monkeypatch):
+    eigh = mj.eigh
+
+    def one_flipped(mat):
+        mu, vecs = eigh(mat)
+        mu[mu.size // 2] *= -1.0
+        return mu, vecs
+
+    monkeypatch.setattr(mj, "eigh", one_flipped)
+    with pytest.raises(ContractError, match="negative eigenvalues"):
+        mj.ground_correlations(8, 0.5)
+
+
+@pytest.mark.parametrize("name", ["eigh", "det"])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, name):
+    def failing(mat):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(mj, name, failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        mj.ground_correlations(8, 0.5)
+    out = str(tmp_path / "x.csv")
+    assert main(["scan-e1", "--lambdas", "0.5", "--out", out]) == 2
+
+
+def test_chain_domain():
+    for n, lam in ((2, 0.5), (6.0, 0.5), (8, 1e308), (8, float("nan"))):
+        with pytest.raises(DomainError):
+            mj.ground_correlations(n, lam)
