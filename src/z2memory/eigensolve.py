@@ -21,6 +21,13 @@ below that energy find the vector, which a gather lifts back to 2^N, and
 its Rayleigh quotient must then meet the closed form.  The block's matrix
 elements follow Sandvik, arXiv:1101.3281.
 
+Thermal scans need every level, and take them from the blocks of momentum
+k and flip parity s: one state per orbit of rotations and complement whose
+stabilizer the block's character leaves at 1, about 2^N/(2N) states per
+block and one eigh each for k = 0..N/2, the rest by complex conjugation.
+Both orbit tables come from one pass over their group that keeps the
+running minimum image of every string.
+
 The doublet solves one vector per flip sector by Lanczos on the
 half-space, fully reorthogonalized by block classical Gram-Schmidt applied
 twice, which is as accurate as the modified form (Giraud, Langou and
@@ -206,49 +213,95 @@ class _SymmetricBlock(NamedTuple):
     flips: np.ndarray
 
 
+class _Orbits(NamedTuple):
+    """Orbits of the basis strings under a group of rotations, complement
+    and, optionally, reflection.
+
+    ``group`` lists the elements (r, m, c): reflect if m, rotate by r
+    places, complement if c, with the identity first.  ``rep[b]`` is the
+    smallest image of string b and ``elem[b]`` the index of the first
+    element that maps b to it.  ``reps`` are the representatives, and
+    ``fixed[g, i]`` says whether element g fixes reps[i].
+    """
+
+    group: list
+    rep: np.ndarray
+    elem: np.ndarray
+    reps: np.ndarray
+    fixed: np.ndarray
+
+
+def _act(n_sites: int, element: tuple[int, int, int], b: np.ndarray) -> np.ndarray:
+    """The image of every string in ``b`` under the element (r, m, c)."""
+    r, m, c = element
+    mask = (1 << n_sites) - 1
+    if m:
+        b = sum(((b >> k) & 1) << (n_sites - 1 - k) for k in range(n_sites))
+    out = ((b << r) | (b >> (n_sites - r))) & mask
+    return out ^ mask if c else out
+
+
+def _orbits(n_sites: int, reflect: bool) -> _Orbits:
+    """The orbit table of the group of rotations, complement and, if
+    ``reflect``, reflection: one pass over the group that keeps a running
+    minimum of the images and the element that reached it."""
+    group = [
+        (r, m, c) for m in range(1 + reflect) for r in range(n_sites) for c in (0, 1)
+    ]
+    b = np.arange(1 << n_sites)
+    rep = b.copy()
+    elem = np.zeros(b.size, dtype=np.int8)
+    for g, element in enumerate(group[1:], 1):
+        image = _act(n_sites, element, b)
+        lower = image < rep
+        rep[lower] = image[lower]
+        elem[lower] = g
+    reps = np.flatnonzero(rep == b)
+    fixed = np.array([_act(n_sites, element, reps) == reps for element in group])
+    return _Orbits(group, rep, elem, reps, fixed)
+
+
+def _field_block(
+    n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """The block of sum_l sigma_x(l) on the states |i> = sum_b coef[b] |b>,
+    one per representative reps[i], where string b belongs to state col[b]
+    and coef vanishes off the block: F[j, i] = sqrt(size[i])
+    sum_k conj(coef[r_i ^ 2^k]) [col(r_i ^ 2^k) = j] (Sandvik,
+    arXiv:1101.3281)."""
+    targets = reps[:, None] ^ (1 << np.arange(n_sites))
+    flips = np.zeros((reps.size, reps.size), dtype=coef.dtype)
+    np.add.at(
+        flips,
+        (col[targets], np.arange(reps.size)[:, None]),
+        np.sqrt(size)[:, None] * coef[targets].conj(),
+    )
+    return flips
+
+
 @functools.lru_cache(maxsize=None)
 def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     """The orbit table of the 4N-element group of rotations, reflection and
     complement, the complement with character ``sign``, and the block of the
     transverse field on it, built once per (N, sign).
 
-    Row g of ``images`` holds g(b) for every string b, and odd rows carry
-    the complement; a string's representative is its smallest image.  An
-    orbit spans a block state unless an element of character -1 fixes its
-    strings, which needs sign = -1.  On every other orbit, all elements
-    that map b to its representative share one character: the sign of b
-    in the block state.  With |i> = sum_b coef[b] |b>, the field block is
-    F[j, i] = sqrt(|orbit i|) sum_k coef[r_i ^ 2^k] [col(r_i ^ 2^k) = j].
+    An orbit spans a block state unless an element of character -1 fixes
+    its strings, which needs sign = -1.  On every other orbit, all elements
+    that map b to its representative share one character: the sign of b in
+    the block state.
     """
-    dim = 1 << n_sites
-    mask = dim - 1
-    b = np.arange(dim)
-    mirror = np.zeros(dim, dtype=b.dtype)
-    for k in range(n_sites):
-        mirror |= ((b >> k) & 1) << (n_sites - 1 - k)
-    images = np.empty((4 * n_sites, dim), dtype=b.dtype)
-    for r in range(n_sites):
-        for half, start in enumerate((b, mirror)):
-            row = 2 * (half * n_sites + r)
-            images[row] = ((start << r) | (start >> (n_sites - r))) & mask
-            images[row + 1] = images[row] ^ mask
-    which = images.argmin(axis=0)
-    rep = images[which, b]
-    keep = np.ones(dim, dtype=bool)
+    orbits = _orbits(n_sites, reflect=True)
+    complement = np.array([c for _, _, c in orbits.group])
+    keep_orbit = np.ones(orbits.reps.size, dtype=bool)
     if sign < 0:
-        keep = ~(images[1::2] == b).any(axis=0)
-    reps = np.flatnonzero((rep == b) & keep)
-    col = np.where(keep, np.searchsorted(reps, rep), 0)
+        keep_orbit = ~orbits.fixed[complement == 1].any(axis=0)
+    keep = keep_orbit[np.searchsorted(orbits.reps, orbits.rep)]
+    reps = orbits.reps[keep_orbit]
+    col = np.where(keep, np.searchsorted(reps, orbits.rep), 0)
     size = np.bincount(col[keep], minlength=reps.size)
-    coef = np.where(keep, np.where(which % 2, sign, 1.0) / np.sqrt(size[col]), 0.0)
-
-    targets = reps[:, None] ^ (1 << np.arange(n_sites))
-    flips = np.zeros((reps.size, reps.size))
-    np.add.at(
-        flips,
-        (col[targets], np.arange(reps.size)[:, None]),
-        np.sqrt(size)[:, None] * coef[targets],
-    )
+    signs = np.where(complement[orbits.elem] == 1, sign, 1.0)
+    coef = np.where(keep, signs / np.sqrt(size[col]), 0.0)
+    flips = _field_block(n_sites, reps, col, coef, size)
     for arr in (reps, col, coef, flips):
         arr.flags.writeable = False
     return _SymmetricBlock(reps, col, coef, flips)
@@ -431,6 +484,19 @@ class FullSpectrum:
         object.__setattr__(self, "basis", basis)
 
 
+def _check_eigensystem(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Every residual ||mat v_i - E_i v_i|| below RESIDUAL_BOUND and the
+    columns orthonormal within ORTHONORMALITY_TOL, else ContractError."""
+    residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
+    if residual >= RESIDUAL_BOUND:
+        raise ContractError(
+            f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
+        )
+    drift = float(np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max())
+    if drift > ORTHONORMALITY_TOL:
+        raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
+
+
 def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
     """Dense H on one flip-parity sector, in the basis _embed lifts, with
     its off-diagonal read from the flip table."""
@@ -456,14 +522,7 @@ def _sector_spectra(h: TfimHamiltonian) -> list[tuple[float, np.ndarray, np.ndar
     for sign in (1.0, -1.0):
         mat = _sector_matrix(h, sign)
         vals, vecs = eigh(mat)
-        residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
-        if residual >= RESIDUAL_BOUND:
-            raise ContractError(
-                f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
-            )
-        drift = float(np.abs(vecs.T @ vecs - np.eye(vals.size)).max())
-        if drift > ORTHONORMALITY_TOL:
-            raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
+        _check_eigensystem(mat, vals, vecs)
         sectors.append((sign, vals, vecs))
     _check_traceless(np.concatenate([vals for _, vals, _ in sectors]))
     return sectors
@@ -479,6 +538,114 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
     columns = [_embed(vecs, sign) for sign, _, vecs in sectors]
     basis = np.concatenate(columns, axis=1)[:, order]
     return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
+
+
+def _roots(n_sites: int) -> np.ndarray:
+    """e^(-2 pi i m/N) for m = 0..N-1, with root N-m the exact conjugate of
+    root m, so the amplitudes of momenta k and -k are exact conjugates."""
+    m = np.arange(n_sites)
+    angle = 2.0 * np.pi * np.minimum(m, n_sites - m) / n_sites
+    return np.cos(angle) - 1j * np.sign(n_sites - 2 * m) * np.sin(angle)
+
+
+class _MomentumTable(NamedTuple):
+    """Orbits of the 2N-element group of rotations and complement, and the
+    states they span in the blocks of momentum k and flip parity s.
+
+    String b belongs to the orbit of reps[orbit[b]], which has size[o]
+    strings.  Block (k, s) sits at [i, k], i = 0 for s = +1 and 1 for
+    s = -1: ``allowed[i, k, o]`` says whether orbit o spans one of its
+    states, and ``amplitudes[i, k, b]`` is the amplitude of string b in the
+    state of its orbit.
+    """
+
+    reps: np.ndarray
+    orbit: np.ndarray
+    size: np.ndarray
+    allowed: np.ndarray
+    amplitudes: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _momentum_table(n_sites: int) -> _MomentumTable:
+    """The orbit table of rotations and complement, built once per N.
+
+    String b is T^r_b C^c_b of its representative, the inverse of the
+    element that maps it there.  Its amplitude in block (k, s) is
+    e^(-2 pi i k r_b/N) s^c_b / sqrt(orbit size), which is well defined, and
+    nonzero, only where the block's character e^(2 pi i k r/N) s^c is 1 on
+    the orbit's stabilizer.  The character's sum over a stabilizer is the
+    stabilizer's order if it is 1 there and 0 otherwise.
+    """
+    orbits = _orbits(n_sites, reflect=False)
+    shifts = np.array([r for r, _, _ in orbits.group])
+    flips = np.array([c for _, _, c in orbits.group])
+    roots = _roots(n_sites)
+    signs = np.array([1.0, -1.0])[:, None, None]
+    k = np.arange(n_sites)[:, None]
+    chars = roots[k * shifts % n_sites].conj() * signs**flips
+    allowed = (chars @ orbits.fixed.astype(float)).real > 0.5
+    orbit = np.searchsorted(orbits.reps, orbits.rep)
+    size = np.bincount(orbit)
+    shift = -shifts[orbits.elem] % n_sites
+    scale = signs ** flips[orbits.elem] / np.sqrt(size[orbit])
+    amplitudes = np.where(
+        allowed[:, :, orbit], roots[k * shift % n_sites] * scale, 0.0
+    )
+    table = _MomentumTable(orbits.reps, orbit, size, allowed, amplitudes)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+class _MomentumSpectra(NamedTuple):
+    """Eigensystems of the blocks of momentum k and flip parity s.
+
+    Block (k, s) sits at [i, k], i = 0 for s = +1 and 1 for s = -1, with
+    dims[i, k] states: its ascending energies[i, k, :dims] and eigenvectors
+    vectors[i, k, :, :dims], one row per orbit of _momentum_table.  Rows of
+    excluded orbits and everything past dims are 0.
+    """
+
+    dims: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+
+def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
+    """The eigensystems of every block of momentum k and flip parity s.
+
+    Each block is H = diag(bonds) + lam F on its orbit states, complex
+    Hermitian, and takes one eigh.  H is real, so block -k is the complex
+    conjugate of block k: only k = 0..N//2 are diagonalized.  Every residual
+    ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND, each basis is
+    orthonormal within ORTHONORMALITY_TOL and the 2^N energies sum to 0,
+    else ContractError: any state diagonal in these bases then commutes
+    with H up to twice the worst residual.
+    """
+    n = h.n_sites
+    table = _momentum_table(n)
+    dims = table.allowed.sum(axis=-1)
+    width = int(dims.max())
+    energies = np.zeros((2, n, width))
+    vectors = np.zeros((2, n, table.reps.size, width), dtype=np.complex128)
+    for i in range(2):
+        for k in range(n // 2 + 1):
+            keep = table.allowed[i, k]
+            reps = table.reps[keep]
+            col = (np.cumsum(keep) - 1)[table.orbit]
+            amps = table.amplitudes[i, k]
+            mat = h.lam * _field_block(n, reps, col, amps, table.size[keep])
+            mat[np.diag_indices_from(mat)] += h._diag[reps]
+            vals, vecs = eigh(mat)
+            _check_eigensystem(mat, vals, vecs)
+            energies[i, k, : reps.size] = vals
+            vectors[i, k, keep, : reps.size] = vecs
+            if 0 < k < n - k:
+                energies[i, n - k] = energies[i, k]
+                vectors[i, n - k] = vectors[i, k].conj()
+    _check_traceless(energies[np.arange(width) < dims[..., None]])
+    return _MomentumSpectra(dims, energies, vectors)
 
 
 def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:

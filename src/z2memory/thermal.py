@@ -7,26 +7,36 @@ the VCM spectrum plays for pure states: it bounds how strongly any
 additive operator fails to commute with rho, collapses to zero on the
 maximally mixed state, and reduces to twice the real part of the VCM on a
 pure state.  W is computed in an eigenbasis of rho, so a temperature scan
-works in the energy eigenbasis of H and never forms rho.  A Gibbs state of
-H also keeps flip parity and translation invariance, so in the eigenbasis
-of the two flip-parity sectors its W splits into three real symmetric
-circulant axis blocks.  The scan reads the first rows at the offsets
-0..N/2 straight from the sector eigenvectors on the 2^(N-1) half-space,
-one matrix product per block over every temperature, and reads the
-spectrum of W from them in closed form: no 2^N eigenvector is lifted, no
-3N x 3N matrix is assembled and no eigh runs per temperature.
-build_w_matrix stays the general route for any GibbsState.
+works in the energy eigenbasis of H and never forms rho.
+
+The scan diagonalizes H on the blocks of momentum k and flip parity s
+(Sandvik, arXiv:1101.3281), about 2^N/(2N) states each.  A Gibbs state of
+H keeps both symmetries, so W splits into three circulant axis blocks, and
+their spectra follow in closed form from the site-1 Pauli operators
+between blocks: lambda_a(q) sums (p_i - p_j)^2 |A_ij|^2 over the block
+pairs of momentum transfer q, nonnegative term by term.  One scatter and
+two matrix products per group of block pairs serve every temperature of
+the grid: no 2^N eigenvector is formed, no 3N x 3N matrix is assembled and
+no eigh runs per temperature.  build_w_matrix stays the general route for
+any GibbsState, on the dense spectrum of up to FULL_SPECTRUM_MAX_SITES.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError
-from .eigensolve import FullSpectrum, _sector_spectra, full_spectrum
-from .macroscopicity import PSD_FLOOR, CorrelationKind, CorrelationMatrix
+from .errors import CapabilityError, ContractError, DomainError
+from .eigensolve import (
+    FullSpectrum,
+    _momentum_spectra,
+    _MomentumSpectra,
+    _momentum_table,
+    full_spectrum,
+)
+from .macroscopicity import CorrelationKind, CorrelationMatrix
 from .model import TfimHamiltonian, build_tfim
 from .pauli import PauliAxis, _apply_axis
 
@@ -38,6 +48,7 @@ COMMUTE_TOL = 1e-8
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
+THERMAL_MAX_SITES = 14  # 40 points take ~20 s and 0.6 GB at N = 14 on 2 cores
 
 
 @dataclass(frozen=True)
@@ -146,77 +157,128 @@ def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
 def _gap_weighted_sums(prod: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sum_ij (p_i - q_j)^2 prod_ij per temperature column of p and q,
     expanded as (prod 1) . p^2 + (prod^T 1) . q^2 - 2 p . (prod q): one
-    matrix product, and no table of squared gaps."""
-    cross = np.einsum("ik,ik->k", p, prod @ q)
-    return prod.sum(axis=1) @ (p * p) + prod.sum(axis=0) @ (q * q) - 2.0 * cross
+    matrix product, and no table of squared gaps.  Leading axes of prod
+    and p are a batch."""
+    cross = np.einsum("...ik,...ik->...k", p, prod @ q)
+    rows = np.einsum("...i,...ik->...k", prod.sum(axis=-1), p * p)
+    cols = np.einsum("...j,...jk->...k", prod.sum(axis=-2), q * q)
+    return rows + cols - 2.0 * cross
 
 
-def _scan_w_spectra(
-    n: int, vectors: tuple[np.ndarray, ...], weights: tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """Eigenvalues of W at every temperature column, shape (3, N, n_kT):
-    axis, momentum q, temperature.  ``vectors`` are the eigenvectors of the
-    flip sectors +1 and -1 on the 2^(N-1) half-space (_sector_spectra), and
-    ``weights`` their Boltzmann weights, one column per temperature.  Three
-    identities of a Gibbs state give the spectra without forming W.
+@functools.lru_cache(maxsize=None)
+def _pair_classes(n: int, cross: bool) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The ordered block pairs k -> k' that the scan computes, grouped by
+    source k: (k, targets, counts).
 
-    Axis blocks.  sigma_x keeps the flip parity and sigma_z, -i sigma_y flip
-    it, so in the real sector basis the x-z and x-y terms of W have disjoint
-    support and the z-y terms cancel between the +- and -+ blocks:
-    W = W_xx + W_yy + W_zz.  rho is translation invariant, so each W_aa is
-    circulant, with first row r_a[d] = sum_ij (p_i - p_j)^2 A(2)_ij A(2+d)_ij
-    taken from site 2.
-
-    Mirror.  W_aa is real symmetric and circulant, so r_a[d] = r_a[N - d]:
-    only the offsets d = 0..N//2 need site products, and the partner sites
-    2..2 + N//2 stay within the ring for every N >= 3.
-
-    Sector coordinates.  A sector state is (|b> +- |flipped b>)/sqrt2 over
-    b < 2^(N-1).  sigma on sites 2..N keeps that half-space and commutes or
-    anticommutes with the flip, so between sector states it acts as
-    _apply_axis(., N-1, axis, l-1): each block is a 2^(N-1)-cubed GEMM, and
-    no lifted column needs a flip-mirror check.  Each P = A(2) o A(2+d)
-    meets all temperatures in _gap_weighted_sums, on weights centred on the
-    maximally mixed 2^-N: that leaves p_i - q_j as it is, and the expansion
-    no longer cancels the common part of p at high temperature.
-
-    Closed form.  W is the direct sum of the three circulants, so its
-    spectrum is lambda_a(q) = sum_d r_a[d] cos(2 pi q d / N), real by
-    construction.  The smallest lambda must clear PSD_FLOOR, else
-    ContractError.
+    The pair's summand S is unchanged when source and target swap (A^dagger
+    has the moduli of A transposed) and when both momenta change sign (H
+    and the three site operators are real, so block -k is the conjugate of
+    block k).  So one pair stands for its class of up to four, and
+    counts[t, q] is the number of class members with momentum transfer q.
+    ``cross`` pairs join flip parity +1 to -1, and swapping also swaps the
+    parities, so every class has a member whose source has parity +1.
     """
-    up, um = vectors
-    wp, wm = (w - 0.5**n for w in weights)
-    reach = n // 2
-    rows = np.empty((3, reach + 1, wp.shape[1]))
-    first = None
-    for d in range(reach + 1):
-        site = 1 + d  # site 2 + d of the ring, on the N-1 bits of the half-space
-        zm = _apply_axis(um, n - 1, PauliAxis.Z, site)
-        blocks = (
-            up.T @ _apply_axis(up, n - 1, PauliAxis.X, site),
-            um.T @ _apply_axis(um, n - 1, PauliAxis.X, site),
-            up.T @ _apply_axis(zm, n - 1, PauliAxis.X, site),
-            up.T @ zm,
-        )
-        first = blocks if first is None else first
-        xp, xm, y, z = (a1 * ad for a1, ad in zip(first, blocks))
-        rows[0, d] = _gap_weighted_sums(xp, wp, wp) + _gap_weighted_sums(xm, wm, wm)
-        # xx comes from the ++ and -- blocks, yy and zz from the +- block:
-        # the -+ block of sigma_z is its transpose, of -i sigma_y minus it,
-        # so it doubles the +- sum
-        rows[1, d] = 2.0 * _gap_weighted_sums(y, wp, wm)
-        rows[2, d] = 2.0 * _gap_weighted_sums(z, wp, wm)
-    offsets = np.arange(n)
-    lag = np.minimum(offsets, n - offsets)
-    cosines = np.cos(2.0 * np.pi * (np.outer(offsets, offsets) % n) / n)
-    spectra = cosines @ rows[:, lag]
-    floor = float(spectra.min())
-    if floor < PSD_FLOOR:
-        raise ContractError(
-            f"smallest eigenvalue {floor:.3e} breaks positive semidefiniteness"
-        )
-    return spectra
+    target = int(cross)
+    classes: dict[int, list] = {}
+    for k in range(n):
+        for k2 in range(n):
+            members = {
+                (0, k, target, k2),
+                (target, k2, 0, k),
+                (0, -k % n, target, -k2 % n),
+                (target, -k2 % n, 0, -k % n),
+            }
+            if min(members) == (0, k, target, k2):
+                qs = [(t - s) % n for _, s, _, t in members]
+                classes.setdefault(k, []).append((k2, np.bincount(qs, minlength=n)))
+    return [
+        (k, np.array([k2 for k2, _ in pairs]), np.array([c for _, c in pairs]))
+        for k, pairs in classes.items()
+    ]
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """The complex array of ``shape`` whose flat entry m sums the values at
+    index m."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = np.bincount(index, values.real, out.size).reshape(shape)
+    out.imag = np.bincount(index, values.imag, out.size).reshape(shape)
+    return out
+
+
+def _squared_moduli(left: np.ndarray, f: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """|A_ij|^2 for every A = left[t]^T f[t] right."""
+    a = left.transpose(0, 2, 1) @ (f.reshape(-1, f.shape[-1]) @ right).reshape(
+        f.shape[0], f.shape[1], -1
+    )
+    prod = np.square(a.real)
+    prod += np.square(a.imag)
+    return prod
+
+
+def _scan_w_spectra(n: int, blocks: _MomentumSpectra, weights: np.ndarray) -> np.ndarray:
+    """Eigenvalues of W at every temperature column, shape (3, N, n_kT):
+    axis, momentum q, temperature.  ``blocks`` are the eigensystems of the
+    momentum and flip-parity blocks (_momentum_spectra), and ``weights``
+    their Boltzmann weights, shape (2, N, width, n_kT) like
+    blocks.energies, one column per temperature.
+
+    Axis blocks.  sigma_x keeps the flip parity s, and sigma_z and
+    -i sigma_y = sigma_x sigma_z flip it, so the x-z and x-y terms of W have
+    disjoint support and the y-z terms cancel: W = W_xx + W_yy + W_zz, each
+    circulant because rho is translation invariant.
+
+    Closed form.  With A = U'^dagger F U the site-1 operator between blocks
+    (k, s) and (k', s'), sigma_a(l) has the same moduli |A_ij| at every site
+    and a phase linear in (k - k')(l - 1), so the circulant W_aa has the
+    eigenvalues lambda_a(q) = N sum_{k' - k = q} sum_ij (p_i - p_j)^2 |A_ij|^2:
+    a sum of squares, nonnegative by construction.  Each F comes from one
+    scatter over the 2^N strings, for every target block of a source at
+    once, and each summand meets all temperatures in _gap_weighted_sums,
+    on weights centred on the maximally mixed 2^-N: that leaves p_i - p_j as
+    it is, and the expansion no longer cancels the common part of p at high
+    temperature.  Columns of U past a block's dimension are 0, so their
+    weights never count.
+    """
+    table = _momentum_table(n)
+    side = table.reps.size
+    strings = np.arange(1 << n)
+    top = 1 << (n - 1)  # site 1, the most significant bit
+    z1 = np.where(strings & top, -1.0, 1.0)
+    w = weights - 0.5**n
+    spectra = np.zeros((3, n, w.shape[-1]))
+    # (source parity, target parity, ((axis, image of b, phase), ...))
+    sectors = (
+        (0, 0, ((0, strings ^ top, 1.0),)),
+        (1, 1, ((0, strings ^ top, 1.0),)),
+        (0, 1, ((1, strings ^ top, z1), (2, strings, z1))),
+    )
+    for i, j, operators in sectors:
+        for k, targets, counts in _pair_classes(n, i != j):
+            source = table.amplitudes[i, k]
+            reach = table.amplitudes[j, targets].conj()
+            u = blocks.vectors[i, k]
+            ut = np.conj(blocks.vectors[j, targets])
+            offsets = (np.arange(targets.size) * side * side)[:, None]
+            for axis, image, phase in operators:
+                values = reach[:, image] * (source * phase)
+                index = offsets + table.orbit[image] * side + table.orbit
+                f = _scatter(index.ravel(), values.ravel(), (targets.size, side, side))
+                prod = _squared_moduli(ut, f, u)
+                sums = _gap_weighted_sums(prod, w[j, targets], w[i, k])
+                spectra[axis] += counts.T @ sums
+    return n * spectra
+
+
+def _block_weights(blocks: _MomentumSpectra, grid: np.ndarray) -> np.ndarray:
+    """Boltzmann weights of every block state at every temperature of the
+    grid, laid out like blocks.energies with one column per temperature,
+    and 0 past each block's dimension."""
+    valid = np.arange(blocks.energies.shape[-1]) < blocks.dims[..., None]
+    energies = blocks.energies[valid]
+    weights = np.zeros((*valid.shape, grid.size))
+    weights[valid] = np.column_stack([_boltzmann_weights(energies, kT) for kT in grid])
+    return weights
 
 
 def gibbs_from_spectrum(spectrum: FullSpectrum, lam: float, kT: float) -> GibbsState:
@@ -262,14 +324,15 @@ def default_kt_grid(
 
 
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
-    """e1 of the commutator Gram matrix across a temperature grid.
+    """e1 of the commutator Gram matrix across a temperature grid, for up
+    to THERMAL_MAX_SITES sites.
 
-    Every point reweights one eigendecomposition of H per flip sector; one
-    matrix product per block gives the circulant rows of W for the whole
-    grid, and e1 is the largest of their closed-form eigenvalues (see
-    _scan_w_spectra).  GibbsState's checks hold by construction: the
-    weights are nonnegative with sum 1, and the checks in _sector_spectra
-    bound ||[rho, H]|| by twice the worst residual.
+    Every point reweights one eigensystem of H per momentum and flip-parity
+    block; one pass over the block pairs gives the eigenvalues of W for the
+    whole grid, and e1 is the largest (see _scan_w_spectra).  GibbsState's
+    checks hold by construction: the weights are nonnegative with sum 1,
+    and the checks in _momentum_spectra bound ||[rho, H]|| by twice the
+    worst residual.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()
@@ -280,8 +343,11 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
         raise DomainError("temperatures must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("temperature grid must be strictly ascending")
-    (_, ep, up), (_, em, um) = _sector_spectra(build_tfim(n, lam))
-    energies = np.concatenate([ep, em])
-    weights = np.column_stack([_boltzmann_weights(energies, kT) for kT in grid])
-    spectra = _scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+    h = build_tfim(n, lam)
+    if n > THERMAL_MAX_SITES:
+        raise CapabilityError(
+            f"thermal scans stop at {THERMAL_MAX_SITES} sites, got {n}"
+        )
+    blocks = _momentum_spectra(h)
+    spectra = _scan_w_spectra(n, blocks, _block_weights(blocks, grid))
     return [(float(kT), float(e)) for kT, e in zip(grid, spectra.max(axis=(0, 1)))]

@@ -12,6 +12,7 @@ import z2memory.eigensolve as es
 import z2memory.macroscopicity as mac
 from z2memory import build_vcm, gap_scan, largest_eigenvalue_scan
 from z2memory.cli import main
+from z2memory.thermal import THERMAL_MAX_SITES
 
 
 def run(tmp_path, name, *argv):
@@ -271,7 +272,8 @@ def test_thermal_report(tmp_path):
 
 
 def test_thermal_size_cap_exit_code(tmp_path):
-    code, _ = run(tmp_path, "big.csv", "thermal", "--n", "12")
+    n = str(THERMAL_MAX_SITES + 1)
+    code, _ = run(tmp_path, "big.csv", "thermal", "--n", n)
     assert code == 3
 
 

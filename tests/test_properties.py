@@ -19,8 +19,8 @@ from z2memory import (
     lowest_eigenpairs,
     thermal_scan,
 )
-from z2memory.eigensolve import _sector_spectra
-from z2memory.thermal import _boltzmann_weights, _scan_w_spectra
+from z2memory.eigensolve import _momentum_spectra
+from z2memory.thermal import _block_weights, _scan_w_spectra
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -31,9 +31,8 @@ from z2memory.thermal import _boltzmann_weights, _scan_w_spectra
 )
 def test_thermal_scan_matches_per_point_route_and_is_psd(n, lam, kt):
     h = build_tfim(n, lam)
-    (_, ep, up), (_, em, um) = _sector_spectra(h)
-    weights = _boltzmann_weights(np.concatenate([ep, em]), kt)[:, None]
-    spectra = _scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+    blocks = _momentum_spectra(h)
+    spectra = _scan_w_spectra(n, blocks, _block_weights(blocks, np.array([kt])))
     got = np.sort(spectra, axis=None)
     want = build_w_matrix(gibbs_from_spectrum(full_spectrum(h), lam, kt))
     [(_, e1)] = thermal_scan(lam, n, np.array([kt]))

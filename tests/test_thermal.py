@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -132,15 +135,11 @@ def test_w_matrix_of_non_translation_invariant_commuting_state():
     assert np.abs(got - want).max() < 1e-12
 
 
-def _sector_scan(n, lam, grid):
-    # the scan's kernel on its own inputs: both sectors' half-space
-    # eigenvectors and their Boltzmann weights
-    (_, ep, up), (_, em, um) = eigensolve._sector_spectra(build_tfim(n, lam))
-    energies = np.concatenate([ep, em])
-    weights = np.column_stack(
-        [thermal._boltzmann_weights(energies, kt) for kt in grid]
-    )
-    return thermal._scan_w_spectra(n, (up, um), np.split(weights, [ep.size]))
+def _block_scan(n, lam, grid):
+    # the scan's kernel on its own inputs: the momentum and flip-parity
+    # block eigensystems and their Boltzmann weights
+    blocks = eigensolve._momentum_spectra(build_tfim(n, lam))
+    return thermal._scan_w_spectra(n, blocks, thermal._block_weights(blocks, grid))
 
 
 _COLD = default_kt_grid(0.05, 2.0, 12)
@@ -165,9 +164,9 @@ _SCAN_CASES = [
 
 @pytest.mark.parametrize("n, lam, grid, rtol", _SCAN_CASES)
 def test_thermal_scan_matches_per_point_route(n, lam, grid, rtol):
-    # N=3 is the edge of the mirror: offsets 0..1 only
+    # N=3 has two orbits, and blocks of one and two states
     spectrum = full_spectrum(build_tfim(n, lam))
-    spectra = _sector_scan(n, lam, grid)
+    spectra = _block_scan(n, lam, grid)
     assert spectra.shape == (3, n, grid.size)
     rows = thermal_scan(lam, n, grid)
     assert [kt for kt, _ in rows] == list(grid)
@@ -197,18 +196,19 @@ def test_gibbs_w_is_axis_diagonal_and_circulant(n):
                     assert np.abs(block - shifted).max() < 1e-14
 
 
-def test_scan_spectra_refuse_weights_that_break_translation():
-    # the closed form reads one circulant row; a pure state on one real
-    # member of a degenerate momentum pair inside a sector (the E = -1.4
-    # pair of parity -1) is not translation invariant, so that row's cosine
-    # sums go negative and the PSD floor must catch it
-    n = 4
-    (_, ep, up), (_, em, um) = eigensolve._sector_spectra(build_tfim(n, 0.7))
-    level = next(i for i in range(em.size - 1) if em[i + 1] - em[i] < 1e-10)
-    wp, wm = np.zeros((ep.size, 1)), np.zeros((em.size, 1))
-    wm[level] = 1.0
-    with pytest.raises(ContractError, match="positive semidefiniteness"):
-        thermal._scan_w_spectra(n, (up, um), (wp, wm))
+def test_scan_spectra_are_nonnegative_for_any_weights():
+    # each eigenvalue is a sum of squares, so no choice of weights, Gibbs
+    # or not, drives it below rounding; column 0 is a pure state on one
+    # block state, the rest random
+    rng = np.random.default_rng(7)
+    for n, lam in itertools.product(range(3, 10), (0.0, 0.7, -1.3)):
+        blocks = eigensolve._momentum_spectra(build_tfim(n, lam))
+        weights = rng.random((*blocks.energies.shape, 5))
+        weights[..., 0] = 0.0
+        weights[1, 1, 0, 0] = 1.0
+        spectra = thermal._scan_w_spectra(n, blocks, weights)
+        assert spectra.min() >= -1e-14 * spectra.max()
+        assert (spectra[..., 1:].min(axis=(0, 1)) > 0.0).all()
 
 
 def test_gibbs_state_keeps_its_eigensystem():
@@ -257,4 +257,76 @@ def test_thermal_scan_grid_validation():
     with pytest.raises(DomainError):
         thermal_scan(0.5, 5, np.array([]))
     with pytest.raises(CapabilityError):
-        thermal_scan(0.5, 11, np.array([0.5]))
+        thermal_scan(0.5, thermal.THERMAL_MAX_SITES + 1, np.array([0.5]))
+
+
+def _block_energies(blocks):
+    valid = np.arange(blocks.energies.shape[-1]) < blocks.dims[..., None]
+    return np.sort(blocks.energies[valid])
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_block_dimensions_sum_to_the_space(n):
+    dims = eigensolve._momentum_table(n).allowed.sum(axis=-1)
+    assert dims.sum() == 1 << n
+    assert dims.min() >= 1
+    # block -k is the conjugate of block k
+    assert (dims == np.roll(dims[:, ::-1], 1, axis=1)).all()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_block_spectra_match_full_spectrum(n):
+    for lam in (0.0, -0.7, 0.5, 1.5, -1.3):
+        h = build_tfim(n, lam)
+        got = _block_energies(eigensolve._momentum_spectra(h))
+        want = full_spectrum(h).eigenvalues
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_block_spectra_match_free_fermion_levels(n):
+    for lam in (0.5, -1.3):
+        got = _block_energies(eigensolve._momentum_spectra(build_tfim(n, lam)))
+        want = oracles.free_fermion_spectrum(n, lam)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_block_energies_must_sum_to_zero():
+    # a constant shift of the bond diagonal keeps every block residual and
+    # basis intact, and only the trace check sees it
+    h = build_tfim(4, 0.5)
+    object.__setattr__(h, "_diag", h._diag + 1e-6)
+    with pytest.raises(ContractError, match="sums to"):
+        eigensolve._momentum_spectra(h)
+
+
+_EDGE_GRID = np.array([0.02, 100.0, 200.0, 400.0])
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_scan(n, lam):
+    return _block_scan(n, lam, _EDGE_GRID)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_cold_scan_is_twice_the_ground_state_vcm(n, lam):
+    # in the disordered phase the doublet is split by O(1), so at
+    # kT = 0.02 rho is the ground projector to e^-50, and W = 2 Re VCM
+    ground = lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
+    want = 2.0 * np.linalg.eigvalsh(build_vcm(ground).entries.real).max()
+    e1 = _edge_scan(n, lam)[:, :, 0].max()
+    assert abs(e1 - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_hot_scan_is_flat_in_momentum(n, lam):
+    # p_i - p_j -> -(E_i - E_j)/(kT 2^N), so W -> Tr([H,A]^dagger [H,B])/
+    # (kT^2 4^N): diagonal and flat in q, with 8 on x, 4(2 + lam^2) on y and
+    # 4 lam^2 on z over kT^2 2^N; the next order is O(|H|/kT) relative
+    kts = _EDGE_GRID[1:]
+    spectra = _edge_scan(n, lam)[:, :, 1:]
+    limits = np.array([8.0, 4.0 * (2.0 + lam**2), 4.0 * lam**2])
+    want = limits[:, None, None] / (kts**2 * 2.0**n)
+    assert (np.abs(spectra / want - 1.0) <= 2.0 * (1.0 + abs(lam)) / kts).all()
