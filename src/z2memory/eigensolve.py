@@ -241,24 +241,41 @@ def _act(n_sites: int, element: tuple[int, int, int], b: np.ndarray) -> np.ndarr
     return out ^ mask if c else out
 
 
+@functools.lru_cache(maxsize=None)
 def _orbits(n_sites: int, reflect: bool) -> _Orbits:
     """The orbit table of the group of rotations, complement and, if
-    ``reflect``, reflection: one pass over the group that keeps a running
-    minimum of the images and the element that reached it."""
+    ``reflect``, reflection, built once per (N, reflect): one pass over the
+    group that keeps a running minimum of the images and the element that
+    reached it."""
     group = [
         (r, m, c) for m in range(1 + reflect) for r in range(n_sites) for c in (0, 1)
     ]
-    b = np.arange(1 << n_sites)
+    mask = (1 << n_sites) - 1
+    b = np.arange(1 << n_sites, dtype=np.int32)
     rep = b.copy()
     elem = np.zeros(b.size, dtype=np.int8)
-    for g, element in enumerate(group[1:], 1):
-        image = _act(n_sites, element, b)
+    for g, (r, m, c) in enumerate(group):
+        if r == c == 0:  # each reflection class starts from its unrotated image
+            start = _act(n_sites, (0, m, 0), b)
+        image = ((start << r) | (start >> (n_sites - r))) & mask
+        if c:
+            image ^= mask
         lower = image < rep
-        rep[lower] = image[lower]
-        elem[lower] = g
+        np.copyto(rep, image, where=lower)
+        np.copyto(elem, g, where=lower)
     reps = np.flatnonzero(rep == b)
     fixed = np.array([_act(n_sites, element, reps) == reps for element in group])
+    for arr in (rep, elem, reps, fixed):
+        arr.flags.writeable = False
     return _Orbits(group, rep, elem, reps, fixed)
+
+
+def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
+    """Whether each orbit spans a state of the block whose characters on
+    the group elements are ``chars`` (last axis): whether the character is
+    1 on the orbit's stabilizer.  Its sum over the stabilizer is the
+    stabilizer's order if so and 0 otherwise."""
+    return (chars @ orbits.fixed.astype(float)).real > 0.5
 
 
 def _field_block(
@@ -292,9 +309,7 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     """
     orbits = _orbits(n_sites, reflect=True)
     complement = np.array([c for _, _, c in orbits.group])
-    keep_orbit = np.ones(orbits.reps.size, dtype=bool)
-    if sign < 0:
-        keep_orbit = ~orbits.fixed[complement == 1].any(axis=0)
+    keep_orbit = _allowed(orbits, np.where(complement == 1, sign, 1.0))
     keep = keep_orbit[np.searchsorted(orbits.reps, orbits.rep)]
     reps = orbits.reps[keep_orbit]
     col = np.where(keep, np.searchsorted(reps, orbits.rep), 0)
@@ -574,8 +589,7 @@ def _momentum_table(n_sites: int) -> _MomentumTable:
     element that maps it there.  Its amplitude in block (k, s) is
     e^(-2 pi i k r_b/N) s^c_b / sqrt(orbit size), which is well defined, and
     nonzero, only where the block's character e^(2 pi i k r/N) s^c is 1 on
-    the orbit's stabilizer.  The character's sum over a stabilizer is the
-    stabilizer's order if it is 1 there and 0 otherwise.
+    the orbit's stabilizer.
     """
     orbits = _orbits(n_sites, reflect=False)
     shifts = np.array([r for r, _, _ in orbits.group])
@@ -584,7 +598,7 @@ def _momentum_table(n_sites: int) -> _MomentumTable:
     signs = np.array([1.0, -1.0])[:, None, None]
     k = np.arange(n_sites)[:, None]
     chars = roots[k * shifts % n_sites].conj() * signs**flips
-    allowed = (chars @ orbits.fixed.astype(float)).real > 0.5
+    allowed = _allowed(orbits, chars)
     orbit = np.searchsorted(orbits.reps, orbits.rep)
     size = np.bincount(orbit)
     shift = -shifts[orbits.elem] % n_sites

@@ -216,7 +216,9 @@ def _squared_moduli(left: np.ndarray, f: np.ndarray, right: np.ndarray) -> np.nd
     return prod
 
 
-def _scan_w_spectra(n: int, blocks: _MomentumSpectra, weights: np.ndarray) -> np.ndarray:
+def _scan_w_spectra(
+    n: int, blocks: _MomentumSpectra, weights: np.ndarray
+) -> np.ndarray:
     """Eigenvalues of W at every temperature column, shape (3, N, n_kT):
     axis, momentum q, temperature.  ``blocks`` are the eigensystems of the
     momentum and flip-parity blocks (_momentum_spectra), and ``weights``

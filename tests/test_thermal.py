@@ -260,6 +260,19 @@ def test_thermal_scan_grid_validation():
         thermal_scan(0.5, thermal.THERMAL_MAX_SITES + 1, np.array([0.5]))
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_pair_classes_count_every_ordered_block_pair_once(n):
+    # N ordered pairs (k, k + q) per transfer q within a parity, and 2N
+    # between the parities, counting both directions
+    for cross, per_q in ((False, n), (True, 2 * n)):
+        classes = thermal._pair_classes(n, cross)
+        total = sum(counts.sum(axis=0) for _, _, counts in classes)
+        assert (total == per_q).all()
+        for k, targets, counts in classes:
+            assert k <= n // 2
+            assert ((counts.sum(axis=1) >= 1) & (counts.sum(axis=1) <= 4)).all()
+
+
 def _block_energies(blocks):
     valid = np.arange(blocks.energies.shape[-1]) < blocks.dims[..., None]
     return np.sort(blocks.energies[valid])
