@@ -48,7 +48,7 @@ COMMUTE_TOL = 1e-8
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
-THERMAL_MAX_SITES = 14  # 40 points take ~20 s and 0.6 GB at N = 14 on 2 cores
+THERMAL_MAX_SITES = 14  # 40 points take ~18 s and 0.63 GB at N = 14 on 2 cores
 
 
 @dataclass(frozen=True)
