@@ -3,7 +3,9 @@
 Every command writes '#'-prefixed header comments (version, canonical
 flags, unit conventions) followed by one CSV table.  Output is
 byte-identical across runs with the same flags: floats are printed with 17
-significant digits.
+significant digits.  Each command makes one library call, fits the header
+line where it has one, and formats the rows; the library checks every
+size.
 
 Exit codes: 0 success / 1 usage, domain, failed check, or unwritable
 output / 2 iteration did not converge / 3 request exceeds a hard capability
@@ -17,13 +19,7 @@ import re
 import sys
 
 from . import __version__
-from .eigensolve import (
-    SCAN_MAX_SITES,
-    adiabatic_time_estimate,
-    gap_scan,
-    lowest_eigenpairs,
-    superposed_state,
-)
+from .eigensolve import adiabatic_time_estimate, gap_scan
 from .errors import (
     CapabilityError,
     ContractError,
@@ -31,29 +27,26 @@ from .errors import (
     DomainError,
 )
 from .macroscopicity import (
-    build_vcm,
     fit_exponential_gap,
     fit_index_p,
     largest_eigenvalue_scan,
-    mz_distribution,
     second_eigenvalue_scan,
+    state_mz_distribution,
+    superposed_e1_scan,
 )
-from .model import MIN_SITES, STABILIZER_MAX_SITES, build_tfim, stabilizer_check
-from .pauli import AdditiveOperator, PauliAxis
-from .rvb import (
-    CORRELATION_MAX_SITES,
-    PairCovering,
-    build_rvb,
-    build_vb,
-    connected_correlation_scan,
-    iterated_swap_residual,
-    singlet_projector_apply,
-    t_operator_apply,
-    t_operator_moments,
+from .model import stabilizer_scan
+from .rvb import identity_report
+from .thermal import (
+    DEFAULT_KT_MAX,
+    DEFAULT_KT_MIN,
+    DEFAULT_KT_POINTS,
+    default_kt_grid,
+    thermal_scan,
 )
-from .thermal import default_kt_grid, thermal_scan
 
-import numpy as np
+# not called here: z2bench/test_selftest.py reads cli.build_vcm to check that
+# its tracer restores every binding it patched
+from .macroscopicity import build_vcm  # noqa: F401
 
 
 def _f(x: float) -> str:
@@ -103,20 +96,6 @@ def _comments(
     return out
 
 
-def _check_n_range(
-    n_min: int, n_max: int | None = None, hi: int = SCAN_MAX_SITES
-) -> None:
-    """Bounds of --n-min/--n-max, or of --n alone when n_max is None."""
-    if n_max is None:
-        if not MIN_SITES <= n_min <= hi:
-            raise DomainError(f"need {MIN_SITES} <= n <= {hi}, got {n_min}")
-    elif not MIN_SITES <= n_min <= n_max <= hi:
-        raise DomainError(
-            f"need {MIN_SITES} <= n-min <= n-max <= {hi},"
-            f" got {n_min}..{n_max}"
-        )
-
-
 def _parse_lambdas(text: str) -> list[float]:
     """The --lambdas type: distinct floats, comma separated."""
     try:
@@ -151,17 +130,7 @@ def _cmd_scan_e1(args) -> int:
 
 
 def _cmd_pz(args) -> int:
-    _check_n_range(args.n)
-    h = build_tfim(args.n, args.lam)
-    if args.state == "ground":
-        vec = lowest_eigenpairs(h, 1).eigenvectors[0]
-    else:
-        pairs = lowest_eigenpairs(h, 2)
-        if args.state == "excited":
-            vec = pairs.eigenvectors[1]
-        else:
-            vec = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
-    dist = mz_distribution(vec)
+    dist = state_mz_distribution(args.lam, args.n, args.state)
     rows = [
         (str(int(mz)), _f(p))
         for mz, p in zip(dist.support, dist.probabilities)
@@ -170,15 +139,21 @@ def _cmd_pz(args) -> int:
     return 0
 
 
-def _cmd_e2(args) -> int:
-    results = second_eigenvalue_scan(args.lam, range(args.n_min, args.n_max + 1))
+def _emit_size_scan(args, results, column: str) -> int:
+    """(N, value) rows of a one-field scan as lambda,n,column, with the
+    power-law fit in the header from 3 points on."""
     extra = []
     if len(results) >= 3:
         fit = fit_index_p(results)
         extra.append(f"fit slope={_f(fit.slope)} r_squared={_f(fit.r_squared)}")
-    rows = [(_f(args.lam), str(n), _f(e2)) for n, e2 in results]
-    _emit(args.out, _comments(args, extra), ["lambda", "n", "e2"], rows)
+    rows = [(_f(args.lam), str(n), _f(value)) for n, value in results]
+    _emit(args.out, _comments(args, extra), ["lambda", "n", column], rows)
     return 0
+
+
+def _cmd_e2(args) -> int:
+    results = second_eigenvalue_scan(args.lam, range(args.n_min, args.n_max + 1))
+    return _emit_size_scan(args, results, "e2")
 
 
 def _cmd_gap(args) -> int:
@@ -197,19 +172,8 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
-    _check_n_range(args.n_min, args.n_max)
-    results = []
-    for n in range(args.n_min, args.n_max + 1):
-        pairs = lowest_eigenpairs(build_tfim(n, args.lam), 2)
-        combo = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
-        results.append((n, build_vcm(combo).e1))
-    extra = []
-    if len(results) >= 3:
-        fit = fit_index_p(results)
-        extra.append(f"fit slope={_f(fit.slope)} r_squared={_f(fit.r_squared)}")
-    rows = [(_f(args.lam), str(n), _f(e1)) for n, e1 in results]
-    _emit(args.out, _comments(args, extra), ["lambda", "n", "e1"], rows)
-    return 0
+    results = superposed_e1_scan(args.lam, range(args.n_min, args.n_max + 1))
+    return _emit_size_scan(args, results, "e1")
 
 
 def _cmd_thermal(args) -> int:
@@ -221,94 +185,27 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_rvb(args) -> int:
-    n = args.n
-    psi = build_rvb(n)
-    v1 = build_vb(PairCovering.odd_bonds(n))
-    v2 = build_vb(PairCovering.even_bonds(n))
-    checks: list[tuple[str, float, str, bool]] = []
-
-    def add(name: str, observed: float, threshold: str, ok: bool) -> None:
-        checks.append((name, float(observed), threshold, bool(ok)))
-
-    norm_dev = abs(psi.norm() - 1.0)
-    add("norm_deviation", norm_dev, "<=1e-12", norm_dev <= 1e-12)
-
-    overlap_err = abs(complex(v2.inner(v1)).real - (-0.5) ** (n // 2 - 1))
-    add("covering_overlap_error", overlap_err, "<=1e-12", overlap_err <= 1e-12)
-
-    swapped = singlet_projector_apply(v1, 2)
-    swap_pairs = ((2, 3), (1, 4)) + tuple((l, l + 1) for l in range(5, n, 2))
-    swap_target = build_vb(PairCovering(n, swap_pairs))
-    swap_err = float(
-        np.abs(swapped.amplitudes - (-0.5) * swap_target.amplitudes).max()
-    )
-    add("swap_coefficient_error", swap_err, "<=1e-12", swap_err <= 1e-12)
-
-    proj = float(np.vdot(v1.amplitudes, swapped.amplitudes).real)
-    proj_err = abs(proj - 0.25)
-    add("bond_projector_expectation_error", proj_err, "<=1e-12", proj_err <= 1e-12)
-
-    t_v1 = float(np.vdot(v1.amplitudes, t_operator_apply(v1).amplitudes).real)
-    t_v1_err = abs(t_v1 - (-3.0 * n / 8.0))
-    add("staggered_mean_error", t_v1_err, "<=1e-10", t_v1_err <= 1e-10)
-
-    mean, variance = t_operator_moments(n)
-    if n >= 8:
-        add("superposed_staggered_mean", abs(mean), "<0.5", abs(mean) < 0.5)
-        ratio = variance / float(n * n)
-        add(
-            "staggered_variance_over_n_squared",
-            ratio,
-            "[0.10;0.18]",
-            0.10 <= ratio <= 0.18,
-        )
-
-    if n <= CORRELATION_MAX_SITES:
-        cc = connected_correlation_scan(n)
-        add("connected_correlation_max", cc, "<1e-12", cc < 1e-12)
-
-    spin_residual = max(
-        AdditiveOperator.total(n, axis).apply(psi).norm() for axis in PauliAxis
-    )
-    add("total_spin_residual", spin_residual, "<=1e-12", spin_residual <= 1e-12)
-
-    iterated = iterated_swap_residual(n)
-    add("iterated_swap_residual", iterated, "<=1e-10", iterated <= 1e-10)
-
+    checks = identity_report(args.n)
     rows = [
         (name, _f(value), threshold, "pass" if ok else "fail")
         for name, value, threshold, ok in checks
     ]
-    _emit(
-        args.out,
-        _comments(args),
-        ["check", "observed", "threshold", "status"],
-        rows,
-    )
+    _emit(args.out, _comments(args), ["check", "observed", "threshold", "status"], rows)
     return 0 if all(ok for _, _, _, ok in checks) else 1
 
 
 def _cmd_stabilizer(args) -> int:
-    _check_n_range(args.n_min, args.n_max, hi=STABILIZER_MAX_SITES)
-    all_ok = True
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        report = stabilizer_check(n)
-        flip_res, phase_res, anti_res = report.logical_commutation_residuals
-        worst = max(report.product_identity_residual, flip_res, phase_res, anti_res)
-        ok = report.code_dimension == 2 and worst < 1e-12
-        all_ok = all_ok and ok
-        rows.append(
-            (
-                str(n),
-                str(report.code_dimension),
-                _f(report.product_identity_residual),
-                _f(flip_res),
-                _f(phase_res),
-                _f(anti_res),
-                "pass" if ok else "fail",
-            )
+    reports = stabilizer_scan(range(args.n_min, args.n_max + 1))
+    rows = [
+        (
+            str(report.n_sites),
+            str(report.code_dimension),
+            _f(report.product_identity_residual),
+            *(_f(r) for r in report.logical_commutation_residuals),
+            "pass" if report.passed else "fail",
         )
+        for report in reports
+    ]
     header = [
         "n",
         "code_dimension",
@@ -319,7 +216,7 @@ def _cmd_stabilizer(args) -> int:
         "status",
     ]
     _emit(args.out, _comments(args), header, rows)
-    return 0 if all_ok else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,9 +280,9 @@ def _build_parser() -> _Parser:
     add_command(
         "thermal", "largest commutator-Gram eigenvalue vs temperature", _cmd_thermal,
         n(8), lam,
-        ("--kt-min", dict(type=float, default=0.05)),
-        ("--kt-max", dict(type=float, default=2.0)),
-        ("--kt-points", dict(type=int, default=40)),
+        ("--kt-min", dict(type=float, default=DEFAULT_KT_MIN)),
+        ("--kt-max", dict(type=float, default=DEFAULT_KT_MAX)),
+        ("--kt-points", dict(type=int, default=DEFAULT_KT_POINTS)),
     )
     add_command(
         "rvb", "valence-bond identity checks, exit 0 iff all pass", _cmd_rvb, n(8)

@@ -48,7 +48,7 @@ from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import CLOSED_FORM_C, free_fermion_ground_energy, ground_parity
-from .model import MIN_SITES, TfimHamiltonian, build_tfim
+from .model import TfimHamiltonian, build_tfim, check_sizes
 from .pauli import StateVector, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
@@ -136,12 +136,15 @@ def _lowest_ritz_vector(alphas: list[float], betas: list[float]) -> np.ndarray:
 
 def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarray:
     """The eigenvector at the bottom of the sector spectrum, to a residual
-    below LANCZOS_TOL.  Raises ConvergenceError after MATVEC_BUDGET matrix
-    applications.  The Lanczos vectors are the first m rows of ``basis``,
-    grown in 16-row blocks; each step is the three-term recurrence, then
-    two block Gram-Schmidt passes."""
+    below LANCZOS_TOL, or below 4 eps N (1 + |lam|) where that rounding
+    floor of a matvec is the larger, but never above RESIDUAL_BOUND.
+    Raises ConvergenceError after MATVEC_BUDGET matrix applications.  The
+    Lanczos vectors are the first m rows of ``basis``, grown in 16-row
+    blocks; each step is the three-term recurrence, then two block
+    Gram-Schmidt passes."""
     best_residual = np.inf
     scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
+    tol = min(max(LANCZOS_TOL, 4.0 * _EPS * scale), RESIDUAL_BOUND)
 
     while op.count < MATVEC_BUDGET:
         v = rng.standard_normal(op.dim)
@@ -163,13 +166,13 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
             s = _lowest_ritz_vector(alphas, betas)  # in the Lanczos basis
             broke_down = b <= _BREAKDOWN_EPS * scale
             estimate = abs(b * s[-1])
-            if estimate < 0.5 * LANCZOS_TOL or broke_down:
+            if estimate < 0.5 * tol or broke_down:
                 x = s @ basis[:m]
                 x /= np.linalg.norm(x)
                 hx = op.matvec(x)
                 residual = float(np.linalg.norm(hx - float(x @ hx) * x))
                 best_residual = min(best_residual, residual)
-                if residual < LANCZOS_TOL:
+                if residual < tol:
                     return x
                 if broke_down:
                     break  # invariant subspace missed the target: restart
@@ -413,8 +416,9 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     H commutes with the spin flip, and the two lowest states are the ground
     states of its two parity sectors, so only those are solved.  For k=2
     each sector is solved by Lanczos with full reorthogonalization to a
-    residual below LANCZOS_TOL, and the two are ordered by their Rayleigh
-    quotients.  For k=1 algebra names the sector (ground_parity): at
+    residual below LANCZOS_TOL (or the rounding floor of a matvec at large
+    fields), and the two are ordered by their Rayleigh quotients.  For k=1
+    algebra names the sector (ground_parity): at
     lam<0 every off-diagonal entry is <= 0 and the single-flip graph is
     connected, so Perron-Frobenius gives a unique positive ground state of
     parity +1; conjugating by prod sigma_z maps lam to -lam and multiplies
@@ -521,36 +525,29 @@ def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
     return mat
 
 
-def _sector_spectra(h: TfimHamiltonian) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """(sign, ascending eigenvalues, eigenvectors on the 2^(N-1) half-space)
-    of the flip sectors +1 and -1, each by one dense eigh, feasible up to
-    FULL_SPECTRUM_MAX_SITES.  Every residual ||H v_i - E_i v_i|| stays below
-    RESIDUAL_BOUND, each basis is orthonormal within ORTHONORMALITY_TOL and
-    the spectra sum to 0, else ContractError: any state diagonal in these
-    bases then commutes with H up to twice the worst residual.
+def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
+    """Dense eigendecomposition up to FULL_SPECTRUM_MAX_SITES: one eigh per
+    flip sector, its eigenvectors lifted by _embed's rule, so every column
+    has definite parity u . u[::-1] = +-1, and merged in ascending order.
+    Every residual ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND and each
+    sector basis is orthonormal within ORTHONORMALITY_TOL, else
+    ContractError: any state diagonal in this basis then commutes with H up
+    to twice the worst residual.  FullSpectrum checks that the 2^N
+    energies sum to 0.
     """
     if h.n_sites > FULL_SPECTRUM_MAX_SITES:
         raise CapabilityError(
             f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
         )
-    sectors = []
+    energies, columns = [], []
     for sign in (1.0, -1.0):
         mat = _sector_matrix(h, sign)
         vals, vecs = eigh(mat)
         _check_eigensystem(mat, vals, vecs)
-        sectors.append((sign, vals, vecs))
-    _check_traceless(np.concatenate([vals for _, vals, _ in sectors]))
-    return sectors
-
-
-def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
-    """Dense eigendecomposition: the _sector_spectra eigenvectors lifted by
-    _embed's rule, so every column has definite parity u . u[::-1] = +-1,
-    and merged in ascending order."""
-    sectors = _sector_spectra(h)
-    vals = np.concatenate([vals for _, vals, _ in sectors])
+        energies.append(vals)
+        columns.append(_embed(vecs, sign))
+    vals = np.concatenate(energies)
     order = np.argsort(vals, kind="stable")
-    columns = [_embed(vecs, sign) for sign, _, vecs in sectors]
     basis = np.concatenate(columns, axis=1)[:, order]
     return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
 
@@ -663,16 +660,12 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
 
 
 def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:
-    """Energy gap E1 - E0 for every chain length in [n_min, n_max]."""
+    """Energy gap E1 - E0 for every chain length in [n_min, n_max], up to
+    SCAN_MAX_SITES."""
     if lam == 0.0:
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
-    if not MIN_SITES <= n_min <= n_max <= SCAN_MAX_SITES:
-        raise DomainError(
-            f"scan range must satisfy {MIN_SITES} <= n_min <= n_max <="
-            f" {SCAN_MAX_SITES}, got {n_min}..{n_max}"
-        )
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in check_sizes(range(n_min, n_max + 1), SCAN_MAX_SITES):
         pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
         gap = pairs.gap
         if gap <= 0.0:

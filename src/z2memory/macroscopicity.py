@@ -15,7 +15,9 @@ ground state is Gaussian in Jordan-Wigner fermions, so
 majorana.ground_correlations gives its pair correlations, and its matrix
 is block circulant with one 3 x 3 block per momentum, whose eigenvalues
 are closed-form (_ground_spectrum).  That reaches N in the hundreds.  The
-e2 scan still reads the Gram matrix of the 2^N ground state.
+e2 scan still reads the Gram matrix of the 2^N ground state, and the
+superposed e1 scan and the Mz histograms take their 2^N states from
+lowest_eigenpairs.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs
+from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
 from .majorana import ground_correlations
-from .model import MIN_SITES, build_tfim
+from .model import build_tfim, check_sizes
 from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_diagonal
 
 HERMITICITY_TOL = 1e-10
@@ -242,28 +244,11 @@ def fit_exponential_gap(points) -> ScalingFit:
     )
 
 
-def _scan_sizes(n_range, max_sites: int) -> list[int]:
-    """The chain lengths of a scan, each an integer in MIN_SITES..max_sites,
-    else DomainError.  The first bad length stops the check, so a huge
-    range is never listed."""
-    sizes = []
-    for n in n_range:
-        if not (isinstance(n, (int, np.integer)) and MIN_SITES <= n <= max_sites):
-            raise DomainError(
-                f"chain lengths must be integers in {MIN_SITES}..{max_sites},"
-                f" got {n!r}"
-            )
-        sizes.append(int(n))
-    if not sizes:
-        raise DomainError("the scan needs at least one chain length")
-    return sizes
-
-
 def largest_eigenvalue_scan(lams, n_range) -> list[tuple[float, int, float]]:
     """(lam, N, e1) of the ground-state correlation matrix for every field
     and chain length up to GAUSSIAN_SCAN_MAX_SITES, sorted by field, then
     length, from the Gaussian route (_ground_spectrum)."""
-    sizes = _scan_sizes(n_range, GAUSSIAN_SCAN_MAX_SITES)
+    sizes = check_sizes(n_range, GAUSSIAN_SCAN_MAX_SITES)
     return sorted(
         (float(lam), n, float(_ground_spectrum(n, lam)[0]))
         for lam in lams
@@ -275,9 +260,20 @@ def second_eigenvalue_scan(lam: float, n_range) -> list[tuple[int, float]]:
     """e2 of the ground-state correlation matrix per chain length up to
     SCAN_MAX_SITES, from the 2^N ground state."""
     out = []
-    for n in _scan_sizes(n_range, SCAN_MAX_SITES):
+    for n in check_sizes(n_range, SCAN_MAX_SITES):
         ground = lowest_eigenpairs(build_tfim(n, lam), 1).eigenvectors[0]
         out.append((n, build_vcm(ground).e2))
+    return out
+
+
+def superposed_e1_scan(lam: float, n_range) -> list[tuple[int, float]]:
+    """e1 of the one-branch doublet combination (superposed_state) per
+    chain length up to SCAN_MAX_SITES."""
+    out = []
+    for n in check_sizes(n_range, SCAN_MAX_SITES):
+        pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
+        combo = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
+        out.append((n, build_vcm(combo).e1))
     return out
 
 
@@ -388,3 +384,24 @@ def mz_distribution(state: StateVector) -> MzDistribution:
     return MzDistribution(
         n_sites=n, support=np.arange(-n, n + 1, 2), probabilities=probs
     )
+
+
+def state_mz_distribution(lam: float, n: int, state: str) -> MzDistribution:
+    """Mz histogram of one state of the chain up to SCAN_MAX_SITES: the
+    ground state, the other member of the doublet ("excited"), or their
+    one-branch combination ("superposed", see superposed_state)."""
+    if state not in ("ground", "excited", "superposed"):
+        raise DomainError(
+            f"state must be ground, excited or superposed, got {state!r}"
+        )
+    (n,) = check_sizes([n], SCAN_MAX_SITES)
+    h = build_tfim(n, lam)
+    if state == "ground":
+        vec = lowest_eigenpairs(h, 1).eigenvectors[0]
+    else:
+        pairs = lowest_eigenpairs(h, 2)
+        if state == "excited":
+            vec = pairs.eigenvectors[1]
+        else:
+            vec = superposed_state(pairs.eigenvectors[0], pairs.eigenvectors[1])
+    return mz_distribution(vec)

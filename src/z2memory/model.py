@@ -57,6 +57,23 @@ def check_chain(n_sites: int, lam: float) -> tuple[int, float]:
     return int(n_sites), lam
 
 
+def check_sizes(n_range, max_sites: int) -> list[int]:
+    """The chain lengths of a scan, each an integer in MIN_SITES..max_sites,
+    else DomainError.  The first bad length stops the check, so a huge
+    range is never listed."""
+    sizes = []
+    for n in n_range:
+        if not (isinstance(n, (int, np.integer)) and MIN_SITES <= n <= max_sites):
+            raise DomainError(
+                f"chain lengths must be integers in {MIN_SITES}..{max_sites},"
+                f" got {n!r}"
+            )
+        sizes.append(int(n))
+    if not sizes:
+        raise DomainError("the scan needs at least one chain length")
+    return sizes
+
+
 class TfimHamiltonian:
     """Matrix-free action of the chain Hamiltonian.
 
@@ -135,6 +152,12 @@ class StabilizerReport:
     product_identity_residual: float
     logical_commutation_residuals: tuple[float, float, float]
 
+    @property
+    def passed(self) -> bool:
+        """A two-dimensional code space and every residual below 1e-12."""
+        worst = max(self.product_identity_residual, *self.logical_commutation_residuals)
+        return self.code_dimension == 2 and worst < 1e-12
+
 
 def _phase_diagonal(n_sites: int) -> np.ndarray:
     """Diagonal of the logical phase, sigma_z on site 1 (bit N-1)."""
@@ -154,11 +177,7 @@ def stabilizer_check(n_sites: int) -> StabilizerReport:
     ||d - d[::-1]||, ||[P, diag(d)]|| = ||p d - d p||, ||FP + PF|| =
     ||p + p[::-1]|| and ||d_N - prod_l d_l||.
     """
-    if not MIN_SITES <= n_sites <= STABILIZER_MAX_SITES:
-        raise DomainError(
-            f"stabilizer check supports {MIN_SITES}..{STABILIZER_MAX_SITES} sites,"
-            f" got {n_sites!r}"
-        )
+    (n_sites,) = check_sizes([n_sites], STABILIZER_MAX_SITES)
     # bond l joins sites l, l+1
     z = _site_z(n_sites)
     bonds = z * np.roll(z, -1, axis=0)
@@ -172,8 +191,13 @@ def stabilizer_check(n_sites: int) -> StabilizerReport:
     code_dimension = int(np.sum(np.all(bonds[:-1] == 1.0, axis=0)))
 
     return StabilizerReport(
-        n_sites=int(n_sites),
+        n_sites=n_sites,
         code_dimension=code_dimension,
         product_identity_residual=product_residual,
         logical_commutation_residuals=(flip_residual, phase_residual, anti_residual),
     )
+
+
+def stabilizer_scan(n_range) -> list[StabilizerReport]:
+    """stabilizer_check for every chain length up to STABILIZER_MAX_SITES."""
+    return [stabilizer_check(n) for n in check_sizes(n_range, STABILIZER_MAX_SITES)]

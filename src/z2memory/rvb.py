@@ -36,11 +36,11 @@ import numpy as np
 
 from .errors import DomainError
 from .macroscopicity import build_vcm
-from .pauli import StateVector
+from .pauli import AdditiveOperator, PauliAxis, StateVector
 
 RVB_MIN_SITES = 4
 RVB_MAX_SITES = 14
-# Largest ring the correlation checks accept.  The rvb command runs the
+# Largest ring the correlation checks accept.  identity_report runs the
 # residue scan only up to it, so `z2mem rvb --n 14` reports its other 9
 # checks and exits 0.
 CORRELATION_MAX_SITES = 12
@@ -101,15 +101,20 @@ def build_vb(covering: PairCovering) -> StateVector:
     return StateVector(n, amps.reshape(-1))
 
 
+def _check_ring(n: int, max_sites: int) -> None:
+    """DomainError unless n is an even site count in RVB_MIN_SITES..max_sites."""
+    if not isinstance(n, (int, np.integer)) or n % 2:
+        raise DomainError(f"site count must be even, got {n!r}")
+    if not RVB_MIN_SITES <= n <= max_sites:
+        raise DomainError(
+            f"site count must lie in {RVB_MIN_SITES}..{max_sites}, got {n}"
+        )
+
+
 def build_rvb(n: int) -> StateVector:
     """Equal superposition of the two nearest-neighbor coverings,
     normalized exactly through the covering overlap."""
-    if not isinstance(n, (int, np.integer)) or n % 2:
-        raise DomainError(f"site count must be even, got {n!r}")
-    if not RVB_MIN_SITES <= n <= RVB_MAX_SITES:
-        raise DomainError(
-            f"site count must lie in {RVB_MIN_SITES}..{RVB_MAX_SITES}, got {n}"
-        )
+    _check_ring(n, RVB_MAX_SITES)
     v1 = build_vb(PairCovering.odd_bonds(n))
     v2 = build_vb(PairCovering.even_bonds(n))
     norm_sq = 2.0 + 2.0 * (-0.5) ** (n // 2 - 1)
@@ -157,20 +162,11 @@ def t_operator_moments(n: int) -> tuple[float, float]:
     return mean, second - mean * mean
 
 
-def _check_correlation_range(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n % 2:
-        raise DomainError(f"site count must be even, got {n!r}")
-    if not RVB_MIN_SITES <= n <= CORRELATION_MAX_SITES:
-        raise DomainError(
-            f"site count must lie in {RVB_MIN_SITES}..{CORRELATION_MAX_SITES}, got {n}"
-        )
-
-
 def connected_correlation_scan(n: int) -> float:
     """Largest |<s_a(l) s_b(m)> - <s_a(l)><s_b(m)>| over all axis pairs and
     all site pairs at ring distance >= 2 in the superposed covering state,
     read from the 3x3 axis blocks of its correlation matrix."""
-    _check_correlation_range(n)
+    _check_ring(n, CORRELATION_MAX_SITES)
     blocks = build_vcm(build_rvb(n)).entries.reshape(n, 3, n, 3)
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     far = np.minimum(offset, n - offset) >= 2
@@ -179,18 +175,75 @@ def connected_correlation_scan(n: int) -> float:
 
 def rvb_vcm_check(n: int) -> float:
     """e1 of the correlation matrix of the superposed covering state."""
-    _check_correlation_range(n)
+    _check_ring(n, CORRELATION_MAX_SITES)
     return build_vcm(build_rvb(n)).e1
 
 
 def iterated_swap_residual(n: int) -> float:
     """Max-abs residual of rebuilding the even covering from the odd one by
     projecting every even bond and rescaling by (-2)^(N/2-1)."""
-    if not isinstance(n, (int, np.integer)) or n % 2 or not RVB_MIN_SITES <= n <= RVB_MAX_SITES:
-        raise DomainError(f"need an even site count in {RVB_MIN_SITES}..{RVB_MAX_SITES}")
+    _check_ring(n, RVB_MAX_SITES)
     current = build_vb(PairCovering.odd_bonds(n))
     for l in range(2, n + 1, 2):
         current = singlet_projector_apply(current, l)
     target = build_vb(PairCovering.even_bonds(n))
     scale = (-2.0) ** (n // 2 - 1)
     return float(np.abs(scale * current.amplitudes - target.amplitudes).max())
+
+
+def identity_report(n: int) -> list[tuple[str, float, str, bool]]:
+    """The valence-bond identities on an even ring of n sites, as
+    (name, observed, threshold, ok) rows: the norm, the covering overlap,
+    one bond projection and its expectation, the staggered mean of the odd
+    covering, the staggered moments of the superposition (n >= 8), the
+    residue law's far correlations (n <= CORRELATION_MAX_SITES), the total
+    spin and the iterated swap."""
+    psi = build_rvb(n)
+    v1 = build_vb(PairCovering.odd_bonds(n))
+    v2 = build_vb(PairCovering.even_bonds(n))
+    checks: list[tuple[str, float, str, bool]] = []
+
+    def add(name: str, observed: float, threshold: str, ok: bool) -> None:
+        checks.append((name, float(observed), threshold, bool(ok)))
+
+    norm_dev = abs(psi.norm() - 1.0)
+    add("norm_deviation", norm_dev, "<=1e-12", norm_dev <= 1e-12)
+
+    overlap_err = abs(complex(v2.inner(v1)).real - (-0.5) ** (n // 2 - 1))
+    add("covering_overlap_error", overlap_err, "<=1e-12", overlap_err <= 1e-12)
+
+    swapped = singlet_projector_apply(v1, 2)
+    swap_pairs = ((2, 3), (1, 4)) + tuple((l, l + 1) for l in range(5, n, 2))
+    swap_target = build_vb(PairCovering(n, swap_pairs))
+    swap_err = float(
+        np.abs(swapped.amplitudes - (-0.5) * swap_target.amplitudes).max()
+    )
+    add("swap_coefficient_error", swap_err, "<=1e-12", swap_err <= 1e-12)
+
+    proj = float(np.vdot(v1.amplitudes, swapped.amplitudes).real)
+    proj_err = abs(proj - 0.25)
+    add("bond_projector_expectation_error", proj_err, "<=1e-12", proj_err <= 1e-12)
+
+    t_v1 = float(np.vdot(v1.amplitudes, t_operator_apply(v1).amplitudes).real)
+    t_v1_err = abs(t_v1 - (-3.0 * n / 8.0))
+    add("staggered_mean_error", t_v1_err, "<=1e-10", t_v1_err <= 1e-10)
+
+    mean, variance = t_operator_moments(n)
+    if n >= 8:
+        add("superposed_staggered_mean", abs(mean), "<0.5", abs(mean) < 0.5)
+        ratio = variance / float(n * n)
+        add("staggered_variance_over_n_squared", ratio, "[0.10;0.18]",
+            0.10 <= ratio <= 0.18)
+
+    if n <= CORRELATION_MAX_SITES:
+        cc = connected_correlation_scan(n)
+        add("connected_correlation_max", cc, "<1e-12", cc < 1e-12)
+
+    spin_residual = max(
+        AdditiveOperator.total(n, axis).apply(psi).norm() for axis in PauliAxis
+    )
+    add("total_spin_residual", spin_residual, "<=1e-12", spin_residual <= 1e-12)
+
+    iterated = iterated_swap_residual(n)
+    add("iterated_swap_residual", iterated, "<=1e-10", iterated <= 1e-10)
+    return checks

@@ -37,7 +37,7 @@ from .eigensolve import (
     full_spectrum,
 )
 from .macroscopicity import CorrelationKind, CorrelationMatrix
-from .model import TfimHamiltonian, build_tfim
+from .model import TfimHamiltonian, build_tfim, check_chain
 from .pauli import PauliAxis, _apply_axis
 
 TRACE_TOL = 1e-10
@@ -345,11 +345,11 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
         raise DomainError("temperatures must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("temperature grid must be strictly ascending")
-    h = build_tfim(n, lam)
+    n, lam = check_chain(n, lam)
     if n > THERMAL_MAX_SITES:
         raise CapabilityError(
             f"thermal scans stop at {THERMAL_MAX_SITES} sites, got {n}"
         )
-    blocks = _momentum_spectra(h)
+    blocks = _momentum_spectra(build_tfim(n, lam))
     spectra = _scan_w_spectra(n, blocks, _block_weights(blocks, grid))
     return [(float(kT), float(e)) for kT, e in zip(grid, spectra.max(axis=(0, 1)))]

@@ -10,7 +10,15 @@ import z2memory
 import z2memory.cli as cli
 import z2memory.eigensolve as es
 import z2memory.macroscopicity as mac
-from z2memory import build_vcm, gap_scan, largest_eigenvalue_scan
+from z2memory import (
+    build_vcm,
+    gap_scan,
+    identity_report,
+    largest_eigenvalue_scan,
+    stabilizer_scan,
+    state_mz_distribution,
+    superposed_e1_scan,
+)
 from z2memory.cli import main
 from z2memory.thermal import THERMAL_MAX_SITES
 
@@ -213,8 +221,20 @@ def test_pz_range_message_names_its_flag(tmp_path, capsys):
     code, _ = run(tmp_path, "big.csv", "pz", "--n", "15")
     assert code == 1
     err = capsys.readouterr().err
-    assert "need 3 <= n <= 14, got 15" in err
+    assert "chain lengths must be integers in 3..14, got 15" in err
     assert "n-min" not in err and "n-max" not in err
+
+
+@pytest.mark.parametrize("state", ["ground", "excited", "superposed"])
+def test_pz_only_formats_its_library_call(tmp_path, state):
+    code, out = run(
+        tmp_path, "pz.csv", "pz", "--n", "7", "--lambda", "0.6", "--state", state
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    dist = state_mz_distribution(0.6, 7, state)
+    assert [int(r[0]) for r in rows] == dist.support.tolist()
+    assert [float(r[1]) for r in rows] == dist.probabilities.tolist()
 
 
 def test_e2_report(tmp_path):
@@ -255,6 +275,9 @@ def test_superpose_report(tmp_path):
     assert header == ["lambda", "n", "e1"]
     for r in rows:
         assert float(r[2]) < 3.0  # classical branch, no extensive eigenvalue
+    # the command only formats the library scan
+    want = superposed_e1_scan(0.5, range(6, 8))
+    assert [(int(r[1]), float(r[2])) for r in rows] == want
 
 
 def test_thermal_report(tmp_path):
@@ -271,10 +294,12 @@ def test_thermal_report(tmp_path):
     assert any("kt-min 0.05" in c for c in comments)  # flags echoed readably
 
 
-def test_thermal_size_cap_exit_code(tmp_path):
-    n = str(THERMAL_MAX_SITES + 1)
-    code, _ = run(tmp_path, "big.csv", "thermal", "--n", n)
-    assert code == 3
+def test_thermal_size_cap_exit_code(tmp_path, capsys):
+    for n in (THERMAL_MAX_SITES + 1, 40):
+        code, _ = run(tmp_path, "big.csv", "thermal", "--n", str(n))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("z2mem: capability limit: ") and err.count("\n") == 1
 
 
 def test_thermal_exits_1_when_the_spectrum_breaks_its_contract(tmp_path, monkeypatch):
@@ -322,6 +347,20 @@ def test_rvb_report_fails_only_on_connected_correlations(tmp_path):
     )
     assert by_name["norm_deviation"][3] == "pass"
     assert by_name["iterated_swap_residual"][3] == "pass"
+    # the command only formats the library report
+    want = [(name, value, threshold, "pass" if ok else "fail")
+            for name, value, threshold, ok in identity_report(8)]
+    assert [(r[0], float(r[1]), r[2], r[3]) for r in rows] == want
+
+
+def test_gap_converges_at_a_large_field(tmp_path):
+    # the Lanczos target rises to the rounding floor 4 eps N (1 + |lam|)
+    code, out = run(
+        tmp_path, "big.csv", "gap", "--n-min", "8", "--n-max", "9",
+        "--lambda", "30000",
+    )
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 2
 
 
 def test_rvb_rejects_odd_ring(tmp_path):
@@ -339,6 +378,51 @@ def test_stabilizer_report(tmp_path):
     assert "code_dimension" in header
     assert all(r[-1] == "pass" for r in rows)
     assert [int(r[1]) for r in rows] == [2, 2, 2]
+    # the command only formats the library scan
+    want = [
+        (rep.n_sites, rep.code_dimension, rep.product_identity_residual,
+         *rep.logical_commutation_residuals)
+        for rep in stabilizer_scan(range(3, 6))
+    ]
+    assert [(int(r[0]), int(r[1]), *map(float, r[2:6])) for r in rows] == want
+
+
+def test_stabilizer_exits_1_when_a_report_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        type(stabilizer_scan([3])[0]), "passed", property(lambda rep: rep.n_sites != 4)
+    )
+    code, out = run(
+        tmp_path, "stab.csv", "stabilizer", "--n-min", "3", "--n-max", "5"
+    )
+    assert code == 1
+    assert [r[-1] for r in parse_csv(out)[2]] == ["pass", "fail", "pass"]
+
+
+def test_cli_holds_no_size_cap():
+    # every size check lives in the library call behind each command
+    names = [name for name in vars(cli) if name.endswith("MAX_SITES")]
+    assert names == [] and "MIN_SITES" not in vars(cli)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["superpose", "--n-min", "6", "--n-max", "15"],
+        ["superpose", "--n-min", "8", "--n-max", "6"],
+        ["stabilizer", "--n-min", "3", "--n-max", "13"],
+        ["stabilizer", "--n-min", "2", "--n-max", "4"],
+        ["pz", "--n", "2"],
+        ["gap", "--n-min", "6", "--n-max", "15"],
+        ["e2", "--n-min", "6", "--n-max", "15"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_size_range_errors_are_one_line(tmp_path, capsys, args):
+    code, out = run(tmp_path, "range.csv", *args)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("z2mem: error: ") and err.count("\n") == 1
 
 
 def test_scipy_stays_off_the_import_path():

@@ -339,6 +339,27 @@ def test_matvec_count_is_reported_and_repeats():
                 assert a.matvecs > 0
 
 
+@pytest.mark.parametrize("n, lam", [(8, 1e5), (12, -3e4)])
+def test_doublet_converges_at_large_fields(n, lam):
+    # the Lanczos target rises to the rounding floor 4 eps N (1 + |lam|),
+    # which an absolute 1e-10 sits below at these fields; the gap then
+    # meets the closed-form sector energies within that floor
+    pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
+    e0, e1 = (float(e) for e in oracles.free_fermion_energies(n, lam))
+    floor = 4.0 * np.finfo(float).eps * n * (1.0 + abs(lam))
+    assert abs(pairs.gap - (e1 - e0)) <= floor
+    assert pairs.matvecs < 500
+
+
+def test_doublet_beyond_the_residual_bound_is_a_convergence_error(monkeypatch):
+    # where the rounding floor exceeds RESIDUAL_BOUND the target stays at
+    # the bound, so the solve runs out of matvecs rather than returning a
+    # pair that breaks the EigenPairs contract
+    monkeypatch.setattr(es, "MATVEC_BUDGET", 200)
+    with pytest.raises(ConvergenceError):
+        lowest_eigenpairs(build_tfim(8, 1e7), 2)
+
+
 def test_eigenpairs_contract_rejects_bad_order():
     v0 = basis_state(3, 0)
     v1 = basis_state(3, 1)

@@ -22,6 +22,9 @@ from z2memory import (
     max_fluctuation_operator,
     mz_distribution,
     second_eigenvalue_scan,
+    state_mz_distribution,
+    superposed_e1_scan,
+    superposed_state,
 )
 from z2memory import macroscopicity
 
@@ -267,3 +270,31 @@ def test_mz_distribution_rejects_bad_probabilities():
         MzDistribution(2, np.array([-2, 0, 2]), np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ContractError):
         MzDistribution(2, np.array([-2, 0, 1]), np.array([0.4, 0.2, 0.4]))
+
+
+def test_superposed_e1_scan_is_the_doublet_combination(solve_cache):
+    got = superposed_e1_scan(0.5, (6, 8))
+    for n, e1 in got:
+        pairs = solve_cache(n, 0.5, k=2)
+        want = build_vcm(superposed_state(*pairs.eigenvectors)).e1
+        assert e1 == want
+        assert e1 < 3.0  # one branch: no extensive eigenvalue
+    assert [n for n, _ in got] == [6, 8]
+    for sizes in ([15], [2], [6, 15], [6.7], []):
+        with pytest.raises(DomainError):
+            superposed_e1_scan(0.5, sizes)
+
+
+def test_state_mz_distribution_picks_its_state(solve_cache):
+    ground = solve_cache(7, 0.5, k=1).eigenvectors[0]
+    doublet = solve_cache(7, 0.5, k=2).eigenvectors
+    for state, vec in (
+        ("ground", ground),
+        ("excited", doublet[1]),
+        ("superposed", superposed_state(*doublet)),
+    ):
+        got = state_mz_distribution(0.5, 7, state)
+        assert np.array_equal(got.probabilities, mz_distribution(vec).probabilities)
+    for n, state in ((15, "ground"), (2, "ground"), (7.0, "ground"), (7, "warm")):
+        with pytest.raises(DomainError):
+            state_mz_distribution(0.5, n, state)

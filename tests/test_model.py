@@ -13,6 +13,7 @@ from z2memory import (
     ghz_state,
     global_flip_expectation,
     stabilizer_check,
+    stabilizer_scan,
 )
 
 
@@ -133,6 +134,33 @@ def test_stabilizer_check_range():
         stabilizer_check(2)
     with pytest.raises(DomainError):
         stabilizer_check(13)
+
+
+def test_check_sizes():
+    assert model.check_sizes(range(3, 6), 5) == [3, 4, 5]
+    assert model.check_sizes([np.int64(7)], 9) == [7]
+    for sizes in ([2], [6], [4, 6], [4.0], ["4"], []):
+        with pytest.raises(DomainError):
+            model.check_sizes(sizes, 5)
+    # the first bad length stops the check before the range is listed
+    with pytest.raises(DomainError, match="got 6"):
+        model.check_sizes(range(3, 10**12), 5)
+
+
+def test_stabilizer_scan_and_pass_rule():
+    reports = stabilizer_scan(range(3, 13))
+    assert reports == [stabilizer_check(n) for n in range(3, 13)]
+    assert all(rep.passed for rep in reports)
+    rep = reports[0]
+    for bad in (
+        dict(code_dimension=4),
+        dict(product_identity_residual=1e-12),
+        dict(logical_commutation_residuals=(0.0, 0.0, 2e-12)),
+    ):
+        assert not model.StabilizerReport(**{**vars(rep), **bad}).passed
+    for sizes in (range(3, 14), range(2, 5), range(5, 4)):
+        with pytest.raises(DomainError):
+            stabilizer_scan(sizes)
 
 
 def test_stabilizer_phase_is_sigma_z_on_site_1():

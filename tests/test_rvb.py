@@ -13,6 +13,7 @@ from z2memory import (
     connected_correlation_scan,
     expectation,
     fit_index_p,
+    identity_report,
     iterated_swap_residual,
     mz_diagonal,
     rvb_vcm_check,
@@ -223,3 +224,44 @@ def test_rvb_vcm_stays_order_one():
 def test_iterated_swap_reproduces_other_branch():
     for n in (4, 6, 8, 10, 12):
         assert iterated_swap_residual(n) < 1e-10
+
+
+def test_ring_sizes_share_one_rule():
+    for fn, cap in (
+        (build_rvb, 14),
+        (iterated_swap_residual, 14),
+        (connected_correlation_scan, 12),
+        (rvb_vcm_check, 12),
+        (identity_report, 14),
+    ):
+        for n in (2, 5, 8.0, cap + 2):
+            with pytest.raises(DomainError, match="site count must"):
+                fn(n)
+
+
+def test_identity_report_rows():
+    rows = identity_report(8)
+    assert [name for name, *_ in rows] == [
+        "norm_deviation",
+        "covering_overlap_error",
+        "swap_coefficient_error",
+        "bond_projector_expectation_error",
+        "staggered_mean_error",
+        "superposed_staggered_mean",
+        "staggered_variance_over_n_squared",
+        "connected_correlation_max",
+        "total_spin_residual",
+        "iterated_swap_residual",
+    ]
+    failed = [name for name, _, _, ok in rows if not ok]
+    assert failed == ["connected_correlation_max"]  # the residue law, 1/7
+    by_name = {name: (value, threshold) for name, value, threshold, _ in rows}
+    cc = connected_correlation_scan(8)
+    assert by_name["connected_correlation_max"] == (cc, "<1e-12")
+    assert by_name["iterated_swap_residual"] == (iterated_swap_residual(8), "<=1e-10")
+    # the moments need n >= 8 and the residue scan n <= 12
+    assert len(identity_report(6)) == 8
+    assert [name for name, *_ in identity_report(12)][7] == "connected_correlation_max"
+    names14 = [name for name, *_ in identity_report(14)]
+    assert "connected_correlation_max" not in names14 and len(names14) == 9
+    assert all(ok for *_, ok in identity_report(14))

@@ -258,6 +258,9 @@ def test_thermal_scan_grid_validation():
         thermal_scan(0.5, 5, np.array([]))
     with pytest.raises(CapabilityError):
         thermal_scan(0.5, thermal.THERMAL_MAX_SITES + 1, np.array([0.5]))
+    # the cap is checked before any 2^N array: N = 40 would need 8 TiB
+    with pytest.raises(CapabilityError):
+        thermal_scan(0.5, 40)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
