@@ -10,16 +10,18 @@ index b to its bit complement, hence the half-space of indices below
 states, and the ground state lies in the sector that Perron-Frobenius
 names.
 
-The ground state alone is unique in its sector, so it is also invariant
-under the ring's translations and reflections: it lives in the block of
-zero momentum, reflection parity +1 and flip parity s, one symmetric
-state per orbit of basis strings under rotation, reflection and
+Each sector ground state is unique in its sector, so it is also
+invariant under the ring's translations and reflections: it lives in the
+block of zero momentum, reflection parity +1 and flip parity s, one
+symmetric state per orbit of basis strings under rotation, reflection and
 complement (at most 362 states at N=14, against 2^13 in the sector).
 Its energy is known in closed form (Lieb, Schultz and Mattis, Ann. Phys.
-16, 407 (1961)), so the block is not diagonalized: two shifted solves just
-below that energy find the vector, which a gather lifts back to 2^N, and
-its Rayleigh quotient must then meet the closed form.  The block's matrix
-elements follow Sandvik, arXiv:1101.3281.
+16, 407 (1961)), over the antiperiodic free-fermion modes in the ground
+state's sector and the periodic ones in its partner's, so the block is
+not diagonalized: two shifted solves just below that energy find the
+vector, which a gather lifts back to 2^N, and its Rayleigh quotient must
+then meet the closed form.  The block's matrix elements follow Sandvik,
+arXiv:1101.3281.  Ground state and doublet alike load no scipy.
 
 Thermal scans need every level, and take them from the blocks of momentum
 k and flip parity s: one state per orbit of rotations and complement whose
@@ -28,13 +30,14 @@ block and one eigh each for k = 0..N/2, the rest by complex conjugation.
 Both orbit tables come from one pass over their group that keeps the
 running minimum image of every string.
 
-The doublet solves one vector per flip sector by Lanczos on the
-half-space, fully reorthogonalized by block classical Gram-Schmidt applied
-twice, which is as accurate as the modified form (Giraud, Langou and
-Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  One flip table states
-the sector rule: the Lanczos matvec runs it as a CSR matrix, and the dense
-sector matrices of full spectra read their off-diagonal from it.  scipy is
-loaded only by that Krylov solver, so only by doublet solves.
+The gap alone still comes from the Lanczos route it was recorded with:
+one vector per flip sector by Lanczos on the half-space, fully
+reorthogonalized by block classical Gram-Schmidt applied twice, which is
+as accurate as the modified form (Giraud, Langou and Rozloznik, Comput.
+Math. Appl. 50, 1069 (2005)).  One flip table states the sector rule: the
+Lanczos matvec runs it as a CSR matrix, and the dense sector matrices of
+full spectra read their off-diagonal from it.  scipy is loaded only by that
+Krylov solver, so only by gap scans.
 """
 
 from __future__ import annotations
@@ -47,7 +50,12 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
-from .majorana import CLOSED_FORM_C, free_fermion_ground_energy, ground_parity
+from .majorana import (
+    CLOSED_FORM_C,
+    free_fermion_ground_energy,
+    free_fermion_partner_energy,
+    ground_parity,
+)
 from .model import TfimHamiltonian, build_tfim, check_sizes
 from .pauli import StateVector, mz_diagonal, popcounts
 
@@ -134,17 +142,31 @@ def _lowest_ritz_vector(alphas: list[float], betas: list[float]) -> np.ndarray:
     return vecs[:, 0]
 
 
+def _rounding_floor(h: TfimHamiltonian) -> float:
+    """4 eps N (1 + |lam|), the rounding floor of a matvec of H, whose norm
+    is at most N (1 + |lam|).  Where it reaches RESIDUAL_BOUND no solve can
+    promise a residual below the bound, so ConvergenceError is raised
+    before any work."""
+    floor = 4.0 * _EPS * max(1.0, h.n_sites * (1.0 + abs(h.lam)))
+    if floor >= RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"rounding floor {floor:.3e} of the field {h.lam!r} at {h.n_sites}"
+            f" sites reaches the {RESIDUAL_BOUND:.0e} residual bound"
+        )
+    return floor
+
+
 def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarray:
     """The eigenvector at the bottom of the sector spectrum, to a residual
-    below LANCZOS_TOL, or below 4 eps N (1 + |lam|) where that rounding
-    floor of a matvec is the larger, but never above RESIDUAL_BOUND.
-    Raises ConvergenceError after MATVEC_BUDGET matrix applications.  The
-    Lanczos vectors are the first m rows of ``basis``, grown in 16-row
-    blocks; each step is the three-term recurrence, then two block
-    Gram-Schmidt passes."""
+    below LANCZOS_TOL, or below the rounding floor of a matvec where that
+    is the larger (_rounding_floor, which raises where it reaches
+    RESIDUAL_BOUND).  Raises ConvergenceError after MATVEC_BUDGET matrix
+    applications.  The Lanczos vectors are the first m rows of ``basis``,
+    grown in 16-row blocks; each step is the three-term recurrence, then
+    two block Gram-Schmidt passes."""
     best_residual = np.inf
     scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
-    tol = min(max(LANCZOS_TOL, 4.0 * _EPS * scale), RESIDUAL_BOUND)
+    tol = max(LANCZOS_TOL, _rounding_floor(op.h))
 
     while op.count < MATVEC_BUDGET:
         v = rng.standard_normal(op.dim)
@@ -203,17 +225,17 @@ class _SymmetricBlock(NamedTuple):
     """The zero-momentum, reflection-even block of one flip sector.
 
     ``reps`` are the orbit representatives (smallest string of each orbit)
-    that span the block.  Basis string b lifts from block entry ``col[b]``
-    with weight ``coef[b]``: the orbit sign over sqrt(orbit size), 0 on
-    orbits that the block excludes.  ``flips`` is the block of
-    sum_l sigma_x(l), so H restricted to the block is
-    diag(H_diag[reps]) + lam * flips.
+    that span the block, and ``size`` their orbit sizes.  Basis string b
+    lifts from block entry ``col[b]`` with weight ``coef[b]``: the orbit
+    sign over sqrt(orbit size), 0 on orbits that the block excludes.  The
+    fields are _field_block's arguments in order, so H restricted to the
+    block is diag(H_diag[reps]) + lam * _field_block(N, *block).
     """
 
     reps: np.ndarray
     col: np.ndarray
     coef: np.ndarray
-    flips: np.ndarray
+    size: np.ndarray
 
 
 class _Orbits(NamedTuple):
@@ -302,8 +324,10 @@ def _field_block(
 @functools.lru_cache(maxsize=None)
 def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     """The orbit table of the 4N-element group of rotations, reflection and
-    complement, the complement with character ``sign``, and the block of the
-    transverse field on it, built once per (N, sign).
+    complement, the complement with character ``sign``, built once per
+    (N, sign).  The block of the transverse field is left to each solve: a
+    0.2 ms build at N=14, where caching it for both signs at every N would
+    hold megabytes.
 
     An orbit spans a block state unless an element of character -1 fixes
     its strings, which needs sign = -1.  On every other orbit, all elements
@@ -319,34 +343,37 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     size = np.bincount(col[keep], minlength=reps.size)
     signs = np.where(complement[orbits.elem] == 1, sign, 1.0)
     coef = np.where(keep, signs / np.sqrt(size[col]), 0.0)
-    flips = _field_block(n_sites, reps, col, coef, size)
-    for arr in (reps, col, coef, flips):
+    block = _SymmetricBlock(reps, col, coef, size)
+    for arr in block:
         arr.flags.writeable = False
-    return _SymmetricBlock(reps, col, coef, flips)
+    return block
 
 
 def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     """The lowest eigenvector of the symmetric block of flip sector
-    ``sign``, whose eigenvalue is ``e0``, lifted to the full space.
+    ``sign``, whose eigenvalue is the closed-form ``e0``, lifted to the full
+    space.
 
     Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with
     sigma = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest
     level.  Each step shrinks every other component against the target's
-    by (e0 - sigma) / (E' - sigma).  Every other level of the sector adds
-    at least two free-fermion modes, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N)
-    at any field: O(1), and the factor stays below 2e-11 up to N=14 (worst
-    at |lam| = 1).  Two steps thus take the vector to rounding, even in the
-    far tails of its Mz distribution.  The shift stays below the block's
-    lowest level by a thousand times more than the few-ulp errors of e0
-    and of the block's rounding.  The start
-    vector has the ground state's signs: 1 per orbit for lam <= 0, where
+    by (e0 - sigma) / (E' - sigma).  Every other level of the block adds,
+    in either sector, at least two free-fermion modes of opposite momenta,
+    so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at any field: O(1), and the
+    factor stays below 2e-11 up to N=14 (worst at |lam| = 1).  Two steps
+    thus take the vector to rounding, even in the far tails of its Mz
+    distribution.  The shift stays below the block's lowest level by a
+    thousand times more than the few-ulp errors of e0 and of the block's
+    rounding.  The start vector has the ground state's signs: 1 per orbit for lam <= 0, where
     Perron-Frobenius makes every block entry positive, and (-1)^popcount
     for lam > 0, its image under prod sigma_z, so its overlap with the
-    target is provably nonzero.  A LAPACK failure of a solve raises
-    ConvergenceError.
+    ground state is provably nonzero.  The partner sector has no such sign
+    rule, and there the caller's check of the quotient against e0 catches
+    a start vector that misses the target.  A LAPACK failure of a solve
+    raises ConvergenceError.
     """
     block = _symmetric_block(h.n_sites, sign)
-    mat = h.lam * block.flips
+    mat = h.lam * _field_block(h.n_sites, *block)
     sigma = e0 - SHIFT_REL * max(1.0, abs(e0))
     mat[np.diag_indices_from(mat)] += h._diag[block.reps] - sigma
     x = np.ones(block.reps.size)
@@ -365,8 +392,8 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
 class EigenPairs:
     """The k lowest eigenpairs: ascending eigenvalues, orthonormal
     eigenvectors, true residuals, and the flip-parity label of each vector;
-    ``matvecs`` counts the Lanczos matvecs of every solved sector (0 for the
-    ground state, which no Lanczos solves)."""
+    ``matvecs`` counts the Lanczos matvecs of every solved sector (0 from
+    lowest_eigenpairs, which runs no Lanczos)."""
 
     eigenvalues: np.ndarray
     eigenvectors: tuple[StateVector, ...]
@@ -410,62 +437,93 @@ class EigenPairs:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
 
 
-def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
-    """The ground state (k=1) or the code doublet (k=2) of the chain.
+def _quotient_pair(h: TfimHamiltonian, full: np.ndarray, sign: float) -> tuple:
+    """(Rayleigh quotient, true residual, vector, flip parity) of a unit
+    sector vector lifted to the full space."""
+    hv = h.apply(full)
+    value = float(full @ hv)
+    return value, float(np.linalg.norm(hv - value * full)), full, sign
 
-    H commutes with the spin flip, and the two lowest states are the ground
-    states of its two parity sectors, so only those are solved.  For k=2
-    each sector is solved by Lanczos with full reorthogonalization to a
-    residual below LANCZOS_TOL (or the rounding floor of a matvec at large
-    fields), and the two are ordered by their Rayleigh quotients.  For k=1
-    algebra names the sector (ground_parity): at
-    lam<0 every off-diagonal entry is <= 0 and the single-flip graph is
-    connected, so Perron-Frobenius gives a unique positive ground state of
-    parity +1; conjugating by prod sigma_z maps lam to -lam and multiplies
-    the flip by (-1)^N, so at lam>0 the ground parity is (-1)^N.  At lam=0
-    the doublet is degenerate and +1 is taken.  Being unique, the ground
-    state is also invariant under every translation and reflection, which
-    commute with H and with prod sigma_z, so it is solved on the symmetric
-    block of its sector by inverse iteration just below the closed-form
-    energy free_fermion_ground_energy, and ``matvecs`` is 0.  Its Rayleigh
-    quotient must lie within CLOSED_FORM_C eps N (1 + |lam|) of that
-    energy, else ContractError: the iteration found the ground state and
-    not another block level.
-    """
-    if k not in (1, 2):
-        raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
 
-    if k == 2:
-        signs = (1.0, -1.0)
-    else:
-        signs = (ground_parity(h.n_sites, h.lam),)
-    found, matvecs = [], 0
-    for sign in signs:
-        if k == 1:
-            e0 = free_fermion_ground_energy(h.n_sites, h.lam)
-            full, count = _symmetric_ground(h, sign, e0), 0
-        else:
-            full, count = _sector_ground(h, sign)
-        matvecs += count
-        hv = h.apply(full)
-        value = float(full @ hv)
-        if k == 1:
-            bound = CLOSED_FORM_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
-            if not abs(value - e0) <= bound:
-                raise ContractError(
-                    f"ground quotient {value!r} misses the closed-form energy"
-                    f" {e0!r} by more than {bound:.3e}"
-                )
-        found.append((value, float(np.linalg.norm(hv - value * full)), full, sign))
+def _eigenpairs(n_sites: int, found: list, matvecs: int) -> EigenPairs:
+    """EigenPairs from _quotient_pair tuples, ascending by quotient."""
     found.sort(key=lambda item: item[0])
     values, residuals, vectors, parities = zip(*found)
     return EigenPairs(
         eigenvalues=np.array(values),
-        eigenvectors=tuple(StateVector(h.n_sites, v) for v in vectors),
+        eigenvectors=tuple(StateVector(n_sites, v) for v in vectors),
         residuals=np.array(residuals),
         parities=np.array(parities),
         matvecs=matvecs,
     )
+
+
+def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
+    """The ground state (k=1) or the code doublet (k=2) of the chain.
+
+    H commutes with the spin flip, and the two lowest states are the ground
+    states of its two parity sectors, so only those are solved, and the two
+    are ordered by their Rayleigh quotients.  For k=1 algebra names the
+    sector (ground_parity): at
+    lam<0 every off-diagonal entry is <= 0 and the single-flip graph is
+    connected, so Perron-Frobenius gives a unique positive ground state of
+    parity +1; conjugating by prod sigma_z maps lam to -lam and multiplies
+    the flip by (-1)^N, so at lam>0 the ground parity is (-1)^N.  At lam=0
+    the doublet is degenerate and +1 is taken.  Being unique in its sector,
+    each sector ground state is also invariant under every translation and
+    reflection, which commute with H and with prod sigma_z, so it is solved
+    on the symmetric block of its sector by inverse iteration just below
+    its closed-form energy: free_fermion_ground_energy in the ground
+    state's sector, free_fermion_partner_energy in the other.  No Lanczos
+    runs and ``matvecs`` is 0.  Each Rayleigh quotient must lie within
+    CLOSED_FORM_C eps N (1 + |lam|) of its closed form, else ContractError:
+    the iteration found the sector ground state and not another block
+    level.  For k=2, a field whose rounding floor reaches RESIDUAL_BOUND
+    raises ConvergenceError before any solve (_rounding_floor).
+    """
+    if k not in (1, 2):
+        raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
+
+    ground_sign = ground_parity(h.n_sites, h.lam)
+    if k == 2:
+        _rounding_floor(h)
+        signs = (1.0, -1.0)
+    else:
+        signs = (ground_sign,)
+    bound = CLOSED_FORM_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
+    found = []
+    for sign in signs:
+        if sign == ground_sign:
+            e0 = free_fermion_ground_energy(h.n_sites, h.lam)
+        else:
+            e0 = free_fermion_partner_energy(h.n_sites, h.lam)
+        pair = _quotient_pair(h, _symmetric_ground(h, sign, e0), sign)
+        if not abs(pair[0] - e0) <= bound:
+            raise ContractError(
+                f"sector {sign:+.0f} quotient {pair[0]!r} misses the closed-form"
+                f" energy {e0!r} by more than {bound:.3e}"
+            )
+        found.append(pair)
+    return _eigenpairs(h.n_sites, found, 0)
+
+
+def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
+    """The code doublet by Lanczos on each flip sector, with the rounding
+    that the benchmark's recorded gap rows carry; only gap_scan calls it.
+
+    Each sector is solved to a residual below LANCZOS_TOL, or the rounding
+    floor of a matvec at large fields, and ``matvecs`` counts the sector
+    matvecs.  Delete it, with _sector_ground, _lanczos_smallest,
+    _SectorOperator and _lowest_ritz_vector, once the benchmark reference
+    no longer records Lanczos rounding in its N=14 gap rows and the gap
+    moves to the symmetric blocks (ROADMAP.md, open items 3 and 4).
+    """
+    found, matvecs = [], 0
+    for sign in (1.0, -1.0):
+        full, count = _sector_ground(h, sign)
+        matvecs += count
+        found.append(_quotient_pair(h, full, sign))
+    return _eigenpairs(h.n_sites, found, matvecs)
 
 
 def _check_traceless(vals: np.ndarray) -> None:
@@ -666,8 +724,7 @@ def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
     out = []
     for n in check_sizes(range(n_min, n_max + 1), SCAN_MAX_SITES):
-        pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
-        gap = pairs.gap
+        gap = _lanczos_doublet(build_tfim(n, lam)).gap
         if gap <= 0.0:
             raise ContractError(f"nonpositive gap {gap!r} at {n} sites")
         out.append((n, gap))

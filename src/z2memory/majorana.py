@@ -55,6 +55,18 @@ def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
     return -math.fsum(np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k)))
 
 
+def free_fermion_partner_energy(n_sites: int, lam: float) -> float:
+    """Exact ground energy of the other flip sector, the ground state's
+    doublet partner: -sum_{m=1}^{N-1} f(2 pi m/N) - (1 - |lam|) over the
+    periodic modes, whose k=0 mode sits at 1 - |lam|, signed (Lieb, Schultz
+    and Mattis 1961).  f is evaluated and summed with the same care as in
+    free_fermion_ground_energy, so the result is good to a few ulps."""
+    a = abs(float(lam))
+    half_k = np.pi * np.arange(1, n_sites) / n_sites
+    terms = np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k))
+    return -math.fsum([*terms, 1.0 - a])
+
+
 def _coupling_matrix(n_sites: int, lam: float, sign: float) -> np.ndarray:
     """A of H = (i/4) gamma^T A gamma in flip sector ``sign``, rows and
     columns (a_1, b_1, ..., a_N, b_N)."""

@@ -363,6 +363,31 @@ def test_gap_converges_at_a_large_field(tmp_path):
     assert len(parse_csv(out)[2]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["gap", "--n-min", "8", "--n-max", "8"], 2),
+        (["superpose", "--n-min", "8", "--n-max", "8"], 2),
+        (["pz", "--n", "8", "--state", "superposed"], 2),
+        (["pz", "--n", "8", "--state", "excited"], 2),
+        # the ground state keeps its own route, whose residual breaks the
+        # EigenPairs bound
+        (["pz", "--n", "8", "--state", "ground"], 1),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_field_beyond_the_rounding_floor_exit_code(tmp_path, monkeypatch, args, want):
+    # at lam=1e7 the rounding floor 4 eps N (1 + |lam|) exceeds the 1e-9
+    # residual bound: the doublet routes give up before their first
+    # Lanczos matvec
+    def forbidden(*args):
+        raise AssertionError("Lanczos ran past the rounding floor")
+
+    monkeypatch.setattr(es._SectorOperator, "matvec", forbidden)
+    code, _ = run(tmp_path, "big.csv", *args, "--lambda", "1e7")
+    assert code == want
+
+
 def test_rvb_rejects_odd_ring(tmp_path):
     code, _ = run(tmp_path, "rvb_odd.csv", "rvb", "--n", "7")
     assert code == 1
@@ -426,14 +451,15 @@ def test_size_range_errors_are_one_line(tmp_path, capsys, args):
 
 
 def test_scipy_stays_off_the_import_path():
-    # importing scipy costs a process ~0.2 s; only the doublet's Krylov
-    # solver needs it, so ground-state runs never load it
+    # importing scipy costs a process ~0.2 s; only the gap's Krylov solver
+    # needs it, so ground-state and doublet runs never load it
     script = (
         "import sys\n"
         "import z2memory.cli\n"
         "from z2memory.eigensolve import lowest_eigenpairs\n"
         "from z2memory.macroscopicity import (\n"
-        "    largest_eigenvalue_scan, second_eigenvalue_scan)\n"
+        "    largest_eigenvalue_scan, second_eigenvalue_scan,\n"
+        "    state_mz_distribution, superposed_e1_scan)\n"
         "from z2memory.model import build_tfim, stabilizer_check\n"
         "from z2memory.rvb import rvb_vcm_check\n"
         "from z2memory.thermal import thermal_scan\n"
@@ -443,6 +469,9 @@ def test_scipy_stays_off_the_import_path():
         "second_eigenvalue_scan(0.5, [8, 9, 10])\n"
         "largest_eigenvalue_scan([0.5], [64])\n"
         "lowest_eigenpairs(build_tfim(10, 0.5), 1)\n"
+        "superposed_e1_scan(0.5, [8, 9])\n"
+        "state_mz_distribution(0.5, 10, 'superposed')\n"
+        "state_mz_distribution(0.5, 9, 'excited')\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(z2memory.__file__).resolve().parents[1])

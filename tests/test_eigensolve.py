@@ -90,15 +90,31 @@ def test_orthonormality_across_sectors():
     assert np.abs(gram - np.eye(2)).max() < 1e-9
 
 
+# the fields of the doublet tests below
+DOUBLET_FIELDS = (0.3, 0.5, 1.0, 1.5, 3.0, -0.7, -1.5, 1e-3, 1e-8)
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_doublet_matches_free_fermion_energies(n, solve_cache):
     # independent route: the closed-form sector ground energies, exact to
     # 40 digits, so the two lowest states are the sector ground states
-    for lam in (0.3, 0.5, 1.0, 1.5, 3.0, -0.7):
+    for lam in DOUBLET_FIELDS:
         want = np.array([float(e) for e in oracles.free_fermion_energies(n, lam)])
-        got = solve_cache(n, lam, k=2).eigenvalues
+        got = solve_cache(n, lam, k=2)
         tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
-        assert np.abs(got - want).max() < tol
+        assert np.abs(got.eigenvalues - want).max() < tol, lam
+        assert got.matvecs == 0
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_lanczos_doublet_matches_free_fermion_energies(n):
+    # the gap's own route, against the same oracle
+    for lam in (0.5, 1.0, -0.7):
+        want = np.array([float(e) for e in oracles.free_fermion_energies(n, lam)])
+        got = es._lanczos_doublet(build_tfim(n, lam))
+        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
+        assert np.abs(got.eigenvalues - want).max() < tol, lam
+        assert got.matvecs > 0
 
 
 # the fields of the Perron-Frobenius parity test below
@@ -119,18 +135,21 @@ def test_ground_energy_matches_free_fermion_energy(n, solve_cache):
 @pytest.mark.parametrize("n", range(3, 15))
 def test_ground_state_is_translation_and_reflection_even(n, solve_cache):
     # the symmetries act on the (2,)*N tensor axes, site 1 first, sharing
-    # no code with the orbit table
+    # no code with the orbit table; the ground state and both doublet
+    # vectors are each the ground state of their flip sector
     for lam in GROUND_FIELDS:
-        ground = solve_cache(n, lam, k=1)
-        amps = ground.eigenvectors[0].amplitudes
-        tensor = amps.reshape((2,) * n)
-        images = {
-            "translation": (np.moveaxis(tensor, 0, -1).ravel(), 1.0),
-            "reflection": (tensor.transpose(tuple(range(n))[::-1]).ravel(), 1.0),
-            "flip": (tensor[(slice(None, None, -1),) * n].ravel(), ground.parities[0]),
-        }
-        for name, (image, eigenvalue) in images.items():
-            assert np.abs(image - eigenvalue * amps).max() < 1e-14, (name, lam)
+        for k in (1, 2):
+            solved = solve_cache(n, lam, k=k)
+            for vec, parity in zip(solved.eigenvectors, solved.parities):
+                amps = vec.amplitudes
+                tensor = amps.reshape((2,) * n)
+                images = {
+                    "translation": (np.moveaxis(tensor, 0, -1).ravel(), 1.0),
+                    "reflection": (tensor.transpose(tuple(range(n))[::-1]).ravel(), 1.0),
+                    "flip": (tensor[(slice(None, None, -1),) * n].ravel(), parity),
+                }
+                for name, (image, eigenvalue) in images.items():
+                    assert np.abs(image - eigenvalue * amps).max() < 1e-14, (name, lam, k)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -142,7 +161,7 @@ def test_symmetric_block_spectrum_lies_in_the_dense_spectrum(n):
         h = build_tfim(n, lam)
         for sign in (1.0, -1.0):
             block = es._symmetric_block(n, sign)
-            mat = np.diag(h._diag[block.reps]) + lam * block.flips
+            mat = np.diag(h._diag[block.reps]) + lam * es._field_block(n, *block)
             for value in np.linalg.eigvalsh(mat):
                 assert np.abs(levels - value).min() < 1e-12
 
@@ -178,13 +197,24 @@ def test_closed_form_ground_energy_matches_the_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(3, 15))
+def test_closed_form_partner_energy_matches_the_oracle(n):
+    # the other flip sector's ground energy, over the periodic modes
+    eps = np.finfo(float).eps
+    for lam in (*CLOSED_FORM_FIELDS, -20.0):
+        want = float(oracles.free_fermion_energies(n, lam)[1])
+        got = es.free_fermion_partner_energy(n, lam)
+        assert abs(got - want) <= 4.0 * eps * abs(want), lam
+
+
+@pytest.mark.parametrize("n", range(3, 15))
 def test_shifted_solve_is_the_block_eigh_vector(n, solve_cache):
     # independent route: the lowest vector of a full eigh of the same
     # block, lifted by the same gather
     for lam in (*CLOSED_FORM_FIELDS, -20.0):
         ground = solve_cache(n, lam, k=1)
         block = es._symmetric_block(n, ground.parities[0])
-        mat = np.diag(build_tfim(n, lam)._diag[block.reps]) + lam * block.flips
+        flips = es._field_block(n, *block)
+        mat = np.diag(build_tfim(n, lam)._diag[block.reps]) + lam * flips
         want = block.coef * np.linalg.eigh(mat)[1][block.col, 0]
         got = ground.eigenvectors[0].amplitudes.real
         assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-12
@@ -217,6 +247,26 @@ def test_closed_form_mismatch_is_a_contract_error(monkeypatch):
     assert excited.residuals[0] < 1e-12
 
 
+def test_partner_closed_form_mismatch_is_a_contract_error(monkeypatch):
+    # the same forcing on the doublet partner's sector: its shifted solves
+    # settle on an excited block level, and only the quotient contract
+    # tells; the ground state's sector is untouched
+    exact = es.free_fermion_partner_energy
+    monkeypatch.setattr(
+        es, "free_fermion_partner_energy", lambda n, lam: exact(n, lam) + 4.0
+    )
+    monkeypatch.setattr(es, "SHIFT_STEPS", 40)
+    h = build_tfim(8, 0.5)
+    with pytest.raises(ContractError, match="sector -1 quotient"):
+        lowest_eigenpairs(h, 2)
+    lowest_eigenpairs(h, 1)
+    monkeypatch.setattr(es, "CLOSED_FORM_C", np.inf)
+    wrong = lowest_eigenpairs(h, 2)
+    assert wrong.parities.tolist() == [1.0, -1.0]
+    assert wrong.eigenvalues[1] > exact(8, 0.5) + 3.0
+    assert wrong.residuals.max() < 1e-12
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
     # lam < 0: every off-diagonal entry of H is <= 0 on a connected
@@ -229,13 +279,19 @@ def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
         amps = ground.eigenvectors[0].amplitudes
         assert ground.parities[0] == parity
         assert np.abs(amps[::-1] - parity * amps).max() < 1e-12
-        # k=1 and k=2 reach the same sector ground state by two routes
+        # the block solves and the Lanczos route reach the same sector
+        # ground states, the ground state's and its partner's
+        lanczos = es._lanczos_doublet(build_tfim(n, lam))
         doublet = solve_cache(n, lam, k=2)
-        partner = list(doublet.parities).index(parity)
         tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
-        assert abs(doublet.eigenvalues[partner] - ground.eigenvalues[0]) < tol
-        overlap = doublet.eigenvectors[partner].inner(ground.eigenvectors[0])
-        assert abs(overlap) >= 1 - 1e-12
+        for value, vec, sign in zip(
+            doublet.eigenvalues, doublet.eigenvectors, doublet.parities
+        ):
+            i = list(lanczos.parities).index(sign)
+            assert abs(lanczos.eigenvalues[i] - value) < tol
+            assert abs(lanczos.eigenvectors[i].inner(vec)) >= 1 - 1e-12
+            if sign == parity:
+                assert np.array_equal(vec.amplitudes, amps)
         if abs(lam) >= 0.5:
             # a one-signed eigenvector of the (gauged) Perron-Frobenius
             # matrix is its ground state
@@ -254,13 +310,15 @@ def test_exact_degeneracy_at_zero_field():
 
 def test_repeat_runs_are_deterministic():
     # N=14 has sector dimension 8192, where BLAS runs threaded; the
-    # benchmark's N=14 gap rows need the solve to repeat bit for bit
+    # benchmark's N=14 gap rows need the Lanczos solve to repeat bit for
+    # bit, and its doublet rows the block solves
     for n in (8, 14):
-        a = lowest_eigenpairs(build_tfim(n, 0.5), 2)
-        b = lowest_eigenpairs(build_tfim(n, 0.5), 2)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        for va, vb in zip(a.eigenvectors, b.eigenvectors):
-            assert np.array_equal(va.amplitudes, vb.amplitudes)
+        for route in (es._lanczos_doublet, lambda h: lowest_eigenpairs(h, 2)):
+            a = route(build_tfim(n, 0.5))
+            b = route(build_tfim(n, 0.5))
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            for va, vb in zip(a.eigenvectors, b.eigenvectors):
+                assert np.array_equal(va.amplitudes, vb.amplitudes)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -324,40 +382,48 @@ def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, rou
 
     monkeypatch.setattr(lapack, routine, failing)
     with pytest.raises(ConvergenceError, match="LAPACK info 1"):
-        lowest_eigenpairs(build_tfim(8, 0.5), 2)
+        es._lanczos_doublet(build_tfim(8, 0.5))
 
 
 def test_matvec_count_is_reported_and_repeats():
     for n in range(3, 10):
         for k in (1, 2):
-            a = lowest_eigenpairs(build_tfim(n, 0.5), k)
-            b = lowest_eigenpairs(build_tfim(n, 0.5), k)
-            assert a.matvecs == b.matvecs
-            if k == 1:
-                assert a.matvecs == 0  # shifted solves on the symmetric block
-            else:
-                assert a.matvecs > 0
+            # shifted solves on the symmetric blocks, no Lanczos
+            assert lowest_eigenpairs(build_tfim(n, 0.5), k).matvecs == 0
+        a = es._lanczos_doublet(build_tfim(n, 0.5))
+        b = es._lanczos_doublet(build_tfim(n, 0.5))
+        assert a.matvecs == b.matvecs > 0
 
 
 @pytest.mark.parametrize("n, lam", [(8, 1e5), (12, -3e4)])
 def test_doublet_converges_at_large_fields(n, lam):
     # the Lanczos target rises to the rounding floor 4 eps N (1 + |lam|),
-    # which an absolute 1e-10 sits below at these fields; the gap then
-    # meets the closed-form sector energies within that floor
-    pairs = lowest_eigenpairs(build_tfim(n, lam), 2)
+    # which an absolute 1e-10 sits below at these fields; the gap of
+    # either route then meets the closed-form sector energies within
+    # that floor
+    h = build_tfim(n, lam)
     e0, e1 = (float(e) for e in oracles.free_fermion_energies(n, lam))
     floor = 4.0 * np.finfo(float).eps * n * (1.0 + abs(lam))
-    assert abs(pairs.gap - (e1 - e0)) <= floor
-    assert pairs.matvecs < 500
+    lanczos = es._lanczos_doublet(h)
+    assert abs(lanczos.gap - (e1 - e0)) <= floor
+    assert lanczos.matvecs < 500
+    assert abs(lowest_eigenpairs(h, 2).gap - (e1 - e0)) <= floor
 
 
 def test_doublet_beyond_the_residual_bound_is_a_convergence_error(monkeypatch):
-    # where the rounding floor exceeds RESIDUAL_BOUND the target stays at
-    # the bound, so the solve runs out of matvecs rather than returning a
-    # pair that breaks the EigenPairs contract
-    monkeypatch.setattr(es, "MATVEC_BUDGET", 200)
-    with pytest.raises(ConvergenceError):
-        lowest_eigenpairs(build_tfim(8, 1e7), 2)
+    # where the rounding floor reaches RESIDUAL_BOUND no solve can return a
+    # pair that keeps the EigenPairs contract, so both doublet routes raise
+    # before their first matvec or block solve
+    def forbidden(*args):
+        raise AssertionError("solved past the rounding floor")
+
+    monkeypatch.setattr(es._SectorOperator, "matvec", forbidden)
+    monkeypatch.setattr(es, "solve", forbidden)
+    h = build_tfim(8, 1e7)
+    with pytest.raises(ConvergenceError, match="rounding floor"):
+        es._lanczos_doublet(h)
+    with pytest.raises(ConvergenceError, match="rounding floor"):
+        lowest_eigenpairs(h, 2)
 
 
 def test_eigenpairs_contract_rejects_bad_order():
@@ -402,7 +468,7 @@ def test_gap_property_needs_two_levels():
 def test_convergence_error_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(es, "MATVEC_BUDGET", 3)
     with pytest.raises(ConvergenceError) as exc:
-        lowest_eigenpairs(build_tfim(8, 0.5), 2)
+        es._lanczos_doublet(build_tfim(8, 0.5))
     best = exc.value.best_residual
     assert best is None or best >= 0.0
 
