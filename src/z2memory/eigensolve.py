@@ -225,17 +225,28 @@ class _SymmetricBlock(NamedTuple):
     """The zero-momentum, reflection-even block of one flip sector.
 
     ``reps`` are the orbit representatives (smallest string of each orbit)
-    that span the block, and ``size`` their orbit sizes.  Basis string b
-    lifts from block entry ``col[b]`` with weight ``coef[b]``: the orbit
-    sign over sqrt(orbit size), 0 on orbits that the block excludes.  The
-    fields are _field_block's arguments in order, so H restricted to the
-    block is diag(H_diag[reps]) + lam * _field_block(N, *block).
+    that span the block.  Basis string b lifts from block entry ``col[b]``
+    with weight ``coef[b]``: the orbit sign over sqrt(orbit size), 0 on
+    orbits that the block excludes.  The block of sum_l sigma_x(l) is kept
+    as its _field_entries, flat indices ``field_index`` and values
+    ``field_values``, and made dense by ``field()``: a dense copy for both
+    signs at every N would hold megabytes.  H restricted to the block is
+    diag(H_diag[reps]) + lam * field().
     """
 
     reps: np.ndarray
     col: np.ndarray
     coef: np.ndarray
-    size: np.ndarray
+    field_index: np.ndarray
+    field_values: np.ndarray
+
+    def field(self) -> np.ndarray:
+        """The dense block of sum_l sigma_x(l), its entries summed in the
+        order np.add.at sums them in _field_block, so bit for bit the
+        same."""
+        dim = self.reps.size
+        flat = np.bincount(self.field_index, self.field_values, minlength=dim * dim)
+        return flat.reshape(dim, dim)
 
 
 class _Orbits(NamedTuple):
@@ -303,31 +314,35 @@ def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
     return (chars @ orbits.fixed.astype(float)).real > 0.5
 
 
-def _field_block(
+def _field_entries(
     n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block of sum_l sigma_x(l) on the states |i> = sum_b coef[b] |b>,
     one per representative reps[i], where string b belongs to state col[b]
-    and coef vanishes off the block: F[j, i] = sqrt(size[i])
+    and coef vanishes off the block, as rows, columns and values of shape
+    (len(reps), N) whose sum is F: F[j, i] = sqrt(size[i])
     sum_k conj(coef[r_i ^ 2^k]) [col(r_i ^ 2^k) = j] (Sandvik,
     arXiv:1101.3281)."""
     targets = reps[:, None] ^ (1 << np.arange(n_sites))
+    columns = np.broadcast_to(np.arange(reps.size)[:, None], targets.shape)
+    return col[targets], columns, np.sqrt(size)[:, None] * coef[targets].conj()
+
+
+def _field_block(
+    n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """The dense block of sum_l sigma_x(l) from its _field_entries."""
+    rows, columns, values = _field_entries(n_sites, reps, col, coef, size)
     flips = np.zeros((reps.size, reps.size), dtype=coef.dtype)
-    np.add.at(
-        flips,
-        (col[targets], np.arange(reps.size)[:, None]),
-        np.sqrt(size)[:, None] * coef[targets].conj(),
-    )
+    np.add.at(flips, (rows, columns), values)
     return flips
 
 
 @functools.lru_cache(maxsize=None)
 def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     """The orbit table of the 4N-element group of rotations, reflection and
-    complement, the complement with character ``sign``, built once per
-    (N, sign).  The block of the transverse field is left to each solve: a
-    0.2 ms build at N=14, where caching it for both signs at every N would
-    hold megabytes.
+    complement, the complement with character ``sign``, and the entries of
+    the transverse field on it, built once per (N, sign).
 
     An orbit spans a block state unless an element of character -1 fixes
     its strings, which needs sign = -1.  On every other orbit, all elements
@@ -343,7 +358,9 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     size = np.bincount(col[keep], minlength=reps.size)
     signs = np.where(complement[orbits.elem] == 1, sign, 1.0)
     coef = np.where(keep, signs / np.sqrt(size[col]), 0.0)
-    block = _SymmetricBlock(reps, col, coef, size)
+    rows, columns, values = _field_entries(n_sites, reps, col, coef, size)
+    index = (rows * reps.size + columns).ravel()
+    block = _SymmetricBlock(reps, col, coef, index, values.ravel())
     for arr in block:
         arr.flags.writeable = False
     return block
@@ -373,7 +390,8 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     raises ConvergenceError.
     """
     block = _symmetric_block(h.n_sites, sign)
-    mat = h.lam * _field_block(h.n_sites, *block)
+    mat = block.field()
+    mat *= h.lam
     sigma = e0 - SHIFT_REL * max(1.0, abs(e0))
     mat[np.diag_indices_from(mat)] += h._diag[block.reps] - sigma
     x = np.ones(block.reps.size)

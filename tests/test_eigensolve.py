@@ -106,17 +106,6 @@ def test_doublet_matches_free_fermion_energies(n, solve_cache):
         assert got.matvecs == 0
 
 
-@pytest.mark.parametrize("n", range(3, 15))
-def test_lanczos_doublet_matches_free_fermion_energies(n):
-    # the gap's own route, against the same oracle
-    for lam in (0.5, 1.0, -0.7):
-        want = np.array([float(e) for e in oracles.free_fermion_energies(n, lam)])
-        got = es._lanczos_doublet(build_tfim(n, lam))
-        tol = FREE_FERMION_C * np.finfo(float).eps * n * (1.0 + abs(lam))
-        assert np.abs(got.eigenvalues - want).max() < tol, lam
-        assert got.matvecs > 0
-
-
 # the fields of the Perron-Frobenius parity test below
 GROUND_FIELDS = (-1.5, -0.7, -1e-3, 0.0, 1e-8, 1e-3, 0.5, 1.0, 3.0)
 
@@ -161,7 +150,7 @@ def test_symmetric_block_spectrum_lies_in_the_dense_spectrum(n):
         h = build_tfim(n, lam)
         for sign in (1.0, -1.0):
             block = es._symmetric_block(n, sign)
-            mat = np.diag(h._diag[block.reps]) + lam * es._field_block(n, *block)
+            mat = np.diag(h._diag[block.reps]) + lam * block.field()
             for value in np.linalg.eigvalsh(mat):
                 assert np.abs(levels - value).min() < 1e-12
 
@@ -213,8 +202,7 @@ def test_shifted_solve_is_the_block_eigh_vector(n, solve_cache):
     for lam in (*CLOSED_FORM_FIELDS, -20.0):
         ground = solve_cache(n, lam, k=1)
         block = es._symmetric_block(n, ground.parities[0])
-        flips = es._field_block(n, *block)
-        mat = np.diag(build_tfim(n, lam)._diag[block.reps]) + lam * flips
+        mat = np.diag(build_tfim(n, lam)._diag[block.reps]) + lam * block.field()
         want = block.coef * np.linalg.eigh(mat)[1][block.col, 0]
         got = ground.eigenvectors[0].amplitudes.real
         assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-12
