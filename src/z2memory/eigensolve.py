@@ -381,13 +381,13 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     thus take the vector to rounding, even in the far tails of its Mz
     distribution.  The shift stays below the block's lowest level by a
     thousand times more than the few-ulp errors of e0 and of the block's
-    rounding.  The start vector has the ground state's signs: 1 per orbit for lam <= 0, where
-    Perron-Frobenius makes every block entry positive, and (-1)^popcount
-    for lam > 0, its image under prod sigma_z, so its overlap with the
-    ground state is provably nonzero.  The partner sector has no such sign
-    rule, and there the caller's check of the quotient against e0 catches
-    a start vector that misses the target.  A LAPACK failure of a solve
-    raises ConvergenceError.
+    rounding.  The start vector has the ground state's signs: 1 per orbit
+    for lam <= 0, where Perron-Frobenius makes every block entry positive,
+    and (-1)^popcount for lam > 0, its image under prod sigma_z, so its
+    overlap with the ground state is provably nonzero.  The partner sector
+    has no such sign rule, and there the caller's check of the quotient
+    against e0 catches a start vector that misses the target.  A LAPACK
+    failure of a solve raises ConvergenceError.
     """
     block = _symmetric_block(h.n_sites, sign)
     mat = block.field()

@@ -127,18 +127,20 @@ def test_ground_state_is_translation_and_reflection_even(n, solve_cache):
     # no code with the orbit table; the ground state and both doublet
     # vectors are each the ground state of their flip sector
     for lam in GROUND_FIELDS:
+        states = []
         for k in (1, 2):
             solved = solve_cache(n, lam, k=k)
-            for vec, parity in zip(solved.eigenvectors, solved.parities):
-                amps = vec.amplitudes
-                tensor = amps.reshape((2,) * n)
-                images = {
-                    "translation": (np.moveaxis(tensor, 0, -1).ravel(), 1.0),
-                    "reflection": (tensor.transpose(tuple(range(n))[::-1]).ravel(), 1.0),
-                    "flip": (tensor[(slice(None, None, -1),) * n].ravel(), parity),
-                }
-                for name, (image, eigenvalue) in images.items():
-                    assert np.abs(image - eigenvalue * amps).max() < 1e-14, (name, lam, k)
+            states += zip(solved.eigenvectors, solved.parities)
+        for vec, parity in states:
+            amps = vec.amplitudes
+            tensor = amps.reshape((2,) * n)
+            images = {
+                "translation": (np.moveaxis(tensor, 0, -1).ravel(), 1.0),
+                "reflection": (tensor.transpose(tuple(range(n))[::-1]).ravel(), 1.0),
+                "flip": (tensor[(slice(None, None, -1),) * n].ravel(), parity),
+            }
+            for name, (image, eigenvalue) in images.items():
+                assert np.abs(image - eigenvalue * amps).max() < 1e-14, (name, lam)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -153,6 +155,17 @@ def test_symmetric_block_spectrum_lies_in_the_dense_spectrum(n):
             mat = np.diag(h._diag[block.reps]) + lam * block.field()
             for value in np.linalg.eigvalsh(mat):
                 assert np.abs(levels - value).min() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_block_field_is_the_scatter_bit_for_bit(n):
+    # the cached entries, summed by bincount, against np.add.at over the
+    # same entries, the build that the momentum blocks keep
+    for sign in (1.0, -1.0):
+        block = es._symmetric_block(n, sign)
+        size = np.bincount(block.col[block.coef != 0], minlength=block.reps.size)
+        want = es._field_block(n, block.reps, block.col, block.coef, size)
+        assert np.array_equal(block.field(), want)
 
 
 def test_symmetric_block_dimensions():
@@ -543,6 +556,14 @@ def test_gap_scan_values_and_domain():
         gap_scan(0.5, 6, 15)
     with pytest.raises(DomainError):
         gap_scan(0.5, 8, 6)
+
+
+def test_gap_scan_keeps_the_lanczos_route():
+    # the benchmark reference records the Lanczos rounding of the gap, so
+    # gap_scan must return the Lanczos doublet's gap bit for bit
+    for n in (8, 11, 14):
+        want = es._lanczos_doublet(build_tfim(n, 0.5)).gap
+        assert gap_scan(0.5, n, n) == [(n, want)]
 
 
 def test_adiabatic_time_estimate():
