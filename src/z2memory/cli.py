@@ -15,6 +15,7 @@ limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -225,7 +226,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The z2mem parser, built once per process: parse_args leaves it
+    unchanged, and each handler looks its library call up when it runs."""
     parser = _Parser(prog="z2mem", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"

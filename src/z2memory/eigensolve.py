@@ -455,16 +455,22 @@ class EigenPairs:
         return float(self.eigenvalues[1] - self.eigenvalues[0])
 
 
-def _quotient_pair(h: TfimHamiltonian, full: np.ndarray, sign: float) -> tuple:
+def _pair(full: np.ndarray, hv: np.ndarray, value: float, sign: float) -> tuple:
     """(Rayleigh quotient, true residual, vector, flip parity) of a unit
-    sector vector lifted to the full space."""
-    hv = h.apply(full)
-    value = float(full @ hv)
+    sector vector lifted to the full space, given H v and the quotient."""
     return value, float(np.linalg.norm(hv - value * full)), full, sign
 
 
+def _quotient_pair(h: TfimHamiltonian, full: np.ndarray, sign: float) -> tuple:
+    """_pair with the quotient summed pairwise by np.sum: near the rounding
+    floor a BLAS dot can miss it by enough to push the residual of an exact
+    vector past RESIDUAL_BOUND."""
+    hv = h.apply(full)
+    return _pair(full, hv, float(np.sum(full * hv)), sign)
+
+
 def _eigenpairs(n_sites: int, found: list, matvecs: int) -> EigenPairs:
-    """EigenPairs from _quotient_pair tuples, ascending by quotient."""
+    """EigenPairs from _pair tuples, ascending by quotient."""
     found.sort(key=lambda item: item[0])
     values, residuals, vectors, parities = zip(*found)
     return EigenPairs(
@@ -540,7 +546,8 @@ def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
     for sign in (1.0, -1.0):
         full, count = _sector_ground(h, sign)
         matvecs += count
-        found.append(_quotient_pair(h, full, sign))
+        hv = h.apply(full)
+        found.append(_pair(full, hv, float(full @ hv), sign))
     return _eigenpairs(h.n_sites, found, matvecs)
 
 

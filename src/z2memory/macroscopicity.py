@@ -10,14 +10,15 @@ maximizing operator, fits scaling exponents, and histograms total
 z magnetization.
 
 build_vcm takes any pure state as a 2^N vector and forms the Gram matrix
-of all 3N vectors s_a(l)|psi>.  The e1 scan needs no such vector: the
-ground state is Gaussian in Jordan-Wigner fermions, so
-majorana.ground_correlations gives its pair correlations, and its matrix
-is block circulant with one 3 x 3 block per momentum, whose eigenvalues
-are closed-form (_ground_spectrum).  That reaches N in the hundreds.  The
-e2 scan still reads the Gram matrix of the 2^N ground state, and the
-superposed e1 scan and the Mz histograms take their 2^N states from
-lowest_eigenpairs.
+of all 3N vectors s_a(l)|psi>.  The e1 scan needs no such vector and no
+2N x 2N eigh: the ground state is Gaussian in Jordan-Wigner fermions, so
+majorana.ground_correlations gives its pair correlations from one sum
+over the free-fermion momenta per offset and two Toeplitz determinants,
+and its matrix is block circulant with one 3 x 3 block per momentum,
+whose eigenvalues are closed-form (_ground_spectrum).  That reaches N in
+the hundreds.  The e2 scan still reads the Gram matrix of the 2^N ground
+state, and the superposed e1 scan and the Mz histograms take their 2^N
+states from lowest_eigenpairs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_dia
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
 DEGENERACY_REL_TOL = 1e-10
-GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~1.1 s at N = 512 on 2 cores
+GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~0.2 s at N = 512 on 2 cores
 
 
 class CorrelationKind(enum.Enum):

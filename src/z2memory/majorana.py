@@ -6,18 +6,22 @@ a_l = (prod_{j<l} sigma_x(j)) sigma_z(l) and
 b_l = (prod_{j<l} sigma_x(j)) sigma_y(l), so sigma_x(l) = i a_l b_l and
 sigma_z(l) sigma_z(l+1) = i b_l a_{l+1}.  The wrap bond is
 sigma_z(N) sigma_z(1) = -P i b_N a_1, with P = prod_l sigma_x(l) the flip
-parity.  In the sector P = s the Hamiltonian is therefore quadratic,
-H = (i/4) gamma^T A gamma over gamma = (a_1, b_1, ..., a_N, b_N), with A
-real antisymmetric and 2N x 2N, and its ground state is Gaussian: one eigh
-of the Hermitian iA gives every two-point function <gamma_p gamma_q>, and
-Wick's theorem every product of them.
+parity.  In the sector P = s the Hamiltonian is therefore quadratic in
+gamma = (a_1, b_1, ..., a_N, b_N) and translation invariant with a
+twisted wrap bond, and its ground state is Gaussian.  Its plane-wave
+modes have momenta k = pi(2m+1)/N for s = +1 and k = 2 pi m/N for
+s = -1, so every two-point function is a sum over them: <a a> and <b b>
+vanish, and c[a_l, b_(l+r)] = g(r), with <gamma_p gamma_q> = i c[p, q],
+is one cosine sum per offset r (Pfeuty, Ann. Phys. 57, 79 (1970)).  No
+2N x 2N matrix is built or diagonalized.  Wick's theorem gives every
+product of these two-point functions.
 
 The spin correlations along a ring offset d are Pfaffians of that
 covariance.  sigma_x sigma_x takes four Majoranas.  sigma_z sigma_z and
 sigma_y sigma_y take the Jordan-Wigner strings between the two sites, and
-since <a a> and <b b> vanish for a real Hamiltonian, each Pfaffian is the
-d x d determinant of a Toeplitz block (Pfeuty, Ann. Phys. 57, 79 (1970);
-Barouch and McCoy, Phys. Rev. A 3, 786 (1971)).
+since <a a> and <b b> vanish, each Pfaffian is the d x d determinant of a
+Toeplitz block of g (Pfeuty 1970; Barouch and McCoy, Phys. Rev. A 3, 786
+(1971)).
 
 The module imports only numpy, the chain's parameter check and the error
 types, so that eigensolve can build on it.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg import LinAlgError, det, eigh
+from numpy.linalg import LinAlgError, det
 
 from .errors import ContractError, ConvergenceError
 from .model import check_chain
@@ -67,36 +71,45 @@ def free_fermion_partner_energy(n_sites: int, lam: float) -> float:
     return -math.fsum([*terms, 1.0 - a])
 
 
-def _coupling_matrix(n_sites: int, lam: float, sign: float) -> np.ndarray:
-    """A of H = (i/4) gamma^T A gamma in flip sector ``sign``, rows and
-    columns (a_1, b_1, ..., a_N, b_N)."""
-    a = np.zeros((2 * n_sites, 2 * n_sites))
-    l = np.arange(n_sites)
-    a[2 * l, 2 * l + 1] = 2.0 * lam
-    a[2 * l[:-1] + 1, 2 * l[:-1] + 2] = -2.0
-    a[-1, 0] = 2.0 * sign
-    return a - a.T
+def _unit_phases(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of pi j/N for integer j, reduced in integers: j is taken
+    mod 2N and folded onto [0, N], and the sine takes its sign from the
+    fold, as in eigensolve._roots.  So angle 0 and pi give an exact 0 sine,
+    and j and -j give exact conjugates."""
+    j = j % (2 * n_sites)
+    angle = np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
+    return np.cos(angle), np.sign(n_sites - j) * np.sin(angle)
 
 
-def _ground_covariance(n_sites: int, lam: float) -> np.ndarray:
-    """The real antisymmetric c with <gamma_p gamma_q> = i c[p, q], p != q,
-    in the ground state.
+def _ground_covariance(n_sites: int, lam: float, offsets: np.ndarray) -> np.ndarray:
+    """g(r) = c[a_l, b_(l+r)] of the ground state at each ring offset r in
+    ``offsets``, for sites l and l+r in 1..N; <a a> and <b b> vanish.
 
-    iA has eigenvalues +-mu in pairs; the ground state fills the N modes
-    of negative mu, so with Q the projector onto them, <gamma_p gamma_q> =
-    2 Q[q, p] and c = -2 Im Q.  Its energy is -sum|mu|/4.  iA must have
-    exactly N negative eigenvalues, and the energy must meet
-    free_fermion_ground_energy within CLOSED_FORM_C eps N (1 + |lam|), else
-    ContractError: a covariance of the wrong flip parity fills the modes
-    of the other sector and misses it.
+    In the sector P = s the couplings are translation invariant with a
+    twisted wrap bond, so the modes are plane waves of momentum
+    k = pi(2m+1)/N for s = +1 and k = 2 pi m/N for s = -1, m = 0..N-1, and
+    g(r) = Re[(1/N) sum_k e^(ikr) (lam + e^(ik)) / |lam + e^(ik)|] (Pfeuty
+    1970), in the sector ground_parity names.  Each angle k r is reduced
+    in integers, as (2m+1) r or 2m r mod 2N, before its cosine.  A zero
+    mode, lam + e^(ik) = 0, is a ContractError: it needs |lam| = 1 and the
+    wrong parity.  The energy -N(g(-1) + lam g(0)) = -sum_k |lam + e^(ik)|
+    must meet free_fermion_ground_energy within CLOSED_FORM_C eps N
+    (1 + |lam|), else ContractError: a covariance of the wrong flip parity
+    sums the other sector's modes and misses it.
     """
-    mu, vecs = eigh(1j * _coupling_matrix(n_sites, lam, ground_parity(n_sites, lam)))
-    negative = int(np.count_nonzero(mu < 0.0))
-    if negative != n_sites:
+    sign = ground_parity(n_sites, lam)
+    j = 2 * np.arange(n_sites) + (1 if sign > 0 else 0)  # k = pi j / N
+    cos_k, sin_k = _unit_phases(n_sites, j)
+    real = lam + cos_k
+    size = np.hypot(real, sin_k)
+    if not np.all(size > 0.0):
         raise ContractError(
-            f"iA has {negative} negative eigenvalues, expected {n_sites}"
+            f"sector {sign:+.0f} has a zero mode at lambda={lam!r}"
         )
-    energy = -0.25 * float(np.abs(mu).sum())
+    rows = np.concatenate(([-1, 0], np.asarray(offsets, dtype=np.int64)))
+    cos_kr, sin_kr = _unit_phases(n_sites, np.outer(rows, j))
+    g = (cos_kr @ (real / size) - sin_kr @ (sin_k / size)) / n_sites
+    energy = -n_sites * float(g[0] + lam * g[1])
     e0 = free_fermion_ground_energy(n_sites, lam)
     bound = CLOSED_FORM_C * _EPS * n_sites * (1.0 + abs(lam))
     if not abs(energy - e0) <= bound:
@@ -104,8 +117,7 @@ def _ground_covariance(n_sites: int, lam: float) -> np.ndarray:
             f"Gaussian ground energy {energy!r} misses the closed-form energy"
             f" {e0!r} by more than {bound:.3e}"
         )
-    filled = vecs[:, :n_sites]
-    return -2.0 * (filled @ filled.conj().T).imag
+    return g[2:]
 
 
 def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
@@ -114,23 +126,27 @@ def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     d = 0..N/2.  The ground state is translation invariant and these
     operators commute, so the offsets past N/2 mirror them.
 
-    With c from _ground_covariance: m = -c[a_1, b_1];
-    <s_x s_x>(d) is the Pfaffian of c on (a_1, b_1, a_{1+d}, b_{1+d});
-    <s_z s_z>(d) = det(-c[b_1..b_d; a_2..a_{d+1}]) and
-    <s_y s_y>(d) = det(c[a_1..a_d; b_2..b_{d+1}]).  A LAPACK failure of
-    the eigh or of a determinant raises ConvergenceError.
+    With g from _ground_covariance at r = -N/2..N/2: m = -g(0);
+    <s_x s_x>(d) = g(0)^2 - g(d) g(-d), the Pfaffian on
+    (a_1, b_1, a_{1+d}, b_{1+d}); <s_y s_y>(d) = det[g(j+1-i)] and
+    <s_z s_z>(d) = det[g(i-j-1)], i, j = 1..d, the leading d x d slices of
+    two Toeplitz tables.  A LAPACK failure of a determinant raises
+    ConvergenceError.
     """
     n_sites, lam = check_chain(n_sites, lam)
     half = n_sites // 2
+    g = _ground_covariance(n_sites, lam, np.arange(-half, half + 1))
     corr = np.ones((3, half + 1))
+    d = np.arange(1, half + 1)
+    corr[0, 1:] = g[half] ** 2 - g[half + d] * g[half - d]
+    i = np.arange(half)
+    shift = i[None, :] - i[:, None]  # j - i
+    y_table = g[half + 1 + shift]
+    z_table = g[half - 1 - shift]
     try:
-        c = _ground_covariance(n_sites, lam)
         for d in range(1, half + 1):
-            pair = [0, 1, 2 * d, 2 * d + 1]
-            q = c[np.ix_(pair, pair)]
-            corr[0, d] = q[0, 1] * q[2, 3] - q[0, 2] * q[1, 3] + q[0, 3] * q[1, 2]
-            corr[1, d] = det(c[0 : 2 * d : 2, 3 : 2 * d + 2 : 2])
-            corr[2, d] = det(-c[1 : 2 * d : 2, 2 : 2 * d + 1 : 2])
+            corr[1, d] = det(y_table[:d, :d])
+            corr[2, d] = det(z_table[:d, :d])
     except LinAlgError as exc:
         raise ConvergenceError(f"Gaussian ground state failed: {exc}") from exc
-    return -float(c[0, 1]), corr
+    return -float(g[half]), corr

@@ -96,6 +96,29 @@ def free_fermion_spectrum(n, lam, dps=40):
         return np.sort(np.array([float(x) for x in levels]))
 
 
+def majorana_covariance(n, lam, sign):
+    """Ground-state Majorana covariance of the chain's flip sector ``sign``
+    by one dense eigh: the real antisymmetric c with <g_p g_q> = i c[p, q],
+    p != q, over g = (a_1, b_1, ..., a_N, b_N).
+
+    Under Jordan-Wigner the sector Hamiltonian is H = (i/4) g^T A g with
+    sigma_x(l) = i a_l b_l and sigma_z(l) sigma_z(l+1) = i b_l a_(l+1);
+    the wrap bond carries -sign.  The Hermitian iA has eigenvalues +-mu in
+    pairs, the ground state fills the N modes of negative mu, and with Q
+    the projector onto them <g_p g_q> = 2 Q[q, p], so c = -2 Im Q.
+    """
+    a = np.zeros((2 * n, 2 * n))
+    for l in range(n):
+        a[2 * l, 2 * l + 1] = 2.0 * lam
+        if l + 1 < n:
+            a[2 * l + 1, 2 * l + 2] = -2.0
+    a[2 * n - 1, 0] = 2.0 * sign
+    mu, vecs = np.linalg.eigh(1j * (a - a.T))
+    assert np.count_nonzero(mu < 0.0) == n
+    filled = vecs[:, :n]
+    return -2.0 * (filled @ filled.conj().T).imag
+
+
 def dense_vcm(amps):
     """Connected pair-correlation matrix by explicit operator products."""
     n = int(round(np.log2(amps.size)))

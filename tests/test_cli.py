@@ -49,6 +49,27 @@ def test_version_and_usage_exit_codes():
     assert main([]) == 1
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a usage error, --version and
+    # the commands before leave nothing behind in it
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["scan-e1", "--bogus"]) == 1
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    runs = [
+        (["e2", "--n-min", "6", "--n-max", "6", "--lambda", "0.7"],
+         "e2 --n-min 6 --n-max 6 --lambda 0.7"),
+        (["pz", "--n", "6"], "pz --n 6 --lambda 0.5 --state ground"),
+        (["scan-e1", "--n-min", "6", "--n-max", "7", "--lambdas", "0.5"],
+         "scan-e1 --n-min 6 --n-max 7 --lambdas 0.5"),
+        (["stabilizer", "--n-max", "4"], "stabilizer --n-min 3 --n-max 4"),
+    ]
+    for i, (argv, line) in enumerate(runs):
+        code, out = run(tmp_path, f"{i}.csv", *argv)
+        assert code == 0, argv
+        assert f"# command: {line}" in parse_csv(out)[0]
+
+
 def test_scan_e1_output(tmp_path, solve_cache):
     code, out = run(
         tmp_path, "scan.csv", "scan-e1", "--n-min", "6", "--n-max", "8",
@@ -386,6 +407,26 @@ def test_field_beyond_the_rounding_floor_exit_code(tmp_path, monkeypatch, args, 
     monkeypatch.setattr(es._SectorOperator, "matvec", forbidden)
     code, _ = run(tmp_path, "big.csv", *args, "--lambda", "1e7")
     assert code == want
+
+
+@pytest.mark.parametrize("lam", ["8e4", "-8e4"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["superpose", "--n-min", "13", "--n-max", "13"],
+        ["pz", "--n", "13", "--state", "ground"],
+        ["pz", "--n", "13", "--state", "excited"],
+        ["pz", "--n", "13", "--state", "superposed"],
+        ["e2", "--n-min", "13", "--n-max", "13"],
+        ["gap", "--n-min", "13", "--n-max", "13"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_field_just_below_the_rounding_floor_exit_code(tmp_path, args, lam):
+    # the floor 4 eps N (1 + |lam|) is 9.2e-10 here; a BLAS-dot quotient
+    # left the ground vector's residual at 1.25e-9, the pairwise sum at 6.7e-10
+    code, _ = run(tmp_path, "near.csv", *args, "--lambda", lam)
+    assert code == 0
 
 
 def test_rvb_rejects_odd_ring(tmp_path):

@@ -9,16 +9,35 @@ from z2memory.cli import main
 FIELDS = (0.0, 1e-8, -1e-8, 0.3, 1.0, 1.5, -0.7, 1e3)
 
 
+def _covariance_from_pairs(n, lam):
+    """The full 2N x 2N c over (a_1, b_1, ..., a_N, b_N) from g at every
+    r in (-N, N): c[a_l, b_l'] = g(l' - l), c[b_l', a_l] = -g(l' - l)."""
+    g = mj._ground_covariance(n, lam, np.arange(-(n - 1), n))
+    l = np.arange(n)
+    c = np.zeros((2 * n, 2 * n))
+    c[0::2, 1::2] = g[l[None, :] - l[:, None] + n - 1]
+    return c - c.T
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_covariance_is_a_pure_gaussian_state(n):
-    # c is real antisymmetric with c @ c = -1, a pure state, and a real
-    # Hamiltonian leaves no <a a> or <b b> term
+    # c is real antisymmetric with c @ c = -1, a pure state, and holds no
+    # <a a> or <b b> term by construction
     for lam in FIELDS:
-        c = mj._ground_covariance(n, lam)
-        assert np.abs(c + c.T).max() < 1e-15
+        c = _covariance_from_pairs(n, lam)
         assert np.abs(c @ c + np.eye(2 * n)).max() < 1e-13, lam
-        assert np.abs(c[0::2, 0::2]).max() < 1e-15
-        assert np.abs(c[1::2, 1::2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_pair_function_matches_the_coupling_matrix_eigh(n):
+    # independent route: the projector onto the negative modes of the
+    # 2N x 2N coupling matrix of the ground state's sector, whose real
+    # Hamiltonian leaves no <a a> or <b b> term either
+    for lam in FIELDS:
+        want = oracles.majorana_covariance(n, lam, mj.ground_parity(n, lam))
+        assert np.abs(want[0::2, 0::2]).max() < 1e-13, lam
+        assert np.abs(want[1::2, 1::2]).max() < 1e-13, lam
+        assert np.abs(_covariance_from_pairs(n, lam) - want).max() < 1e-13, lam
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -48,28 +67,26 @@ def test_energy_mismatch_is_a_contract_error(monkeypatch):
 
 @pytest.mark.parametrize("n, lam", [(8, 0.5), (7, 0.5), (7, -1.5), (12, 1.0)])
 def test_wrong_parity_covariance_is_a_contract_error(monkeypatch, n, lam):
-    # the other sector's couplings fill the periodic modes, whose sum misses
-    # the ground energy; at |lam| = 1 their k=0 mode is a zero mode of iA
+    # the other sector's modes sum to its own energy, which misses the
+    # ground energy; at |lam| = 1 one of them is a zero mode
     parity = mj.ground_parity
     monkeypatch.setattr(mj, "ground_parity", lambda n, lam: -parity(n, lam))
-    with pytest.raises(ContractError, match="closed-form energy|negative eigenvalues"):
+    with pytest.raises(ContractError, match="closed-form energy|zero mode"):
         mj.ground_correlations(n, lam)
 
 
-def test_negative_mode_count_is_a_contract_error(monkeypatch):
-    eigh = mj.eigh
-
-    def one_flipped(mat):
-        mu, vecs = eigh(mat)
-        mu[mu.size // 2] *= -1.0
-        return mu, vecs
-
-    monkeypatch.setattr(mj, "eigh", one_flipped)
-    with pytest.raises(ContractError, match="negative eigenvalues"):
-        mj.ground_correlations(8, 0.5)
+@pytest.mark.parametrize("n, lam", [(12, 1.0), (7, 1.0), (8, -1.0), (7, -1.0)])
+def test_zero_mode_is_a_contract_error(monkeypatch, n, lam):
+    # lam + e^(ik) = 0 at k = pi for lam = 1 and at k = 0 for lam = -1;
+    # only the sector that ground_parity does not name holds that momentum
+    mj.ground_correlations(n, lam)
+    parity = mj.ground_parity
+    monkeypatch.setattr(mj, "ground_parity", lambda n, lam: -parity(n, lam))
+    with pytest.raises(ContractError, match="zero mode"):
+        mj.ground_correlations(n, lam)
 
 
-@pytest.mark.parametrize("name", ["eigh", "det"])
+@pytest.mark.parametrize("name", ["det"])
 def test_lapack_failure_is_a_convergence_error(monkeypatch, tmp_path, name):
     def failing(mat):
         raise np.linalg.LinAlgError("did not converge")
