@@ -106,7 +106,7 @@ def _ground_covariance(n_sites: int, lam: float, offsets: np.ndarray) -> np.ndar
         raise ContractError(
             f"sector {sign:+.0f} has a zero mode at lambda={lam!r}"
         )
-    rows = np.concatenate(([-1, 0], np.asarray(offsets, dtype=np.int64)))
+    rows = np.concatenate(([-1, 0], offsets))
     cos_kr, sin_kr = _unit_phases(n_sites, np.outer(rows, j))
     g = (cos_kr @ (real / size) - sin_kr @ (sin_k / size)) / n_sites
     energy = -n_sites * float(g[0] + lam * g[1])
@@ -137,8 +137,7 @@ def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     half = n_sites // 2
     g = _ground_covariance(n_sites, lam, np.arange(-half, half + 1))
     corr = np.ones((3, half + 1))
-    d = np.arange(1, half + 1)
-    corr[0, 1:] = g[half] ** 2 - g[half + d] * g[half - d]
+    corr[0, 1:] = g[half] ** 2 - g[half + 1 :] * g[half - 1 :: -1]  # d = 1..N/2
     i = np.arange(half)
     shift = i[None, :] - i[:, None]  # j - i
     y_table = g[half + 1 + shift]
