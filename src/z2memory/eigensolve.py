@@ -23,26 +23,28 @@ vector, which a gather lifts back to 2^N, and its Rayleigh quotient must
 then meet the closed form.  The block's matrix elements follow Sandvik,
 arXiv:1101.3281.  Ground state and doublet alike load no scipy.
 
-Thermal scans need every level, and take them from the blocks of momentum
-k and flip parity s: one state per orbit of rotations and complement whose
-stabilizer the block's character leaves at 1, about 2^N/(2N) states per
-block and one eigh each for k = 0..N/2, the rest by complex conjugation.
-Both orbit tables come from one pass over their group that keeps the
-running minimum image of every string.
+Full spectra and thermal scans take every level from the blocks of
+momentum k and flip parity s: one state per orbit of rotations and
+complement whose stabilizer the block's character leaves at 1, about
+2^N/(2N) states per block and one eigh each for k = 0..N/2, the rest by
+complex conjugation; a full spectrum lifts each block eigenvector back to
+2^N.  Both orbit tables come from one pass over their group that keeps
+the running minimum image of every string, and every block, symmetric or
+momentum, sums its transverse-field entries by one scatter.
 
 The gap alone still comes from the Lanczos route it was recorded with:
 one vector per flip sector by Lanczos on the half-space, fully
 reorthogonalized by block classical Gram-Schmidt applied twice, which is
 as accurate as the modified form (Giraud, Langou and Rozloznik, Comput.
-Math. Appl. 50, 1069 (2005)).  One flip table states the sector rule: the
-Lanczos matvec runs it as a CSR matrix, and the dense sector matrices of
-full spectra read their off-diagonal from it.  scipy is loaded only by that
-Krylov solver, so only by gap scans.
+Math. Appl. 50, 1069 (2005)).  The Lanczos matvec runs the sector rule as
+a CSR flip table.  scipy is loaded only by that Krylov solver, so only by
+gap scans.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +55,7 @@ from .errors import CapabilityError, ContractError, ConvergenceError, DomainErro
 from .majorana import (
     CLOSED_FORM_C,
     free_fermion_ground_energy,
+    _unit_phases,
     free_fermion_partner_energy,
     ground_parity,
 )
@@ -221,17 +224,30 @@ def _sector_ground(h: TfimHamiltonian, sign: float) -> tuple[np.ndarray, int]:
     return _embed(_lanczos_smallest(op, rng), sign), op.count
 
 
-class _SymmetricBlock(NamedTuple):
-    """The zero-momentum, reflection-even block of one flip sector.
+def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """The array of ``shape`` whose flat entry m sums the values at index m
+    in their order, as np.add.at would: one bincount, or one per part for
+    complex values."""
+    size = math.prod(shape)
+    if not np.iscomplexobj(values):
+        return np.bincount(index, values, size).reshape(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = np.bincount(index, values.real, size).reshape(shape)
+    out.imag = np.bincount(index, values.imag, size).reshape(shape)
+    return out
 
-    ``reps`` are the orbit representatives (smallest string of each orbit)
-    that span the block.  Basis string b lifts from block entry ``col[b]``
-    with weight ``coef[b]``: the orbit sign over sqrt(orbit size), 0 on
-    orbits that the block excludes.  The block of sum_l sigma_x(l) is kept
-    as its _field_entries, flat indices ``field_index`` and values
-    ``field_values``, and made dense by ``field()``: a dense copy for both
-    signs at every N would hold megabytes.  H restricted to the block is
-    diag(H_diag[reps]) + lam * field().
+
+class _Block(NamedTuple):
+    """A symmetry block: the states |i> = sum_b coef[b] |b>, one per orbit
+    representative reps[i] (the smallest string of its orbit).
+
+    Basis string b lifts from block entry ``col[b]`` with weight
+    ``coef[b]``, 0 on orbits that the block excludes.  The block of
+    sum_l sigma_x(l) is kept as its entries (_block), flat indices
+    ``field_index`` and values ``field_values``, and made dense by
+    ``field()``: a dense copy for every block at every N would hold
+    megabytes.  H restricted to the block is diag(H_diag[reps]) +
+    lam * field().
     """
 
     reps: np.ndarray
@@ -241,12 +257,10 @@ class _SymmetricBlock(NamedTuple):
     field_values: np.ndarray
 
     def field(self) -> np.ndarray:
-        """The dense block of sum_l sigma_x(l), its entries summed in the
-        order np.add.at sums them in _field_block, so bit for bit the
-        same."""
+        """The dense block of sum_l sigma_x(l), its entries summed in order
+        by _scatter."""
         dim = self.reps.size
-        flat = np.bincount(self.field_index, self.field_values, minlength=dim * dim)
-        return flat.reshape(dim, dim)
+        return _scatter(self.field_index, self.field_values, (dim, dim))
 
 
 class _Orbits(NamedTuple):
@@ -314,33 +328,24 @@ def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
     return (chars @ orbits.fixed.astype(float)).real > 0.5
 
 
-def _field_entries(
+def _block(
     n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block of sum_l sigma_x(l) on the states |i> = sum_b coef[b] |b>,
-    one per representative reps[i], where string b belongs to state col[b]
-    and coef vanishes off the block, as rows, columns and values of shape
-    (len(reps), N) whose sum is F: F[j, i] = sqrt(size[i])
-    sum_k conj(coef[r_i ^ 2^k]) [col(r_i ^ 2^k) = j] (Sandvik,
-    arXiv:1101.3281)."""
+) -> _Block:
+    """The _Block of ``reps``, ``col`` and ``coef``, whose orbits have
+    ``size`` strings.  Its field entries, one per representative and flip,
+    sum to F[j, i] = sqrt(size[i]) sum_k conj(coef[r_i ^ 2^k])
+    [col(r_i ^ 2^k) = j] (Sandvik, arXiv:1101.3281), at flat index
+    j len(reps) + i."""
     targets = reps[:, None] ^ (1 << np.arange(n_sites))
-    columns = np.broadcast_to(np.arange(reps.size)[:, None], targets.shape)
-    return col[targets], columns, np.sqrt(size)[:, None] * coef[targets].conj()
-
-
-def _field_block(
-    n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
-) -> np.ndarray:
-    """The dense block of sum_l sigma_x(l) from its _field_entries."""
-    rows, columns, values = _field_entries(n_sites, reps, col, coef, size)
-    flips = np.zeros((reps.size, reps.size), dtype=coef.dtype)
-    np.add.at(flips, (rows, columns), values)
-    return flips
+    index = col[targets] * reps.size + np.arange(reps.size)[:, None]
+    values = np.sqrt(size)[:, None] * coef[targets].conj()
+    return _Block(reps, col, coef, index.ravel(), values.ravel())
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
-    """The orbit table of the 4N-element group of rotations, reflection and
+def _symmetric_block(n_sites: int, sign: float) -> _Block:
+    """The zero-momentum, reflection-even block of flip sector ``sign``:
+    the orbit table of the 4N-element group of rotations, reflection and
     complement, the complement with character ``sign``, and the entries of
     the transverse field on it, built once per (N, sign).
 
@@ -358,9 +363,7 @@ def _symmetric_block(n_sites: int, sign: float) -> _SymmetricBlock:
     size = np.bincount(col[keep], minlength=reps.size)
     signs = np.where(complement[orbits.elem] == 1, sign, 1.0)
     coef = np.where(keep, signs / np.sqrt(size[col]), 0.0)
-    rows, columns, values = _field_entries(n_sites, reps, col, coef, size)
-    index = (rows * reps.size + columns).ravel()
-    block = _SymmetricBlock(reps, col, coef, index, values.ravel())
+    block = _block(n_sites, reps, col, coef, size)
     for arr in block:
         arr.flags.writeable = False
     return block
@@ -502,18 +505,15 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     runs and ``matvecs`` is 0.  Each Rayleigh quotient must lie within
     CLOSED_FORM_C eps N (1 + |lam|) of its closed form, else ContractError:
     the iteration found the sector ground state and not another block
-    level.  For k=2, a field whose rounding floor reaches RESIDUAL_BOUND
-    raises ConvergenceError before any solve (_rounding_floor).
+    level.  A field whose rounding floor reaches RESIDUAL_BOUND raises
+    ConvergenceError before any solve (_rounding_floor).
     """
     if k not in (1, 2):
         raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
 
+    _rounding_floor(h)
     ground_sign = ground_parity(h.n_sites, h.lam)
-    if k == 2:
-        _rounding_floor(h)
-        signs = (1.0, -1.0)
-    else:
-        signs = (ground_sign,)
+    signs = (1.0, -1.0) if k == 2 else (ground_sign,)
     bound = CLOSED_FORM_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
     found = []
     for sign in signs:
@@ -538,9 +538,10 @@ def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
     Each sector is solved to a residual below LANCZOS_TOL, or the rounding
     floor of a matvec at large fields, and ``matvecs`` counts the sector
     matvecs.  Delete it, with _sector_ground, _lanczos_smallest,
-    _SectorOperator and _lowest_ritz_vector, once the benchmark reference
-    no longer records Lanczos rounding in its N=14 gap rows and the gap
-    moves to the symmetric blocks (ROADMAP.md, open items 3 and 4).
+    _SectorOperator, _lowest_ritz_vector, _flip_table and _embed, once the
+    benchmark reference no longer records Lanczos rounding in its N=14 gap
+    rows and the gap moves to the symmetric blocks (ROADMAP.md, open items
+    1 and 2).
     """
     found, matvecs = [], 0
     for sign in (1.0, -1.0):
@@ -562,8 +563,9 @@ def _check_traceless(vals: np.ndarray) -> None:
 class FullSpectrum:
     """Complete eigendecomposition of the chain Hamiltonian.
 
-    ``basis`` is real orthogonal with eigenvector j in column j (the
-    Hamiltonian is real symmetric in the z basis).
+    ``basis`` is complex unitary with eigenvector j in column j.  Each
+    column is the lift of one eigenvector of a block of momentum k and flip
+    parity s (_momentum_spectra), so it has definite momentum and parity.
     """
 
     n_sites: int
@@ -577,7 +579,7 @@ class FullSpectrum:
         if np.any(np.diff(vals) < 0):
             raise ContractError("eigenvalues must be sorted ascending")
         _check_traceless(vals)
-        basis = np.array(self.basis, dtype=np.float64, copy=True)
+        basis = np.array(self.basis, dtype=np.complex128, copy=True)
         if basis.shape != (vals.size, vals.size):
             raise ContractError("eigenvector basis has the wrong shape")
         vals.flags.writeable = False
@@ -597,50 +599,6 @@ def _check_eigensystem(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
     drift = float(np.abs(vecs.conj().T @ vecs - np.eye(vals.size)).max())
     if drift > ORTHONORMALITY_TOL:
         raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
-
-
-def _sector_matrix(h: TfimHamiltonian, sign: float) -> np.ndarray:
-    """Dense H on one flip-parity sector, in the basis _embed lifts, with
-    its off-diagonal read from the flip table."""
-    cols, vals = _flip_table(h.n_sites, sign)
-    mat = np.diag(h._diag[: h.dim // 2])
-    mat[np.arange(cols.shape[0])[:, None], cols] += h.lam * vals
-    return mat
-
-
-def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
-    """Dense eigendecomposition up to FULL_SPECTRUM_MAX_SITES: one eigh per
-    flip sector, its eigenvectors lifted by _embed's rule, so every column
-    has definite parity u . u[::-1] = +-1, and merged in ascending order.
-    Every residual ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND and each
-    sector basis is orthonormal within ORTHONORMALITY_TOL, else
-    ContractError: any state diagonal in this basis then commutes with H up
-    to twice the worst residual.  FullSpectrum checks that the 2^N
-    energies sum to 0.
-    """
-    if h.n_sites > FULL_SPECTRUM_MAX_SITES:
-        raise CapabilityError(
-            f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
-        )
-    energies, columns = [], []
-    for sign in (1.0, -1.0):
-        mat = _sector_matrix(h, sign)
-        vals, vecs = eigh(mat)
-        _check_eigensystem(mat, vals, vecs)
-        energies.append(vals)
-        columns.append(_embed(vecs, sign))
-    vals = np.concatenate(energies)
-    order = np.argsort(vals, kind="stable")
-    basis = np.concatenate(columns, axis=1)[:, order]
-    return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
-
-
-def _roots(n_sites: int) -> np.ndarray:
-    """e^(-2 pi i m/N) for m = 0..N-1, with root N-m the exact conjugate of
-    root m, so the amplitudes of momenta k and -k are exact conjugates."""
-    m = np.arange(n_sites)
-    angle = 2.0 * np.pi * np.minimum(m, n_sites - m) / n_sites
-    return np.cos(angle) - 1j * np.sign(n_sites - 2 * m) * np.sin(angle)
 
 
 class _MomentumTable(NamedTuple):
@@ -669,12 +627,15 @@ def _momentum_table(n_sites: int) -> _MomentumTable:
     element that maps it there.  Its amplitude in block (k, s) is
     e^(-2 pi i k r_b/N) s^c_b / sqrt(orbit size), which is well defined, and
     nonzero, only where the block's character e^(2 pi i k r/N) s^c is 1 on
-    the orbit's stabilizer.
+    the orbit's stabilizer.  The roots e^(-2 pi i m/N) are reduced in
+    integers (_unit_phases), so root N-m is the exact conjugate of root m
+    and the amplitudes of momenta k and -k are exact conjugates.
     """
     orbits = _orbits(n_sites, reflect=False)
     shifts = np.array([r for r, _, _ in orbits.group])
     flips = np.array([c for _, _, c in orbits.group])
-    roots = _roots(n_sites)
+    cos, sin = _unit_phases(n_sites, 2 * np.arange(n_sites))
+    roots = cos - 1j * sin
     signs = np.array([1.0, -1.0])[:, None, None]
     k = np.arange(n_sites)[:, None]
     chars = roots[k * shifts % n_sites].conj() * signs**flips
@@ -706,12 +667,25 @@ class _MomentumSpectra(NamedTuple):
     vectors: np.ndarray
 
 
+def _momentum_block(n_sites: int, i: int, k: int) -> _Block:
+    """The block of momentum k and flip parity s, i = 0 for s = +1 and 1
+    for s = -1: one state per orbit of _momentum_table that it allows.
+    Strings of the other orbits take column 0 and weight 0."""
+    table = _momentum_table(n_sites)
+    keep = table.allowed[i, k]
+    col = np.where(keep[table.orbit], (np.cumsum(keep) - 1)[table.orbit], 0)
+    return _block(
+        n_sites, table.reps[keep], col, table.amplitudes[i, k], table.size[keep]
+    )
+
+
 def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     """The eigensystems of every block of momentum k and flip parity s.
 
-    Each block is H = diag(bonds) + lam F on its orbit states, complex
-    Hermitian, and takes one eigh.  H is real, so block -k is the complex
-    conjugate of block k: only k = 0..N//2 are diagonalized.  Every residual
+    Each block is H = diag(bonds) + lam F on its orbit states
+    (_momentum_block), complex Hermitian, and takes one eigh.  H is real,
+    so block -k is the complex conjugate of block k: only k = 0..N//2 are
+    diagonalized.  Every residual
     ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND, each basis is
     orthonormal within ORTHONORMALITY_TOL and the 2^N energies sum to 0,
     else ContractError: any state diagonal in these bases then commutes
@@ -725,21 +699,49 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     vectors = np.zeros((2, n, table.reps.size, width), dtype=np.complex128)
     for i in range(2):
         for k in range(n // 2 + 1):
-            keep = table.allowed[i, k]
-            reps = table.reps[keep]
-            col = (np.cumsum(keep) - 1)[table.orbit]
-            amps = table.amplitudes[i, k]
-            mat = h.lam * _field_block(n, reps, col, amps, table.size[keep])
-            mat[np.diag_indices_from(mat)] += h._diag[reps]
+            block = _momentum_block(n, i, k)
+            dim = block.reps.size
+            mat = block.field()
+            mat *= h.lam
+            mat[np.diag_indices_from(mat)] += h._diag[block.reps]
             vals, vecs = eigh(mat)
             _check_eigensystem(mat, vals, vecs)
-            energies[i, k, : reps.size] = vals
-            vectors[i, k, keep, : reps.size] = vecs
+            energies[i, k, :dim] = vals
+            vectors[i, k, table.allowed[i, k], :dim] = vecs
             if 0 < k < n - k:
                 energies[i, n - k] = energies[i, k]
                 vectors[i, n - k] = vectors[i, k].conj()
     _check_traceless(energies[np.arange(width) < dims[..., None]])
     return _MomentumSpectra(dims, energies, vectors)
+
+
+def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
+    """Dense eigendecomposition up to FULL_SPECTRUM_MAX_SITES, lifted from
+    the blocks of momentum k and flip parity s: block eigenvector v becomes
+    sum_b amplitudes[b] v[orbit of b] |b>, and the columns are merged in
+    ascending order.  The lift is an isometry that H maps onto itself, so
+    the checks of _momentum_spectra carry over: every residual
+    ||H v_i - E_i v_i|| below RESIDUAL_BOUND and each block basis
+    orthonormal within ORTHONORMALITY_TOL, else ContractError, and any
+    state diagonal in this basis then commutes with H up to twice the worst
+    residual.  The basis holds 4^N entries, hence the cap.
+    """
+    if h.n_sites > FULL_SPECTRUM_MAX_SITES:
+        raise CapabilityError(
+            f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
+        )
+    table = _momentum_table(h.n_sites)
+    blocks = _momentum_spectra(h)
+    energies, columns = [], []
+    for i, k in np.ndindex(blocks.dims.shape):
+        dim = blocks.dims[i, k]
+        energies.append(blocks.energies[i, k, :dim])
+        lifted = blocks.vectors[i, k][table.orbit, :dim]
+        columns.append(table.amplitudes[i, k][:, None] * lifted)
+    vals = np.concatenate(energies)
+    order = np.argsort(vals, kind="stable")
+    basis = np.concatenate(columns, axis=1)[:, order]
+    return FullSpectrum(n_sites=h.n_sites, eigenvalues=vals[order], basis=basis)
 
 
 def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:

@@ -74,8 +74,8 @@ def free_fermion_partner_energy(n_sites: int, lam: float) -> float:
 def _unit_phases(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of pi j/N for integer j, reduced in integers: j is taken
     mod 2N and folded onto [0, N], and the sine takes its sign from the
-    fold, as in eigensolve._roots.  So angle 0 and pi give an exact 0 sine,
-    and j and -j give exact conjugates."""
+    fold.  So angle 0 and pi give an exact 0 sine, and j and -j give exact
+    conjugates."""
     j = j % (2 * n_sites)
     angle = np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
     return np.cos(angle), np.sign(n_sites - j) * np.sin(angle)

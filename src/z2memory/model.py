@@ -100,13 +100,15 @@ class TfimHamiltonian:
         return 1 << self.n_sites
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """H acting on a raw amplitude array of length 2^N."""
+        """H acting on the leading 2^N basis index of a raw amplitude
+        array: a state vector, or every column of a matrix at once."""
         n = self.n_sites
-        out = self._diag * amps
+        out = self._diag.reshape(-1, *(1,) * (amps.ndim - 1)) * amps
         if self.lam != 0.0:
+            rest = amps.size >> n
             flips = np.zeros_like(amps)
             for k in range(n):
-                shaped = amps.reshape(1 << (n - 1 - k), 2, 1 << k)
+                shaped = amps.reshape(1 << (n - 1 - k), 2, rest << k)
                 flips += shaped[:, ::-1, :].reshape(amps.shape)
             out += self.lam * flips
         return out

@@ -34,6 +34,7 @@ from .eigensolve import (
     _momentum_spectra,
     _MomentumSpectra,
     _momentum_table,
+    _scatter,
     full_spectrum,
 )
 from .macroscopicity import CorrelationKind, CorrelationMatrix
@@ -86,7 +87,7 @@ class GibbsState:
         weights, eigenbasis = np.linalg.eigh(mat)
         if weights[0] < EIGENVALUE_FLOOR:
             raise ContractError(f"rho has negative eigenvalue {weights[0]:.3e}")
-        h_rho = _left_apply(build_tfim(self.n_sites, self.lam), mat)
+        h_rho = build_tfim(self.n_sites, self.lam).apply(mat)
         # rho H = (H rho)^dagger for Hermitian factors
         commute = float(np.abs(h_rho - h_rho.conj().T).max())
         if commute > COMMUTE_TOL:
@@ -102,16 +103,8 @@ class GibbsState:
 
     def energy(self) -> float:
         """Tr(rho H) for the Hamiltonian this state was built against."""
-        h_rho = _left_apply(build_tfim(self.n_sites, self.lam), self.rho)
+        h_rho = build_tfim(self.n_sites, self.lam).apply(self.rho)
         return float(np.trace(h_rho).real)
-
-
-def _left_apply(h: TfimHamiltonian, mat: np.ndarray) -> np.ndarray:
-    """H @ mat, column by column through the matrix-free Hamiltonian."""
-    out = np.empty_like(mat)
-    for j in range(mat.shape[1]):
-        out[:, j] = h.apply(mat[:, j])
-    return out
 
 
 def _check_temperature(kT: float) -> float:
@@ -197,15 +190,6 @@ def _pair_classes(n: int, cross: bool) -> list[tuple[int, np.ndarray, np.ndarray
     ]
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
-    """The complex array of ``shape`` whose flat entry m sums the values at
-    index m."""
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = np.bincount(index, values.real, out.size).reshape(shape)
-    out.imag = np.bincount(index, values.imag, out.size).reshape(shape)
-    return out
-
-
 def _squared_moduli(left: np.ndarray, f: np.ndarray, right: np.ndarray) -> np.ndarray:
     """|A_ij|^2 for every A = left[t]^T f[t] right."""
     a = left.transpose(0, 2, 1) @ (f.reshape(-1, f.shape[-1]) @ right).reshape(
@@ -287,10 +271,8 @@ def gibbs_from_spectrum(spectrum: FullSpectrum, lam: float, kT: float) -> GibbsS
     """Thermal state assembled from a precomputed eigendecomposition."""
     kT = _check_temperature(kT)
     weights = _boltzmann_weights(spectrum.eigenvalues, kT)
-    rho = (spectrum.basis * weights) @ spectrum.basis.T
-    return GibbsState(
-        n_sites=spectrum.n_sites, lam=lam, kT=kT, rho=rho.astype(np.complex128)
-    )
+    rho = (spectrum.basis * weights) @ spectrum.basis.conj().T
+    return GibbsState(n_sites=spectrum.n_sites, lam=lam, kT=kT, rho=rho)
 
 
 def gibbs_state(h: TfimHamiltonian, kT: float) -> GibbsState:

@@ -391,16 +391,15 @@ def test_gap_converges_at_a_large_field(tmp_path):
         (["superpose", "--n-min", "8", "--n-max", "8"], 2),
         (["pz", "--n", "8", "--state", "superposed"], 2),
         (["pz", "--n", "8", "--state", "excited"], 2),
-        # the ground state keeps its own route, whose residual breaks the
-        # EigenPairs bound
-        (["pz", "--n", "8", "--state", "ground"], 1),
+        (["pz", "--n", "8", "--state", "ground"], 2),
+        (["e2", "--n-min", "8", "--n-max", "8"], 2),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
 )
 def test_field_beyond_the_rounding_floor_exit_code(tmp_path, monkeypatch, args, want):
     # at lam=1e7 the rounding floor 4 eps N (1 + |lam|) exceeds the 1e-9
-    # residual bound: the doublet routes give up before their first
-    # Lanczos matvec
+    # residual bound: the ground-state and doublet routes give up before
+    # their first solve, and the gap before its first Lanczos matvec
     def forbidden(*args):
         raise AssertionError("Lanczos ran past the rounding floor")
 

@@ -157,15 +157,35 @@ def test_symmetric_block_spectrum_lies_in_the_dense_spectrum(n):
                 assert np.abs(levels - value).min() < 1e-12
 
 
+def _add_at_field(n, block, size):
+    # the dense field block by np.add.at, entry by entry from the block's
+    # states: F[col(r_i ^ 2^k), i] += sqrt(size[i]) conj(coef[r_i ^ 2^k])
+    targets = block.reps[:, None] ^ (1 << np.arange(n))
+    columns = np.arange(block.reps.size)[:, None]
+    values = np.sqrt(size)[:, None] * block.coef[targets].conj()
+    flips = np.zeros((block.reps.size,) * 2, dtype=block.coef.dtype)
+    np.add.at(flips, (block.col[targets], columns), values)
+    return flips
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_block_field_is_the_scatter_bit_for_bit(n):
-    # the cached entries, summed by bincount, against np.add.at over the
-    # same entries, the build that the momentum blocks keep
+    # the cached entries, summed by bincount (two for complex values),
+    # against np.add.at: the symmetric blocks of both signs and every
+    # momentum block k <= N/2 of both flip parities
     for sign in (1.0, -1.0):
         block = es._symmetric_block(n, sign)
         size = np.bincount(block.col[block.coef != 0], minlength=block.reps.size)
-        want = es._field_block(n, block.reps, block.col, block.coef, size)
-        assert np.array_equal(block.field(), want)
+        assert np.array_equal(block.field(), _add_at_field(n, block, size))
+    table = es._momentum_table(n)
+    for i in range(2):
+        for k in range(n // 2 + 1):
+            block = es._momentum_block(n, i, k)
+            size = table.size[table.allowed[i, k]]
+            want = _add_at_field(n, block, size)
+            got = block.field()
+            assert np.array_equal(got.real, want.real), (i, k)
+            assert np.array_equal(got.imag, want.imag), (i, k)
 
 
 def test_symmetric_block_dimensions():
@@ -324,9 +344,9 @@ def test_repeat_runs_are_deterministic():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_sector_operator_matches_sector_matrix_and_full_space(n):
-    # the dense sector matrix, which reads the same flip table, and H
+    # the dense sector matrix, built here from the sector rule, and H
     # applied in the full space to the lifted vector, then projected back
-    # onto the sector, which shares no code with the table
+    # onto the sector: neither shares code with the flip table
     rng = np.random.default_rng(n)
     half = 1 << (n - 1)
     for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
@@ -338,7 +358,12 @@ def test_sector_operator_matches_sector_matrix_and_full_space(n):
             projected = (y[:half] + sign * y[half:][::-1]) / np.sqrt(2.0)
             tol = SECTOR_MATVEC_C * np.finfo(float).eps * n * (1.0 + abs(lam))
             tol *= np.linalg.norm(s)
-            assert np.abs(got - es._sector_matrix(h, sign) @ s).max() < tol
+            b = np.arange(half)
+            mat = np.diag(h._diag[:half])
+            mat[b, half - 1 - b] += sign * lam  # the site-1 flip
+            for k in range(n - 1):
+                mat[b, b ^ (1 << k)] += lam
+            assert np.abs(got - mat @ s).max() < tol
             assert np.abs(got - projected).max() < tol
 
 
@@ -484,7 +509,7 @@ def test_full_spectrum_small_chain():
     rng = np.random.default_rng(17)
     for _ in range(3):
         x = oracles.random_state(rng, 5)
-        rebuilt = solved.basis @ (solved.eigenvalues * (solved.basis.T @ x))
+        rebuilt = solved.basis @ (solved.eigenvalues * (solved.basis.conj().T @ x))
         assert np.linalg.norm(h.apply(x) - rebuilt) < 1e-8
 
 
@@ -499,12 +524,20 @@ def test_full_spectrum_matches_free_fermion_levels(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_full_spectrum_columns_have_flip_parity(n):
+    # each column is a block eigenvector lifted to 2^N: the flip (index
+    # reversal) maps it to +-1 times itself, and a rotation of the ring by
+    # one site to a unit phase times itself
     for lam in (0.0, -0.7, 0.5, 1.5):
         solved = full_spectrum(build_tfim(n, lam))
         u = solved.basis
-        parity = np.einsum("ij,ij->j", u, u[::-1])
-        assert np.abs(np.abs(parity) - 1.0).max() < 1e-12
-        assert np.count_nonzero(parity > 0) == 1 << (n - 1)
+        assert np.abs(u.conj().T @ u - np.eye(1 << n)).max() < 1e-12
+        parity = np.einsum("ij,ij->j", u.conj(), u[::-1])
+        assert np.abs(parity - np.sign(parity.real)).max() < 1e-12
+        assert np.count_nonzero(parity.real > 0) == 1 << (n - 1)
+        rotated = np.moveaxis(u.reshape((2,) * n + (-1,)), 0, n - 1).reshape(u.shape)
+        phase = np.einsum("ij,ij->j", u.conj(), rotated)
+        assert np.abs(np.abs(phase) - 1.0).max() < 1e-12
+        assert np.abs(rotated - phase * u).max() < 1e-12
         want = np.linalg.eigvalsh(oracles.dense_h(n, lam))
         assert np.abs(solved.eigenvalues - want).max() < 1e-12
 

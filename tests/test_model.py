@@ -39,6 +39,12 @@ def test_apply_matches_dense_oracle():
         h = build_tfim(n, lam)
         psi = oracles.random_state(rng, n)
         assert np.abs(h.apply(psi) - dense @ psi).max() < 1e-13
+        # a matrix of columns takes one call, bit for bit the column loop
+        mat = np.column_stack([oracles.random_state(rng, n) for _ in range(5)])
+        loop = np.column_stack([h.apply(col) for col in mat.T])
+        got = h.apply(mat)
+        assert np.array_equal(got.real, loop.real)
+        assert np.array_equal(got.imag, loop.imag)
     # the bond diagonal is a sum of integers, so it must match exactly
     for n in range(3, 11):
         diag = oracles.dense_h(n, 0.0).diagonal().real

@@ -290,18 +290,11 @@ def test_block_dimensions_sum_to_the_space(n):
     assert (dims == np.roll(dims[:, ::-1], 1, axis=1)).all()
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_block_spectra_match_full_spectrum(n):
+    # all 2^N levels against the 40-digit free-fermion oracle: full_spectrum
+    # lifts these same blocks, so it is no independent check
     for lam in (0.0, -0.7, 0.5, 1.5, -1.3):
-        h = build_tfim(n, lam)
-        got = _block_energies(eigensolve._momentum_spectra(h))
-        want = full_spectrum(h).eigenvalues
-        assert np.abs(got - want).max() < 1e-12
-
-
-@pytest.mark.parametrize("n", [11, 12])
-def test_block_spectra_match_free_fermion_levels(n):
-    for lam in (0.5, -1.3):
         got = _block_energies(eigensolve._momentum_spectra(build_tfim(n, lam)))
         want = oracles.free_fermion_spectrum(n, lam)
         assert np.abs(got - want).max() < 1e-12
