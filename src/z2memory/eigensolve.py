@@ -30,7 +30,9 @@ complement whose stabilizer the block's character leaves at 1, about
 complex conjugation; a full spectrum lifts each block eigenvector back to
 2^N.  Both orbit tables come from one pass over their group that keeps
 the running minimum image of every string, and every block, symmetric or
-momentum, sums its transverse-field entries by one scatter.
+momentum, is built by one constructor from its characters on the group
+(_character_block): its states, their lift to 2^N and its
+transverse-field entries, summed by one scatter.
 
 The gap alone still comes from the Lanczos route it was recorded with:
 one vector per flip sector by Lanczos on the half-space, fully
@@ -54,6 +56,7 @@ from numpy.linalg import LinAlgError, eigh, solve
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
     CLOSED_FORM_C,
+    _EPS,
     free_fermion_ground_energy,
     _unit_phases,
     free_fermion_partner_energy,
@@ -70,7 +73,6 @@ FULL_SPECTRUM_MAX_SITES = 10
 SCAN_MAX_SITES = 14
 SHIFT_REL = 1e-12  # inverse-iteration shift below E0, relative to max(1, |E0|)
 SHIFT_STEPS = 2
-_EPS = float(np.finfo(float).eps)
 _BREAKDOWN_EPS = 1e-13
 
 
@@ -243,11 +245,10 @@ class _Block(NamedTuple):
 
     Basis string b lifts from block entry ``col[b]`` with weight
     ``coef[b]``, 0 on orbits that the block excludes.  The block of
-    sum_l sigma_x(l) is kept as its entries (_block), flat indices
-    ``field_index`` and values ``field_values``, and made dense by
+    sum_l sigma_x(l) is kept as its entries (_character_block), flat
+    indices ``field_index`` and values ``field_values``, and made dense by
     ``field()``: a dense copy for every block at every N would hold
-    megabytes.  H restricted to the block is diag(H_diag[reps]) +
-    lam * field().
+    megabytes.
     """
 
     reps: np.ndarray
@@ -262,22 +263,32 @@ class _Block(NamedTuple):
         dim = self.reps.size
         return _scatter(self.field_index, self.field_values, (dim, dim))
 
+    def hamiltonian(self, h: TfimHamiltonian, shift: float = 0.0) -> np.ndarray:
+        """H - shift restricted to the block: lam * field() +
+        diag(H_diag[reps] - shift)."""
+        mat = self.field()
+        mat *= h.lam
+        mat[np.diag_indices_from(mat)] += h._diag[self.reps] - shift
+        return mat
+
 
 class _Orbits(NamedTuple):
     """Orbits of the basis strings under a group of rotations, complement
     and, optionally, reflection.
 
     ``group`` lists the elements (r, m, c): reflect if m, rotate by r
-    places, complement if c, with the identity first.  ``rep[b]`` is the
-    smallest image of string b and ``elem[b]`` the index of the first
-    element that maps b to it.  ``reps`` are the representatives, and
-    ``fixed[g, i]`` says whether element g fixes reps[i].
+    places, complement if c, with the identity first.  String b lies in
+    the orbit of reps[orbit[b]], the smallest image of b, and ``elem[b]``
+    is the index of the first element that maps b to it.  Orbit o has
+    size[o] strings, and ``fixed[g, o]`` says whether element g fixes
+    reps[o].
     """
 
     group: list
-    rep: np.ndarray
+    orbit: np.ndarray
     elem: np.ndarray
     reps: np.ndarray
+    size: np.ndarray
     fixed: np.ndarray
 
 
@@ -300,24 +311,23 @@ def _orbits(n_sites: int, reflect: bool) -> _Orbits:
     group = [
         (r, m, c) for m in range(1 + reflect) for r in range(n_sites) for c in (0, 1)
     ]
-    mask = (1 << n_sites) - 1
     b = np.arange(1 << n_sites, dtype=np.int32)
     rep = b.copy()
     elem = np.zeros(b.size, dtype=np.int8)
     for g, (r, m, c) in enumerate(group):
         if r == c == 0:  # each reflection class starts from its unrotated image
             start = _act(n_sites, (0, m, 0), b)
-        image = ((start << r) | (start >> (n_sites - r))) & mask
-        if c:
-            image ^= mask
+        image = _act(n_sites, (r, 0, c), start)
         lower = image < rep
         np.copyto(rep, image, where=lower)
         np.copyto(elem, g, where=lower)
     reps = np.flatnonzero(rep == b)
+    orbit = np.searchsorted(reps, rep)
+    size = np.bincount(orbit)
     fixed = np.array([_act(n_sites, element, reps) == reps for element in group])
-    for arr in (rep, elem, reps, fixed):
+    for arr in (orbit, elem, reps, size, fixed):
         arr.flags.writeable = False
-    return _Orbits(group, rep, elem, reps, fixed)
+    return _Orbits(group, orbit, elem, reps, size, fixed)
 
 
 def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
@@ -328,45 +338,41 @@ def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
     return (chars @ orbits.fixed.astype(float)).real > 0.5
 
 
-def _block(
-    n_sites: int, reps: np.ndarray, col: np.ndarray, coef: np.ndarray, size: np.ndarray
-) -> _Block:
-    """The _Block of ``reps``, ``col`` and ``coef``, whose orbits have
-    ``size`` strings.  Its field entries, one per representative and flip,
-    sum to F[j, i] = sqrt(size[i]) sum_k conj(coef[r_i ^ 2^k])
-    [col(r_i ^ 2^k) = j] (Sandvik, arXiv:1101.3281), at flat index
-    j len(reps) + i."""
+def _character_block(n_sites: int, orbits: _Orbits, chars: np.ndarray) -> _Block:
+    """The block whose characters on the elements of ``orbits.group`` are
+    ``chars``: one state per orbit that _allowed keeps, in which string b
+    has the amplitude chars[elem[b]] / sqrt(orbit size), the character of
+    the element that maps b to its representative.  Its field entries, one
+    per representative and flip, sum to F[j, i] = sqrt(size[i]) sum_k
+    conj(coef[r_i ^ 2^k]) [col(r_i ^ 2^k) = j] (Sandvik, arXiv:1101.3281),
+    at flat index j len(reps) + i.  Every array is read-only."""
+    keep = _allowed(orbits, chars)
+    reps, size = orbits.reps[keep], orbits.size[keep]
+    kept = keep[orbits.orbit]
+    col = np.where(kept, (np.cumsum(keep) - 1)[orbits.orbit], 0)
+    scale = 1.0 / np.sqrt(orbits.size[orbits.orbit])
+    coef = np.where(kept, chars[orbits.elem] * scale, 0.0)
     targets = reps[:, None] ^ (1 << np.arange(n_sites))
     index = col[targets] * reps.size + np.arange(reps.size)[:, None]
     values = np.sqrt(size)[:, None] * coef[targets].conj()
-    return _Block(reps, col, coef, index.ravel(), values.ravel())
+    block = _Block(reps, col, coef, index.ravel(), values.ravel())
+    for arr in block:
+        arr.flags.writeable = False
+    return block
 
 
 @functools.lru_cache(maxsize=None)
 def _symmetric_block(n_sites: int, sign: float) -> _Block:
-    """The zero-momentum, reflection-even block of flip sector ``sign``:
-    the orbit table of the 4N-element group of rotations, reflection and
-    complement, the complement with character ``sign``, and the entries of
-    the transverse field on it, built once per (N, sign).
-
-    An orbit spans a block state unless an element of character -1 fixes
-    its strings, which needs sign = -1.  On every other orbit, all elements
-    that map b to its representative share one character: the sign of b in
-    the block state.
+    """The zero-momentum, reflection-even block of flip sector ``sign``,
+    built once per (N, sign): the block of the 4N-element group of
+    rotations, reflection and complement whose character is ``sign`` on
+    the elements that complement and 1 on the rest.  An orbit is excluded
+    only where an element of character -1 fixes its strings, which needs
+    sign = -1.
     """
     orbits = _orbits(n_sites, reflect=True)
-    complement = np.array([c for _, _, c in orbits.group])
-    keep_orbit = _allowed(orbits, np.where(complement == 1, sign, 1.0))
-    keep = keep_orbit[np.searchsorted(orbits.reps, orbits.rep)]
-    reps = orbits.reps[keep_orbit]
-    col = np.where(keep, np.searchsorted(reps, orbits.rep), 0)
-    size = np.bincount(col[keep], minlength=reps.size)
-    signs = np.where(complement[orbits.elem] == 1, sign, 1.0)
-    coef = np.where(keep, signs / np.sqrt(size[col]), 0.0)
-    block = _block(n_sites, reps, col, coef, size)
-    for arr in block:
-        arr.flags.writeable = False
-    return block
+    chars = np.array([sign if c else 1.0 for _, _, c in orbits.group])
+    return _character_block(n_sites, orbits, chars)
 
 
 def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
@@ -393,10 +399,7 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     failure of a solve raises ConvergenceError.
     """
     block = _symmetric_block(h.n_sites, sign)
-    mat = block.field()
-    mat *= h.lam
-    sigma = e0 - SHIFT_REL * max(1.0, abs(e0))
-    mat[np.diag_indices_from(mat)] += h._diag[block.reps] - sigma
+    mat = block.hamiltonian(h, e0 - SHIFT_REL * max(1.0, abs(e0)))
     x = np.ones(block.reps.size)
     if h.lam > 0:
         x -= 2.0 * (popcounts(h.n_sites, block.reps) & 1)
@@ -603,33 +606,32 @@ def _check_eigensystem(mat: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
 
 class _MomentumTable(NamedTuple):
     """Orbits of the 2N-element group of rotations and complement, and the
-    states they span in the blocks of momentum k and flip parity s.
+    blocks of momentum k and flip parity s.
 
     String b belongs to the orbit of reps[orbit[b]], which has size[o]
-    strings.  Block (k, s) sits at [i, k], i = 0 for s = +1 and 1 for
-    s = -1: ``allowed[i, k, o]`` says whether orbit o spans one of its
-    states, and ``amplitudes[i, k, b]`` is the amplitude of string b in the
-    state of its orbit.
+    strings.  Block (k, s) sits at [i][k], i = 0 for s = +1 and 1 for
+    s = -1: ``blocks[i][k]`` is its _Block, and ``allowed[i, k, o]`` says
+    whether orbit o spans one of its states.
     """
 
     reps: np.ndarray
     orbit: np.ndarray
     size: np.ndarray
     allowed: np.ndarray
-    amplitudes: np.ndarray
+    blocks: list
 
 
 @functools.lru_cache(maxsize=None)
 def _momentum_table(n_sites: int) -> _MomentumTable:
-    """The orbit table of rotations and complement, built once per N.
+    """The orbit table of rotations and complement and its 2N blocks,
+    built once per N.
 
-    String b is T^r_b C^c_b of its representative, the inverse of the
-    element that maps it there.  Its amplitude in block (k, s) is
-    e^(-2 pi i k r_b/N) s^c_b / sqrt(orbit size), which is well defined, and
-    nonzero, only where the block's character e^(2 pi i k r/N) s^c is 1 on
-    the orbit's stabilizer.  The roots e^(-2 pi i m/N) are reduced in
-    integers (_unit_phases), so root N-m is the exact conjugate of root m
-    and the amplitudes of momenta k and -k are exact conjugates.
+    Block (k, s) has the character e^(2 pi i k r/N) s^c on the element
+    T^r C^c, and string b the character of the element that maps it to
+    its representative over sqrt(orbit size) (_character_block).  The roots
+    e^(-2 pi i m/N) are reduced in integers (_unit_phases), so root N-m is
+    the exact conjugate of root m and the blocks of momenta k and -k have
+    exactly conjugate coefs.
     """
     orbits = _orbits(n_sites, reflect=False)
     shifts = np.array([r for r, _, _ in orbits.group])
@@ -639,18 +641,10 @@ def _momentum_table(n_sites: int) -> _MomentumTable:
     signs = np.array([1.0, -1.0])[:, None, None]
     k = np.arange(n_sites)[:, None]
     chars = roots[k * shifts % n_sites].conj() * signs**flips
+    blocks = [[_character_block(n_sites, orbits, c) for c in row] for row in chars]
     allowed = _allowed(orbits, chars)
-    orbit = np.searchsorted(orbits.reps, orbits.rep)
-    size = np.bincount(orbit)
-    shift = -shifts[orbits.elem] % n_sites
-    scale = signs ** flips[orbits.elem] / np.sqrt(size[orbit])
-    amplitudes = np.where(
-        allowed[:, :, orbit], roots[k * shift % n_sites] * scale, 0.0
-    )
-    table = _MomentumTable(orbits.reps, orbit, size, allowed, amplitudes)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    allowed.flags.writeable = False
+    return _MomentumTable(orbits.reps, orbits.orbit, orbits.size, allowed, blocks)
 
 
 class _MomentumSpectra(NamedTuple):
@@ -667,23 +661,11 @@ class _MomentumSpectra(NamedTuple):
     vectors: np.ndarray
 
 
-def _momentum_block(n_sites: int, i: int, k: int) -> _Block:
-    """The block of momentum k and flip parity s, i = 0 for s = +1 and 1
-    for s = -1: one state per orbit of _momentum_table that it allows.
-    Strings of the other orbits take column 0 and weight 0."""
-    table = _momentum_table(n_sites)
-    keep = table.allowed[i, k]
-    col = np.where(keep[table.orbit], (np.cumsum(keep) - 1)[table.orbit], 0)
-    return _block(
-        n_sites, table.reps[keep], col, table.amplitudes[i, k], table.size[keep]
-    )
-
-
 def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     """The eigensystems of every block of momentum k and flip parity s.
 
     Each block is H = diag(bonds) + lam F on its orbit states
-    (_momentum_block), complex Hermitian, and takes one eigh.  H is real,
+    (_momentum_table), complex Hermitian, and takes one eigh.  H is real,
     so block -k is the complex conjugate of block k: only k = 0..N//2 are
     diagonalized.  Every residual
     ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND, each basis is
@@ -699,11 +681,9 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     vectors = np.zeros((2, n, table.reps.size, width), dtype=np.complex128)
     for i in range(2):
         for k in range(n // 2 + 1):
-            block = _momentum_block(n, i, k)
+            block = table.blocks[i][k]
             dim = block.reps.size
-            mat = block.field()
-            mat *= h.lam
-            mat[np.diag_indices_from(mat)] += h._diag[block.reps]
+            mat = block.hamiltonian(h)
             vals, vecs = eigh(mat)
             _check_eigensystem(mat, vals, vecs)
             energies[i, k, :dim] = vals
@@ -718,7 +698,7 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
 def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
     """Dense eigendecomposition up to FULL_SPECTRUM_MAX_SITES, lifted from
     the blocks of momentum k and flip parity s: block eigenvector v becomes
-    sum_b amplitudes[b] v[orbit of b] |b>, and the columns are merged in
+    sum_b coef[b] v[orbit of b] |b>, and the columns are merged in
     ascending order.  The lift is an isometry that H maps onto itself, so
     the checks of _momentum_spectra carry over: every residual
     ||H v_i - E_i v_i|| below RESIDUAL_BOUND and each block basis
@@ -737,7 +717,7 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
         dim = blocks.dims[i, k]
         energies.append(blocks.energies[i, k, :dim])
         lifted = blocks.vectors[i, k][table.orbit, :dim]
-        columns.append(table.amplitudes[i, k][:, None] * lifted)
+        columns.append(table.blocks[i][k].coef[:, None] * lifted)
     vals = np.concatenate(energies)
     order = np.argsort(vals, kind="stable")
     basis = np.concatenate(columns, axis=1)[:, order]

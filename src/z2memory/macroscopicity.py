@@ -10,7 +10,8 @@ maximizing operator, fits scaling exponents, and histograms total
 z magnetization.
 
 build_vcm takes any pure state as a 2^N vector and forms the Gram matrix
-of all 3N vectors s_a(l)|psi>.  The e1 scan needs no such vector and no
+of all 3N vectors s_a(l)|psi> (_axis_rows, _phased_gram), as thermal's
+W does in an eigenbasis of rho.  The e1 scan needs no such vector and no
 2N x 2N eigh: the ground state is Gaussian in Jordan-Wigner fermions, so
 majorana.ground_correlations gives its pair correlations from one sum
 over the free-fermion momenta per offset and two Toeplitz determinants,
@@ -38,6 +39,7 @@ HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
 DEGENERACY_REL_TOL = 1e-10
 GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~0.2 s at N = 512 on 2 cores
+_ROW_PHASE = np.array([1.0, 1.0j, 1.0])  # s_a(l) = phase_a row_(3(l-1)+a)
 
 
 class CorrelationKind(enum.Enum):
@@ -93,33 +95,40 @@ class CorrelationMatrix:
         return float(self.eigenvalues[1])
 
 
-def _axis_rows(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """The state's amplitudes and the rows sigma_x psi, sigma_x sigma_z psi
-    and sigma_z psi of every site, row 3*(l-1)+a.  A state with zero
-    imaginary part gives real arrays."""
-    n = state.n_sites
-    amps = state.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
-    rows = np.empty((3 * n, state.dim), dtype=amps.dtype)
+def _axis_rows(amps: np.ndarray, n: int) -> np.ndarray:
+    """sigma_x, sigma_x sigma_z = -i sigma_y and sigma_z of every site
+    applied to the leading 2^N basis index of ``amps``, stacked as row
+    3*(l-1)+a: shape (3N, *amps.shape), real whenever ``amps`` is."""
+    rows = np.empty((3 * n, *amps.shape), dtype=amps.dtype)
     for l in range(1, n + 1):
         z = _apply_axis(amps, n, PauliAxis.Z, l)
         rows[3 * (l - 1)] = _apply_axis(amps, n, PauliAxis.X, l)
         rows[3 * (l - 1) + 1] = _apply_axis(z, n, PauliAxis.X, l)
         rows[3 * (l - 1) + 2] = z
-    return amps, rows
+    return rows
+
+
+def _phased_gram(rows: np.ndarray) -> np.ndarray:
+    """The Gram matrix of Pauli rows (_axis_rows, flattened past the first
+    index), sigma_y's i returned as _ROW_PHASE on both sides.  A real R is
+    its own .conj(), so R @ R.T on one buffer takes BLAS's syrk."""
+    rows = rows.reshape(rows.shape[0], -1)
+    phase = np.tile(_ROW_PHASE, rows.shape[0] // 3)
+    return phase.conj()[:, None] * (rows.conj() @ rows.T) * phase
 
 
 def _gram_entries(state: StateVector) -> np.ndarray:
-    """The connected correlations as a Gram matrix of all 3N rows."""
+    """The connected correlations as a Gram matrix of all 3N rows, real
+    arithmetic for a state with zero imaginary part."""
     n = state.n_sites
-    amps, rows = _axis_rows(state)
-    phase = np.tile([1.0, 1.0j, 1.0], n)
+    amps = state.amplitudes
+    if not amps.imag.any():
+        amps = amps.real
+    rows = _axis_rows(amps, n)
     # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
     # is the Hermitian single-site expectation
-    means = (phase.conj() * (rows.conj() @ amps)).real
-    gram = phase.conj()[:, None] * (rows.conj() @ rows.T) * phase
-    return gram - np.outer(means, means)
+    means = (np.tile(_ROW_PHASE, n).conj() * (rows.conj() @ amps)).real
+    return _phased_gram(rows) - np.outer(means, means)
 
 
 def build_vcm(state: StateVector) -> CorrelationMatrix:

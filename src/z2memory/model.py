@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .pauli import StateVector, popcounts, site_bits
+from .pauli import PauliAxis, StateVector, _apply_axis, popcounts, site_bits
 
 MIN_SITES = 3  # a periodic 2-site ring would double-count its single bond
 STABILIZER_MAX_SITES = 12
@@ -105,11 +105,9 @@ class TfimHamiltonian:
         n = self.n_sites
         out = self._diag.reshape(-1, *(1,) * (amps.ndim - 1)) * amps
         if self.lam != 0.0:
-            rest = amps.size >> n
             flips = np.zeros_like(amps)
-            for k in range(n):
-                shaped = amps.reshape(1 << (n - 1 - k), 2, rest << k)
-                flips += shaped[:, ::-1, :].reshape(amps.shape)
+            for site in range(n, 0, -1):
+                flips += _apply_axis(amps, n, PauliAxis.X, site)
             out += self.lam * flips
         return out
 

@@ -6,8 +6,9 @@ under the trace inner product.  Its largest eigenvalue e1 plays the role
 the VCM spectrum plays for pure states: it bounds how strongly any
 additive operator fails to commute with rho, collapses to zero on the
 maximally mixed state, and reduces to twice the real part of the VCM on a
-pure state.  W is computed in an eigenbasis of rho, so a temperature scan
-works in the energy eigenbasis of H and never forms rho.
+pure state.  W is the VCM's phased Gram matrix of Pauli rows, taken in an
+eigenbasis of rho, so a temperature scan works in the energy eigenbasis
+of H and never forms rho.
 
 The scan diagonalizes H on the blocks of momentum k and flip parity s
 (Sandvik, arXiv:1101.3281), about 2^N/(2N) states each.  A Gibbs state of
@@ -37,18 +38,19 @@ from .eigensolve import (
     _scatter,
     full_spectrum,
 )
-from .macroscopicity import CorrelationKind, CorrelationMatrix
+from .macroscopicity import (
+    HERMITICITY_TOL, CorrelationKind, CorrelationMatrix, _axis_rows, _phased_gram
+)
 from .model import TfimHamiltonian, build_tfim, check_chain
-from .pauli import PauliAxis, _apply_axis
 
 TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 COMMUTE_TOL = 1e-8
 
 DEFAULT_KT_MIN = 0.05
 DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
+THERMAL_MAX_KT_POINTS = 1000  # each point holds ~0.1 MB at N = 12, ~0.4 MB at 14
 THERMAL_MAX_SITES = 14  # 40 points take ~18 s and 0.63 GB at N = 14 on 2 cores
 
 
@@ -124,27 +126,18 @@ def _boltzmann_weights(energies: np.ndarray, kT: float) -> np.ndarray:
 def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
     """W of rho = sum_i p_i |u_i><u_i|, u_i the orthonormal columns of
     ``basis``: Tr([rho, A]^dagger [rho, B]) equals
-    sum_ij (p_i - p_j)^2 conj(A_ij) B_ij.  The table holds U^dagger s U for
-    s = sigma_x, -i sigma_y = sigma_x sigma_z, sigma_z, real whenever U is;
-    sigma_y's i returns as a phase on G G^dagger, G = table * |p_i - p_j|,
-    the table reweighted in place.
+    sum_ij (p_i - p_j)^2 conj(A_ij) B_ij.  The table holds U^dagger s U
+    for the Pauli rows s of macroscopicity._axis_rows, each row taken to
+    the eigenbasis in place, then reweighted to G = table * |p_i - p_j|;
+    W is the phased Gram matrix of G, as the VCM is of its rows.
     """
     left = basis.conj().T
-    table = np.empty((3 * n, *basis.shape), dtype=basis.dtype)
-    for site in range(1, n + 1):
-        z = _apply_axis(basis, n, PauliAxis.Z, site)
-        row = 3 * (site - 1)
-        np.matmul(left, _apply_axis(basis, n, PauliAxis.X, site), out=table[row])
-        np.matmul(left, _apply_axis(z, n, PauliAxis.X, site), out=table[row + 1])
-        np.matmul(left, z, out=table[row + 2])
-    table = table.reshape(3 * n, -1)
-    table *= np.abs(p[:, None] - p[None, :]).reshape(-1)
-    # for a real table .conj() is the table itself, so G @ G.T on one
-    # buffer takes BLAS's symmetric rank-k update
-    gram = table.conj() @ table.T
-    phase = np.tile([1.0, 1.0j, 1.0], n)
-    w = phase.conj()[:, None] * gram * phase
-    return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=w)
+    table = _axis_rows(basis, n)
+    for row in table:
+        row[...] = left @ row
+    table *= np.abs(p[:, None] - p[None, :])
+    gram = _phased_gram(table)
+    return CorrelationMatrix(n_sites=n, kind=CorrelationKind.W, entries=gram)
 
 
 def _gap_weighted_sums(prod: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -227,6 +220,7 @@ def _scan_w_spectra(
     weights never count.
     """
     table = _momentum_table(n)
+    amplitudes = np.array([[block.coef for block in row] for row in table.blocks])
     side = table.reps.size
     strings = np.arange(1 << n)
     top = 1 << (n - 1)  # site 1, the most significant bit
@@ -241,8 +235,8 @@ def _scan_w_spectra(
     )
     for i, j, operators in sectors:
         for k, targets, counts in _pair_classes(n, i != j):
-            source = table.amplitudes[i, k]
-            reach = table.amplitudes[j, targets].conj()
+            source = amplitudes[i, k]
+            reach = amplitudes[j, targets].conj()
             u = blocks.vectors[i, k]
             ut = np.conj(blocks.vectors[j, targets])
             offsets = (np.arange(targets.size) * side * side)[:, None]
@@ -294,22 +288,31 @@ def build_w_matrix(rho: GibbsState) -> CorrelationMatrix:
     return _w_matrix(rho.weights, rho.eigenbasis, rho.n_sites)
 
 
+def _check_points(points: int) -> None:
+    if points > THERMAL_MAX_KT_POINTS:
+        raise CapabilityError(
+            f"thermal grids stop at {THERMAL_MAX_KT_POINTS} points, got {points}"
+        )
+
+
 def default_kt_grid(
     kt_min: float = DEFAULT_KT_MIN,
     kt_max: float = DEFAULT_KT_MAX,
     points: int = DEFAULT_KT_POINTS,
 ) -> np.ndarray:
-    """Log-spaced temperature grid covering the low-T plateau and the decay."""
+    """Log-spaced temperature grid covering the low-T plateau and the
+    decay, of at most THERMAL_MAX_KT_POINTS points."""
     if not 0.0 < kt_min < kt_max:
         raise DomainError("grid needs 0 < kt_min < kt_max")
     if points < 2:
         raise DomainError("grid needs at least 2 points")
+    _check_points(points)
     return np.geomspace(kt_min, kt_max, points)
 
 
 def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
-    """e1 of the commutator Gram matrix across a temperature grid, for up
-    to THERMAL_MAX_SITES sites.
+    """e1 of the commutator Gram matrix across a temperature grid of up to
+    THERMAL_MAX_KT_POINTS points, for up to THERMAL_MAX_SITES sites.
 
     Every point reweights one eigensystem of H per momentum and flip-parity
     block; one pass over the block pairs gives the eigenvalues of W for the
@@ -323,6 +326,7 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     grid = np.asarray(kT_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("temperature grid must be a nonempty 1-d array")
+    _check_points(grid.size)
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("temperatures must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):

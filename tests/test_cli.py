@@ -20,7 +20,7 @@ from z2memory import (
     superposed_e1_scan,
 )
 from z2memory.cli import main
-from z2memory.thermal import THERMAL_MAX_SITES
+from z2memory.thermal import THERMAL_MAX_KT_POINTS, THERMAL_MAX_SITES
 
 
 def run(tmp_path, name, *argv):
@@ -321,6 +321,15 @@ def test_thermal_size_cap_exit_code(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("z2mem: capability limit: ") and err.count("\n") == 1
+
+
+def test_thermal_point_cap_exit_code(tmp_path, capsys):
+    points = str(THERMAL_MAX_KT_POINTS + 1)
+    code, _ = run(tmp_path, "dense.csv", "thermal", "--n", "3", "--kt-points", points)
+    assert code == 3
+    err = capsys.readouterr().err
+    want = f"thermal grids stop at {THERMAL_MAX_KT_POINTS} points, got {points}"
+    assert err == f"z2mem: capability limit: {want}\n"
 
 
 def test_thermal_exits_1_when_the_spectrum_breaks_its_contract(tmp_path, monkeypatch):

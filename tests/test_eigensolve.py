@@ -172,20 +172,52 @@ def _add_at_field(n, block, size):
 def test_block_field_is_the_scatter_bit_for_bit(n):
     # the cached entries, summed by bincount (two for complex values),
     # against np.add.at: the symmetric blocks of both signs and every
-    # momentum block k <= N/2 of both flip parities
+    # momentum block (k, s), k > N/2 included
     for sign in (1.0, -1.0):
         block = es._symmetric_block(n, sign)
         size = np.bincount(block.col[block.coef != 0], minlength=block.reps.size)
         assert np.array_equal(block.field(), _add_at_field(n, block, size))
     table = es._momentum_table(n)
     for i in range(2):
-        for k in range(n // 2 + 1):
-            block = es._momentum_block(n, i, k)
+        for k in range(n):
+            block = table.blocks[i][k]
             size = table.size[table.allowed[i, k]]
             want = _add_at_field(n, block, size)
             got = block.field()
             assert np.array_equal(got.real, want.real), (i, k)
             assert np.array_equal(got.imag, want.imag), (i, k)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_momentum_blocks_of_opposite_momenta_are_exact_conjugates(n):
+    # _momentum_spectra and full_spectrum take block -k as the conjugate
+    # of block k
+    table = es._momentum_table(n)
+    for i in range(2):
+        for k in range(1, n):
+            got, want = table.blocks[i][n - k].coef, table.blocks[i][k].coef
+            assert np.array_equal(got.real, want.real), (i, k)
+            assert np.array_equal(got.imag, -want.imag), (i, k)
+            assert np.array_equal(table.allowed[i, n - k], table.allowed[i, k])
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_orbit_tables_map_every_string_to_its_representative(n):
+    # both groups: elem[b] maps b to reps[orbit[b]], the smallest image of
+    # b over the whole group, and the orbits partition the 2^N strings
+    b = np.arange(1 << n)
+    for reflect in (False, True):
+        orbits = es._orbits(n, reflect)
+        assert len(orbits.group) == 2 * n * (1 + reflect)
+        smallest = np.min([es._act(n, g, b) for g in orbits.group], axis=0)
+        assert np.array_equal(orbits.reps[orbits.orbit], smallest)
+        for g, element in enumerate(orbits.group):
+            mine = orbits.elem == g
+            image = es._act(n, element, b[mine])
+            assert np.array_equal(image, orbits.reps[orbits.orbit[mine]]), element
+        assert orbits.size.sum() == 1 << n
+        assert np.array_equal(orbits.size, np.bincount(orbits.orbit))
+        assert np.array_equal(orbits.reps, np.flatnonzero(smallest == b))
 
 
 def test_symmetric_block_dimensions():

@@ -263,6 +263,22 @@ def test_thermal_scan_grid_validation():
         thermal_scan(0.5, 40)
 
 
+def test_kt_point_cap(monkeypatch):
+    cap = thermal.THERMAL_MAX_KT_POINTS
+    assert len(thermal_scan(0.5, 3, default_kt_grid(points=cap))) == cap
+    grid = np.geomspace(0.05, 2.0, cap + 1)
+
+    def failing(*args, **kwargs):
+        raise AssertionError("the point cap is checked before any allocation")
+
+    monkeypatch.setattr(thermal, "_momentum_spectra", failing)
+    monkeypatch.setattr(np, "geomspace", failing)
+    with pytest.raises(CapabilityError, match=f"{cap} points"):
+        default_kt_grid(points=cap + 1)
+    with pytest.raises(CapabilityError, match=f"{cap} points"):
+        thermal_scan(0.5, 3, grid)
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_pair_classes_count_every_ordered_block_pair_once(n):
     # N ordered pairs (k, k + q) per transfer q within a parity, and 2N
