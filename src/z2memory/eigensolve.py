@@ -63,7 +63,7 @@ from .majorana import (
     ground_parity,
 )
 from .model import TfimHamiltonian, build_tfim, check_sizes
-from .pauli import StateVector, mz_diagonal, popcounts
+from .pauli import StateVector, _norm, _vdot, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
 LANCZOS_TOL = 1e-10  # residual target of the doublet's sector solves
@@ -464,7 +464,7 @@ class EigenPairs:
 def _pair(full: np.ndarray, hv: np.ndarray, value: float, sign: float) -> tuple:
     """(Rayleigh quotient, true residual, vector, flip parity) of a unit
     sector vector lifted to the full space, given H v and the quotient."""
-    return value, float(np.linalg.norm(hv - value * full)), full, sign
+    return value, _norm(hv - value * full), full, sign
 
 
 def _quotient_pair(h: TfimHamiltonian, full: np.ndarray, sign: float) -> tuple:
@@ -766,10 +766,8 @@ def superposed_state(e0: StateVector, e1: StateVector) -> StateVector:
     a0 = _phase_fixed(e0.amplitudes)
     a1 = _phase_fixed(e1.amplitudes)
     mz = mz_diagonal(e0.n_sites)
-    diag = 0.5 * (
-        float(np.vdot(a0, mz * a0).real) + float(np.vdot(a1, mz * a1).real)
-    )
-    cross = float(np.vdot(a0, mz * a1).real)
+    diag = 0.5 * (_vdot(a0, mz * a0).real + _vdot(a1, mz * a1).real)
+    cross = _vdot(a0, mz * a1).real
     plus, minus = diag + cross, diag - cross
     scale = max(abs(plus), abs(minus), 1.0)
     if abs(abs(plus) - abs(minus)) <= 1e-8 * scale:
@@ -781,7 +779,7 @@ def superposed_state(e0: StateVector, e1: StateVector) -> StateVector:
     else:
         sign = -1.0
     sup = (a0 + sign * a1) / np.sqrt(2.0)
-    sup /= np.linalg.norm(sup)
+    sup /= _norm(sup)
     return StateVector(e0.n_sites, sup)
 
 

@@ -9,17 +9,35 @@ reaches order N^2.  This module builds that matrix, extracts e1/e2 and the
 maximizing operator, fits scaling exponents, and histograms total
 z magnetization.
 
-build_vcm takes any pure state as a 2^N vector and forms the Gram matrix
-of all 3N vectors s_a(l)|psi> (_axis_rows, _phased_gram), as thermal's
-W does in an eigenbasis of rho.  The e1 scan needs no such vector and no
-2N x 2N eigh: the ground state is Gaussian in Jordan-Wigner fermions, so
-majorana.ground_correlations gives its pair correlations from one sum
-over the free-fermion momenta per offset and two Toeplitz determinants,
-and its matrix is block circulant with one 3 x 3 block per momentum,
-whose eigenvalues are closed-form (_ground_spectrum).  That reaches N in
-the hundreds.  The e2 scan still reads the Gram matrix of the 2^N ground
-state, and the superposed e1 scan and the Mz histograms take their 2^N
-states from lowest_eigenpairs.
+build_vcm takes any pure state as a 2^N vector and has two routes, picked
+by the state.  A translation-invariant state, one whose one-site rotation
+is e^(i theta) psi within TRANSLATION_TOL, has a block-circulant matrix:
+block (l, m) is the 3 x 3 block G(m - l mod N) of its first block row.
+G(0) comes from the one-site density matrix rho(1), and each G(d) from the
+two-site density matrix rho(1, 1+d), one transposed reshape of psi and one
+4 x 4 product, contracted with a fixed table of Pauli pairs
+(_pair_density_entries).  Every other state gets the Gram matrix of all
+3N vectors s_a(l)|psi> (_axis_rows, _phased_gram), as thermal's W does in
+an eigenbasis of rho.  The first route calls no BLAS routine that
+OpenBLAS threads (pauli's module docstring says why that matters): its
+products have a 4 x 4 output.  The Gram route's 3N-row product over 2^N
+columns is threaded.
+
+CorrelationMatrix reads the spectrum from Fourier blocks whenever it can.
+If the symmetrized matrix equals the block-circulant expansion of its
+first block row exactly, as the first route's matrix does, its
+eigenvalues are those of the N Hermitian 3 x 3 blocks
+V(q) = sum_d G(d) e^(2 pi i q d / N), so no 3N x 3N eigvalsh runs; any
+other matrix takes eigvalsh.
+
+The e1 scan needs no 2^N vector and no 2N x 2N eigh: the ground state is
+Gaussian in Jordan-Wigner fermions, so majorana.ground_correlations gives
+its pair correlations from one sum over the free-fermion momenta per
+offset and two Toeplitz determinants, and its 3 x 3 Fourier blocks have
+closed-form eigenvalues (_ground_spectrum).  That reaches N in the
+hundreds.  The e2 scan still reads the matrix of the 2^N ground state,
+and the superposed e1 scan and the Mz histograms take their 2^N states
+from lowest_eigenpairs.
 """
 
 from __future__ import annotations
@@ -31,15 +49,26 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
-from .majorana import ground_correlations
+from .majorana import _unit_phases, ground_correlations
 from .model import build_tfim, check_sizes
-from .pauli import AdditiveOperator, PauliAxis, StateVector, _apply_axis, mz_diagonal
+from .pauli import (
+    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _vdot, mz_diagonal
+)
 
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
 DEGENERACY_REL_TOL = 1e-10
 GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~0.2 s at N = 512 on 2 cores
+TRANSLATION_TOL = 1e-12  # max-abs gap between T psi and e^(i theta) psi
 _ROW_PHASE = np.array([1.0, 1.0j, 1.0])  # s_a(l) = phase_a row_(3(l-1)+a)
+# sigma_x, sigma_y = i sigma_x sigma_z and sigma_z: the row operators of
+# _axis_rows times _ROW_PHASE, over the one-site basis (bit 0, bit 1)
+_SIGMA = _ROW_PHASE[:, None, None] * np.array(
+    [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
+)
+_SITE_TABLE = np.einsum("aij,bjk->abik", _SIGMA, _SIGMA)  # s_a s_b on one site
+# s_a(1) s_b(1+d) over the two-site basis 2 bit_1 + bit_(1+d)
+_PAIR_TABLE = np.einsum("aij,bkl->abikjl", _SIGMA, _SIGMA).reshape(3, 3, 4, 4)
 
 
 class CorrelationKind(enum.Enum):
@@ -57,7 +86,9 @@ class CorrelationMatrix:
     """3N x 3N Hermitian correlation matrix with its spectrum attached.
 
     Row 3*(l-1)+a addresses axis a (0:x, 1:y, 2:z) on site l.  Eigenvalues
-    are stored descending.
+    are stored descending: from the 3 x 3 Fourier blocks when the
+    symmetrized matrix is exactly block circulant (_fourier_spectrum),
+    else from eigvalsh.
     """
 
     n_sites: int
@@ -76,7 +107,12 @@ class CorrelationMatrix:
         if drift > HERMITICITY_TOL:
             raise ContractError(f"matrix fails Hermiticity by {drift:.3e}")
         m = (m + m.conj().T) / 2.0
-        vals = np.linalg.eigvalsh(m)[::-1].copy()  # descending
+        row = m[:3].reshape(3, self.n_sites, 3).transpose(1, 0, 2)
+        if np.array_equal(_block_circulant(row), m):
+            vals = _fourier_spectrum(row)
+        else:
+            vals = np.linalg.eigvalsh(m)
+        vals = np.sort(vals)[::-1].copy()  # descending
         if vals[-1] < PSD_FLOOR:
             raise ContractError(
                 f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
@@ -93,6 +129,27 @@ class CorrelationMatrix:
     @property
     def e2(self) -> float:
         return float(self.eigenvalues[1])
+
+
+def _block_circulant(row: np.ndarray) -> np.ndarray:
+    """The 3N x 3N matrix whose block (l, m) is row[(m - l) mod N], from a
+    first block row of shape (N, 3, 3)."""
+    n = row.shape[0]
+    sites = np.arange(n)
+    blocks = row[(sites[None, :] - sites[:, None]) % n]  # [l, m, a, b]
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def _fourier_spectrum(row: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian block-circulant matrix with first block
+    row ``row``: the union over q = 0..N-1 of the spectra of the 3 x 3
+    blocks V(q) = sum_d row[d] e^(2 pi i q d / N).  The phases are reduced
+    in integers (_unit_phases), so q and N - q give exact conjugates."""
+    n = row.shape[0]
+    q = np.arange(n)
+    cos, sin = _unit_phases(n, 2 * np.outer(q, q))
+    blocks = np.tensordot(cos + 1j * sin, row, axes=1)
+    return np.linalg.eigvalsh(blocks).reshape(-1)
 
 
 def _axis_rows(amps: np.ndarray, n: int) -> np.ndarray:
@@ -131,20 +188,69 @@ def _gram_entries(state: StateVector) -> np.ndarray:
     return _phased_gram(rows) - np.outer(means, means)
 
 
+def _translation_phase(amps: np.ndarray) -> complex | None:
+    """e^(i theta) if the one-site rotation T psi of the amplitudes is
+    e^(i theta) psi within TRANSLATION_TOL in max-abs, else None.  Moving
+    site 1 from the top bit to the bottom one maps site l+1 onto site l,
+    one reshape; the phase is the overlap <psi|T psi>."""
+    rotated = amps.reshape(2, -1).T.reshape(-1)
+    phase = _vdot(amps, rotated)
+    if np.abs(rotated - phase * amps).max() <= TRANSLATION_TOL:
+        return phase
+    return None
+
+
+def _pair_density_entries(state: StateVector) -> np.ndarray:
+    """The connected correlations of a translation-invariant state as the
+    block-circulant expansion of its first block row.
+
+    Translation leaves every expectation of the state unchanged, so block
+    (l, m) is G(m - l mod N), G(d)[a, b] = <s_a(1) s_b(1+d)> -
+    <s_a><s_b>.  G(0) and the means come from rho(1) and _SITE_TABLE; each
+    G(d), d = 1..N-1, from rho(1, 1+d) and _PAIR_TABLE: psi reshaped so
+    sites 1 and 1+d lead, M of shape (4, 2^(N-2)), and rho = M M^dagger.
+    A state with zero imaginary part runs in real arithmetic.
+    """
+    n = state.n_sites
+    amps = state.amplitudes
+    if not amps.imag.any():
+        amps = amps.real
+    one = amps.reshape(2, -1)
+    rho1 = one @ one.conj().T
+    means = np.einsum("ij,aji->a", rho1, _SIGMA).real
+    rhos = np.empty((n - 1, 4, 4), dtype=amps.dtype)
+    for d in range(1, n):
+        pair = amps.reshape(2, 1 << (d - 1), 2, -1).transpose(0, 2, 1, 3).reshape(4, -1)
+        rhos[d - 1] = pair @ pair.conj().T
+    row = np.concatenate((
+        np.einsum("ij,abji->ab", rho1, _SITE_TABLE)[None],
+        np.einsum("dij,abji->dab", rhos, _PAIR_TABLE),
+    ))
+    return _block_circulant(row - np.outer(means, means))
+
+
 def build_vcm(state: StateVector) -> CorrelationMatrix:
     """Connected pair-correlation matrix of a normalized pure state.
 
     Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
-    same-site off-axis terms: the Gram matrix of all 3N vectors
-    s_a(l)|psi>, positive semidefinite by construction.  The rows hold
-    sigma_x, -i sigma_y = sigma_x sigma_z and sigma_z applied to psi, which
-    stay real when psi is: a state with zero imaginary part runs in real
-    arithmetic.  sigma_y's i returns as a phase on the products and on the
-    means.
+    same-site off-axis terms.  A translation-invariant state
+    (_translation_phase) takes its block-circulant matrix from two-site
+    density matrices (_pair_density_entries), whose spectrum
+    CorrelationMatrix reads from 3 x 3 Fourier blocks.  Every other state
+    gets the Gram matrix of all 3N vectors s_a(l)|psi>, positive
+    semidefinite by construction.  Its rows hold sigma_x, -i sigma_y =
+    sigma_x sigma_z and sigma_z applied to psi, which stay real when psi
+    is: a state with zero imaginary part runs in real arithmetic.
+    sigma_y's i returns as a phase on the products and on the means.
+    CorrelationMatrix's Hermiticity check and PSD floor hold both routes.
     """
     state.require_normalized()
+    if _translation_phase(state.amplitudes) is None:
+        entries = _gram_entries(state)
+    else:
+        entries = _pair_density_entries(state)
     return CorrelationMatrix(
-        n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=_gram_entries(state)
+        n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=entries
     )
 
 

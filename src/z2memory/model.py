@@ -9,13 +9,14 @@ sigma_z act as the encoded bit flip and phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .pauli import PauliAxis, StateVector, _apply_axis, popcounts, site_bits
+from .pauli import PauliAxis, StateVector, _apply_axis, _vdot, popcounts, site_bits
 
 MIN_SITES = 3  # a periodic 2-site ring would double-count its single bond
 STABILIZER_MAX_SITES = 12
@@ -26,8 +27,10 @@ def _site_z(n_sites: int) -> np.ndarray:
     return np.array([1.0 - 2.0 * site_bits(n_sites, l) for l in range(1, n_sites + 1)])
 
 
+@functools.lru_cache(maxsize=None)
 def _bond_diagonal(n_sites: int) -> np.ndarray:
-    """Diagonal of the bond term -sum_l z_l z_{l+1} over all basis states.
+    """Diagonal of the bond term -sum_l z_l z_{l+1} over all basis states,
+    read-only and built once per N: it does not depend on the field.
 
     Each domain wall, a bit that differs from its cyclic neighbour, turns
     one bond from +1 to -1, so the bond sum is N - 2 * popcount(b XOR
@@ -35,7 +38,9 @@ def _bond_diagonal(n_sites: int) -> np.ndarray:
     negated site-product sum."""
     b = np.arange(1 << n_sites)
     rotated = ((b << 1) | (b >> (n_sites - 1))) & ((1 << n_sites) - 1)
-    return -(n_sites - 2.0 * popcounts(n_sites, b ^ rotated))
+    diag = -(n_sites - 2.0 * popcounts(n_sites, b ^ rotated))
+    diag.flags.writeable = False
+    return diag
 
 
 def check_chain(n_sites: int, lam: float) -> tuple[int, float]:
@@ -88,9 +93,7 @@ class TfimHamiltonian:
         n_sites, lam = check_chain(n_sites, lam)
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "lam", lam)
-        diag = _bond_diagonal(n_sites)
-        diag.flags.writeable = False
-        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(self, "_diag", _bond_diagonal(n_sites))
 
     def __setattr__(self, name, value):
         raise AttributeError("TfimHamiltonian is immutable")
@@ -133,7 +136,7 @@ def global_flip_expectation(state: StateVector) -> float:
     reversal, so the matrix element is an overlap with the reversed vector.
     """
     state.require_normalized()
-    val = complex(np.vdot(state.amplitudes, state.amplitudes[::-1]))
+    val = _vdot(state.amplitudes, state.amplitudes[::-1])
     return float(min(1.0, max(-1.0, val.real)))
 
 

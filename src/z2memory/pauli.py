@@ -6,6 +6,15 @@ means sigma_z eigenvalue +1.  A StateVector's amplitudes are always
 complex; the internal kernels also run on real arrays.  All public
 operations are pure functions on immutable inputs and are safe to call
 from several threads at once.
+
+Every dot and norm over 2^N amplitudes goes through _vdot and _norm,
+summed pairwise by np.sum, and none through BLAS.  OpenBLAS runs level-1
+calls of 2^14 entries or more on two threads (not at 2^13, on 2 cores).
+Its second thread then busy-waits between calls, about doubling the CPU
+time of a run, and once the pool has gone to sleep each threaded call
+stalls on its wake-up: such dots and norms were seen to take ~8 ms
+instead of ~0.01 ms.  np.sum runs on one thread and its pairwise
+summation is at least as accurate as a BLAS dot.
 """
 
 from __future__ import annotations
@@ -33,6 +42,23 @@ class PauliAxis(IntEnum):
     X = 0
     Y = 1
     Z = 2
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of two arrays of one shape, conjugate on a, summed pairwise by
+    np.sum instead of BLAS (see the module docstring).  The products go
+    into the one array the conjugate allocates."""
+    products = np.conjugate(a, dtype=np.result_type(a, b))
+    products *= b
+    return complex(np.sum(products))
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of an array, summed pairwise like _vdot; a complex array
+    is read as its interleaved real and imaginary parts."""
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(np.float64)
+    return math.sqrt(np.sum(a * a))
 
 
 class StateVector:
@@ -67,7 +93,7 @@ class StateVector:
         return 1 << self.n_sites
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         dev = abs(self.norm() - 1.0)
@@ -86,7 +112,7 @@ class StateVector:
         """<self|other> with the conjugate on self."""
         if other.n_sites != self.n_sites:
             raise DomainError("site counts differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return _vdot(self.amplitudes, other.amplitudes)
 
     def __repr__(self) -> str:
         return f"StateVector(n_sites={self.n_sites})"
@@ -177,8 +203,8 @@ def expectation(state: StateVector, axis: PauliAxis, site: int) -> float:
     """<state|sigma_axis(site)|state>, a real number in [-1, 1]."""
     state.require_normalized()
     axis = PauliAxis(axis)
-    val = complex(
-        np.vdot(state.amplitudes, _apply_axis(state.amplitudes, state.n_sites, axis, site))
+    val = _vdot(
+        state.amplitudes, _apply_axis(state.amplitudes, state.n_sites, axis, site)
     )
     if abs(val.imag) > IMAG_TOL:
         raise ContractError(
@@ -199,7 +225,7 @@ def two_point(
     n = state.n_sites
     right = _apply_axis(state.amplitudes, n, PauliAxis(axis_b), site_b)
     left = _apply_axis(state.amplitudes, n, PauliAxis(axis_a), site_a)
-    return complex(np.vdot(left, right))
+    return _vdot(left, right)
 
 
 @dataclass(frozen=True)
@@ -273,9 +299,9 @@ def additive_variance(state: StateVector, op: AdditiveOperator) -> float:
     if op.n_sites != state.n_sites:
         raise DomainError("operator and state disagree on the site count")
     phi = op.apply(state).amplitudes
-    mean = float(np.vdot(state.amplitudes, phi).real)
+    mean = _vdot(state.amplitudes, phi).real
     # A is Hermitian with real coefficients, so <A^2> = ||A psi||^2
-    var = float(np.vdot(phi, phi).real) - mean * mean
+    var = _vdot(phi, phi).real - mean * mean
     if var < VARIANCE_FLOOR:
         raise ContractError(f"variance {var:.3e} below the roundoff floor")
     return max(var, 0.0)

@@ -25,7 +25,10 @@ Machinery.  The amplitudes are handled as a (2,)*N tensor, site l on axis
 l-1: build_vb multiplies one 2x2 singlet factor per pair into it, and
 singlet_projector_apply works on the two axes of its bond.  Every connected
 correlation is an entry of the correlation matrix, so the residue scan
-reads them from the 3x3 axis blocks of build_vcm's one Gram product.
+reads them from its 3x3 axis blocks.  The superposition is translation
+invariant (one-site rotation swaps the two coverings, phase -1), so
+build_vcm fills that matrix from two-site density matrices.  Overlaps
+and norms of 2^N vectors are pairwise sums (pauli._vdot).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .macroscopicity import build_vcm
-from .pauli import AdditiveOperator, PauliAxis, StateVector
+from .pauli import AdditiveOperator, PauliAxis, StateVector, _vdot
 
 RVB_MIN_SITES = 4
 RVB_MAX_SITES = 14
@@ -157,8 +160,8 @@ def t_operator_moments(n: int) -> tuple[float, float]:
     superposed covering state."""
     psi = build_rvb(n)
     tpsi = t_operator_apply(psi)
-    mean = float(np.vdot(psi.amplitudes, tpsi.amplitudes).real)
-    second = float(np.vdot(tpsi.amplitudes, tpsi.amplitudes).real)
+    mean = _vdot(psi.amplitudes, tpsi.amplitudes).real
+    second = _vdot(tpsi.amplitudes, tpsi.amplitudes).real
     return mean, second - mean * mean
 
 
@@ -220,11 +223,11 @@ def identity_report(n: int) -> list[tuple[str, float, str, bool]]:
     )
     add("swap_coefficient_error", swap_err, "<=1e-12", swap_err <= 1e-12)
 
-    proj = float(np.vdot(v1.amplitudes, swapped.amplitudes).real)
+    proj = _vdot(v1.amplitudes, swapped.amplitudes).real
     proj_err = abs(proj - 0.25)
     add("bond_projector_expectation_error", proj_err, "<=1e-12", proj_err <= 1e-12)
 
-    t_v1 = float(np.vdot(v1.amplitudes, t_operator_apply(v1).amplitudes).real)
+    t_v1 = _vdot(v1.amplitudes, t_operator_apply(v1).amplitudes).real
     t_v1_err = abs(t_v1 - (-3.0 * n / 8.0))
     add("staggered_mean_error", t_v1_err, "<=1e-10", t_v1_err <= 1e-10)
 

@@ -13,8 +13,11 @@ from z2memory import (
     StateVector,
     additive_variance,
     basis_state,
+    build_rvb,
+    build_tfim,
     build_vcm,
     fit_exponential_gap,
+    full_spectrum,
     fit_index_p,
     gap_scan,
     ghz_state,
@@ -65,6 +68,97 @@ def test_circulant_route_matches_gram_route(n, solve_cache):
         assert abs(got[0] - want[0]) <= 1e-13 * abs(want[0]), lam
         assert abs(got[1] - want[1]) <= 1e-13 * abs(want[1]), lam
         assert np.abs(got - want).max() <= 1e-12, lam
+
+
+def _translation_states(n, solve_cache):
+    """The translation-invariant states of the paper at N sites: the ground
+    state, the superposed doublet, the valence-bond ring (even N) and a
+    complex k != 0 column of the full spectrum (N <= 10)."""
+    states = {
+        "ground": solve_cache(n, 0.5, k=1).eigenvectors[0],
+        "superposed": superposed_state(*solve_cache(n, 0.5, k=2).eigenvectors),
+    }
+    if n % 2 == 0:
+        states["rvb"] = build_rvb(n)
+    if n <= 10:
+        basis = full_spectrum(build_tfim(n, 0.7)).basis
+        for column in basis.T:
+            phase = macroscopicity._translation_phase(column)
+            if phase is not None and abs(phase.imag) > 0.1:
+                states["momentum"] = StateVector(n, column)
+                break
+    return states
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_translation_route_matches_dense_oracle(n, solve_cache):
+    states = _translation_states(n, solve_cache)
+    assert set(states) >= {"ground", "superposed", "momentum"}
+    for name, state in states.items():
+        phase = macroscopicity._translation_phase(state.amplitudes)
+        assert abs(abs(phase) - 1.0) < 1e-12, name
+        if name == "rvb":
+            assert abs(phase + 1.0) < 1e-12  # rotation swaps the coverings
+        want = oracles.dense_vcm(state.amplitudes)
+        got = build_vcm(state)
+        assert np.abs(got.entries - want).max() < 1e-12, name
+        assert np.abs(got.eigenvalues - np.linalg.eigvalsh(want)[::-1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_translation_route_matches_gram_route(n, solve_cache):
+    for name, state in _translation_states(n, solve_cache).items():
+        got = macroscopicity._pair_density_entries(state)
+        want = macroscopicity._gram_entries(state)
+        assert np.abs(got - want).max() <= 1e-13, name
+
+
+def test_route_follows_translation_invariance(solve_cache, monkeypatch):
+    ground = solve_cache(8, 0.5, k=1).eigenvectors[0]
+    moved = ground.amplitudes.copy()
+    moved[3] += 1e-9
+    moved = StateVector(8, moved).normalized()
+    assert macroscopicity._translation_phase(moved.amplitudes) is None
+    want = macroscopicity._gram_entries(moved)
+
+    def refuse(state):
+        raise AssertionError("route taken")
+
+    monkeypatch.setattr(macroscopicity, "_pair_density_entries", refuse)
+    assert np.array_equal(build_vcm(moved).entries, (want + want.conj().T) / 2.0)
+    with pytest.raises(AssertionError, match="route taken"):
+        build_vcm(ground)
+
+
+def test_block_circulant_spectrum_comes_from_fourier_blocks(monkeypatch):
+    calls = []
+    fourier = macroscopicity._fourier_spectrum
+
+    def spy(row):
+        calls.append(row.shape)
+        return fourier(row)
+
+    monkeypatch.setattr(macroscopicity, "_fourier_spectrum", spy)
+    rng = np.random.default_rng(43)
+    n = 7
+    blocks = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    a = macroscopicity._block_circulant(blocks / np.sqrt(3 * n))
+    gram = a.conj().T @ a
+    # the product is block circulant only up to rounding: expand its first
+    # block row to make it exact
+    row = gram[:3].reshape(3, n, 3).transpose(1, 0, 2)
+    circulant = macroscopicity._block_circulant(row)
+    circulant = (circulant + circulant.conj().T) / 2.0
+    got = CorrelationMatrix(n, CorrelationKind.VCM, circulant).eigenvalues
+    assert calls == [(n, 3, 3)]
+    assert np.abs(got - np.linalg.eigvalsh(circulant)[::-1]).max() <= 1e-13
+
+    b = rng.standard_normal((3 * n, 3 * n)) + 1j * rng.standard_normal((3 * n, 3 * n))
+    other = b.conj().T @ b / (3 * n)
+    got = CorrelationMatrix(n, CorrelationKind.VCM, other).eigenvalues
+    assert len(calls) == 1
+    want = np.linalg.eigvalsh((other + other.conj().T) / 2.0)[::-1]
+    assert np.array_equal(got, want)
 
 
 def test_ground_spectrum_matches_dense_oracle():

@@ -51,6 +51,17 @@ def test_apply_matches_dense_oracle():
         assert np.array_equal(build_tfim(n, 0.0)._diag, diag)
 
 
+def test_bond_diagonal_is_shared_and_read_only():
+    # the diagonal does not depend on the field, so every chain of one
+    # length shares one read-only table
+    first, second = build_tfim(9, 0.5), build_tfim(9, -1.3)
+    assert first._diag is second._diag
+    assert not first._diag.flags.writeable
+    with pytest.raises(ValueError):
+        first._diag[0] = 0.0
+    assert build_tfim(10, 0.5)._diag is not first._diag
+
+
 def test_apply_state_wrapper():
     h = build_tfim(3, 0.5)
     out = h.apply_state(basis_state(3))

@@ -16,7 +16,7 @@ from z2memory import (
     mz_diagonal,
     two_point,
 )
-from z2memory.pauli import popcounts
+from z2memory.pauli import _norm, _vdot, popcounts
 
 
 def test_state_vector_basics():
@@ -27,6 +27,18 @@ def test_state_vector_basics():
     with pytest.raises(AttributeError):
         s.n_sites = 4
     assert not s.amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 5, 13, 14, 15])
+def test_pairwise_reductions_match_blas(n):
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    a = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
+    b = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
+    assert abs(_vdot(a, b) - np.vdot(a, b)) <= 1e-14 * size
+    assert abs(_vdot(a.real, b.real) - np.vdot(a.real, b.real)) <= 1e-14 * size
+    assert abs(_norm(a) - np.linalg.norm(a)) <= 1e-14 * size
+    assert isinstance(_vdot(a.real, b.real), complex)
 
 
 def test_state_vector_accepts_single_site():
