@@ -17,8 +17,8 @@ from z2memory import (
     build_tfim,
     build_vcm,
     fit_exponential_gap,
-    full_spectrum,
     fit_index_p,
+    full_spectrum,
     gap_scan,
     ghz_state,
     largest_eigenvalue_scan,

@@ -37,7 +37,9 @@ def test_pairwise_reductions_match_blas(n):
     b = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
     assert abs(_vdot(a, b) - np.vdot(a, b)) <= 1e-14 * size
     assert abs(_vdot(a.real, b.real) - np.vdot(a.real, b.real)) <= 1e-14 * size
+    assert abs(_vdot(a.real, b) - np.vdot(a.real, b)) <= 1e-14 * size
     assert abs(_norm(a) - np.linalg.norm(a)) <= 1e-14 * size
+    assert abs(_norm(a[::2]) - np.linalg.norm(a[::2])) <= 1e-14 * size
     assert isinstance(_vdot(a.real, b.real), complex)
 
 
