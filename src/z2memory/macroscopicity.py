@@ -11,24 +11,22 @@ z magnetization.
 
 build_vcm takes any pure state as a 2^N vector and has two routes, picked
 by the state.  A translation-invariant state, one whose one-site rotation
-is e^(i theta) psi within TRANSLATION_TOL, has a block-circulant matrix:
-block (l, m) is the 3 x 3 block G(m - l mod N) of its first block row.
-G(0) comes from the one-site density matrix rho(1), and each G(d) from the
-two-site density matrix rho(1, 1+d), one transposed reshape of psi and one
-4 x 4 product, contracted with a fixed table of Pauli pairs
+is e^(i theta) psi within TRANSLATION_TOL in 2-norm, has a block-circulant
+matrix: block (l, m) is the 3 x 3 block G(m - l mod N) of its first block
+row.  G(0) comes from the one-site density matrix rho(1), and each G(d)
+from the two-site density matrix rho(1, 1+d), one transposed reshape of
+psi and one 4 x 4 product, contracted with a fixed table of Pauli pairs
 (_pair_density_entries).  Every other state gets the Gram matrix of all
-3N vectors s_a(l)|psi> (_axis_rows, _phased_gram), as thermal's W does in
-an eigenbasis of rho.  The first route calls no BLAS routine that
+3N vectors s_a(l)|psi> (_axis_rows, _phased_gram), as thermal's W does
+in an eigenbasis of rho.  The first route calls no BLAS routine that
 OpenBLAS threads (pauli's module docstring says why that matters): its
 products have a 4 x 4 output.  The Gram route's 3N-row product over 2^N
 columns is threaded.
 
-CorrelationMatrix reads the spectrum from Fourier blocks whenever it can.
-If the symmetrized matrix equals the block-circulant expansion of its
-first block row exactly, as the first route's matrix does, its
-eigenvalues are those of the N Hermitian 3 x 3 blocks
-V(q) = sum_d G(d) e^(2 pi i q d / N), so no 3N x 3N eigvalsh runs; any
-other matrix takes eigvalsh.
+The first route hands CorrelationMatrix the fact that its matrix is block
+circulant (block_circulant=True), so the eigenvalues are those of the N
+Hermitian 3 x 3 blocks V(q) = sum_d G(d) e^(2 pi i q d / N) and no
+3N x 3N eigvalsh runs; the Gram route's matrix, and W, take eigvalsh.
 
 The e1 scan needs no 2^N vector and no 2N x 2N eigh: the ground state is
 Gaussian in Jordan-Wigner fermions, so majorana.ground_correlations gives
@@ -43,7 +41,7 @@ from lowest_eigenpairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -52,14 +50,19 @@ from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
 from .majorana import _unit_phases, ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
-    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _vdot, mz_diagonal
+    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _vdot, mz_diagonal
 )
 
 HERMITICITY_TOL = 1e-10
 PSD_FLOOR = -1e-8  # Gram structure: eigenvalues below this are a bug
 DEGENERACY_REL_TOL = 1e-10
 GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~0.2 s at N = 512 on 2 cores
-TRANSLATION_TOL = 1e-12  # max-abs gap between T psi and e^(i theta) psi
+# 2-norm gap allowed between T psi and e^(i theta) psi.  A state within it
+# is a distance <= j * TRANSLATION_TOL from its own j-site rotation (times
+# a phase), so every entry of the block-circulant matrix lies within
+# 6N * TRANSLATION_TOL of its exact value (two-point terms and the two
+# means each move by at most twice the distance).
+TRANSLATION_TOL = 1e-12
 _ROW_PHASE = np.array([1.0, 1.0j, 1.0])  # s_a(l) = phase_a row_(3(l-1)+a)
 # sigma_x, sigma_y = i sigma_x sigma_z and sigma_z: the row operators of
 # _axis_rows times _ROW_PHASE, over the one-site basis (bit 0, bit 1)
@@ -86,17 +89,21 @@ class CorrelationMatrix:
     """3N x 3N Hermitian correlation matrix with its spectrum attached.
 
     Row 3*(l-1)+a addresses axis a (0:x, 1:y, 2:z) on site l.  Eigenvalues
-    are stored descending: from the 3 x 3 Fourier blocks when the
-    symmetrized matrix is exactly block circulant (_fourier_spectrum),
-    else from eigvalsh.
+    are stored descending.  ``block_circulant`` is the builder's statement
+    that block (l, m) of ``entries`` depends only on m - l mod N, as
+    build_vcm's translation route makes it (_block_circulant); the
+    symmetrized matrix is then block circulant too, and its eigenvalues
+    come from the 3 x 3 Fourier blocks of its first block row
+    (_fourier_spectrum).  Any other matrix takes eigvalsh.
     """
 
     n_sites: int
     kind: CorrelationKind
     entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False)
+    block_circulant: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, block_circulant: bool):
         side = 3 * self.n_sites
         m = np.array(self.entries, dtype=np.complex128, copy=True)
         if m.shape != (side, side):
@@ -107,9 +114,8 @@ class CorrelationMatrix:
         if drift > HERMITICITY_TOL:
             raise ContractError(f"matrix fails Hermiticity by {drift:.3e}")
         m = (m + m.conj().T) / 2.0
-        row = m[:3].reshape(3, self.n_sites, 3).transpose(1, 0, 2)
-        if np.array_equal(_block_circulant(row), m):
-            vals = _fourier_spectrum(row)
+        if block_circulant:
+            vals = _fourier_spectrum(m[:3].reshape(3, self.n_sites, 3).transpose(1, 0, 2))
         else:
             vals = np.linalg.eigvalsh(m)
         vals = np.sort(vals)[::-1].copy()  # descending
@@ -190,12 +196,13 @@ def _gram_entries(state: StateVector) -> np.ndarray:
 
 def _translation_phase(amps: np.ndarray) -> complex | None:
     """e^(i theta) if the one-site rotation T psi of the amplitudes is
-    e^(i theta) psi within TRANSLATION_TOL in max-abs, else None.  Moving
+    e^(i theta) psi within TRANSLATION_TOL in 2-norm, else None.  Moving
     site 1 from the top bit to the bottom one maps site l+1 onto site l,
-    one reshape; the phase is the overlap <psi|T psi>."""
-    rotated = amps.reshape(2, -1).T.reshape(-1)
+    one transposed copy; the phase is the overlap <psi|T psi>."""
+    rotated = amps.reshape(2, -1).T.flatten()
     phase = _vdot(amps, rotated)
-    if np.abs(rotated - phase * amps).max() <= TRANSLATION_TOL:
+    rotated -= phase * amps
+    if _norm(rotated) <= TRANSLATION_TOL:
         return phase
     return None
 
@@ -245,12 +252,16 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
     CorrelationMatrix's Hermiticity check and PSD floor hold both routes.
     """
     state.require_normalized()
-    if _translation_phase(state.amplitudes) is None:
-        entries = _gram_entries(state)
-    else:
+    invariant = _translation_phase(state.amplitudes) is not None
+    if invariant:
         entries = _pair_density_entries(state)
+    else:
+        entries = _gram_entries(state)
     return CorrelationMatrix(
-        n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=entries
+        n_sites=state.n_sites,
+        kind=CorrelationKind.VCM,
+        entries=entries,
+        block_circulant=invariant,
     )
 
 

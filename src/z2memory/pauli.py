@@ -283,13 +283,21 @@ class AdditiveOperator:
         """The additive operator applied to a state (unnormalized result)."""
         if state.n_sites != self.n_sites:
             raise DomainError("operator and state disagree on the site count")
-        out = np.zeros(state.dim, dtype=np.complex128)
+        return StateVector(self.n_sites, self._apply_to(state.amplitudes))
+
+    def _apply_to(self, amps: np.ndarray) -> np.ndarray:
+        """The operator applied to 2^N amplitudes, as a new complex array
+        that callers reading only a norm or an overlap need not copy into
+        a StateVector."""
+        out = np.zeros(amps.shape, dtype=np.complex128)
         for l in range(1, self.n_sites + 1):
             for axis in PauliAxis:
                 c = self.coeffs[l - 1, int(axis)]
                 if c != 0.0:
-                    out += c * _apply_axis(state.amplitudes, self.n_sites, axis, l)
-        return StateVector(self.n_sites, out)
+                    term = _apply_axis(amps, self.n_sites, axis, l)
+                    term *= c
+                    out += term
+        return out
 
 
 def additive_variance(state: StateVector, op: AdditiveOperator) -> float:
@@ -298,7 +306,7 @@ def additive_variance(state: StateVector, op: AdditiveOperator) -> float:
     state.require_normalized()
     if op.n_sites != state.n_sites:
         raise DomainError("operator and state disagree on the site count")
-    phi = op.apply(state).amplitudes
+    phi = op._apply_to(state.amplitudes)
     mean = _vdot(state.amplitudes, phi).real
     # A is Hermitian with real coefficients, so <A^2> = ||A psi||^2
     var = _vdot(phi, phi).real - mean * mean

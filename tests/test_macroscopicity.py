@@ -107,7 +107,10 @@ def test_translation_route_matches_dense_oracle(n, solve_cache):
 
 @pytest.mark.parametrize("n", range(10, 15))
 def test_translation_route_matches_gram_route(n, solve_cache):
+    # the states build_vcm meets at full size take the translation route:
+    # the ground state, the doublet superposition and the ring
     for name, state in _translation_states(n, solve_cache).items():
+        assert macroscopicity._translation_phase(state.amplitudes) is not None, name
         got = macroscopicity._pair_density_entries(state)
         want = macroscopicity._gram_entries(state)
         assert np.abs(got - want).max() <= 1e-13, name
@@ -130,6 +133,36 @@ def test_route_follows_translation_invariance(solve_cache, monkeypatch):
         build_vcm(ground)
 
 
+def test_translation_route_is_accurate_at_its_tolerance(solve_cache):
+    # a state admitted with a rotation gap just below TRANSLATION_TOL: its
+    # block-circulant matrix stays within 6N times the gap of the Gram one
+    n = 10
+    ground = solve_cache(n, 0.5, k=1).eigenvectors[0].amplitudes
+    rng = np.random.default_rng(47)
+    noise = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+
+    def perturbed(size):
+        return StateVector(n, ground + size * noise / np.linalg.norm(noise)).normalized()
+
+    def gap(state):
+        amps = state.amplitudes
+        rotated = amps.reshape(2, -1).T.reshape(-1)
+        return np.linalg.norm(rotated - np.vdot(amps, rotated) * amps)
+
+    size = 0.9 * macroscopicity.TRANSLATION_TOL * 1e-6 / gap(perturbed(1e-6))
+    state = perturbed(size)
+    assert 0.5 * macroscopicity.TRANSLATION_TOL < gap(state) <= macroscopicity.TRANSLATION_TOL
+    assert macroscopicity._translation_phase(state.amplitudes) is not None
+    want = macroscopicity._gram_entries(state)
+    want = (want + want.conj().T) / 2.0
+    got = build_vcm(state)
+    bound = 6 * n * macroscopicity.TRANSLATION_TOL
+    assert np.abs(got.entries - want).max() <= bound
+    assert np.abs(got.eigenvalues - np.linalg.eigvalsh(want)[::-1]).max() <= bound
+    outside = perturbed(3.0 * size)
+    assert macroscopicity._translation_phase(outside.amplitudes) is None
+
+
 def test_block_circulant_spectrum_comes_from_fourier_blocks(monkeypatch):
     calls = []
     fourier = macroscopicity._fourier_spectrum
@@ -149,9 +182,16 @@ def test_block_circulant_spectrum_comes_from_fourier_blocks(monkeypatch):
     row = gram[:3].reshape(3, n, 3).transpose(1, 0, 2)
     circulant = macroscopicity._block_circulant(row)
     circulant = (circulant + circulant.conj().T) / 2.0
-    got = CorrelationMatrix(n, CorrelationKind.VCM, circulant).eigenvalues
+    got = CorrelationMatrix(
+        n, CorrelationKind.VCM, circulant, block_circulant=True
+    ).eigenvalues
     assert calls == [(n, 3, 3)]
     assert np.abs(got - np.linalg.eigvalsh(circulant)[::-1]).max() <= 1e-13
+
+    # undeclared, even the exact circulant takes eigvalsh
+    got = CorrelationMatrix(n, CorrelationKind.VCM, circulant).eigenvalues
+    assert len(calls) == 1
+    assert np.array_equal(got, np.linalg.eigvalsh(circulant)[::-1])
 
     b = rng.standard_normal((3 * n, 3 * n)) + 1j * rng.standard_normal((3 * n, 3 * n))
     other = b.conj().T @ b / (3 * n)
