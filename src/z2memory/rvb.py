@@ -22,8 +22,13 @@ overlap s = (-1/2)^(N/2-1).  The connected correlation is therefore
 1/(2^(N/2-1) - (-1)^(N/2)) at every distance >= 2: 1/5 at N=6, 1/7 at N=8.
 
 Machinery.  The amplitudes are handled as a (2,)*N tensor, site l on axis
-l-1: build_vb multiplies one 2x2 singlet factor per pair into it, and
-singlet_projector_apply works on the two axes of its bond.  Every connected
+l-1: build_vb multiplies one 2x2 singlet factor per pair into it, and a
+bond's singlet projector works in place on the four slices of its two
+axes.  The staggered bond sum adds each bond's singlet amplitude into two
+slices of one accumulator, and the iterated swap projects one tensor in
+place, so no kernel allocates a 2^N array per bond: at N = 14 such an
+array is a 256 kB heap block, and a run of them makes glibc trim and
+re-grow its heap, paying page faults, on every call.  Every connected
 correlation is an entry of the correlation matrix, so the residue scan
 reads them from its 3x3 axis blocks.  The superposition is translation
 invariant (one-site rotation swaps the two coverings, phase -1), so
