@@ -671,8 +671,10 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     ||H v_i - E_i v_i|| stays below RESIDUAL_BOUND, each basis is
     orthonormal within ORTHONORMALITY_TOL and the 2^N energies sum to 0,
     else ContractError: any state diagonal in these bases then commutes
-    with H up to twice the worst residual.
+    with H up to twice the worst residual.  A field past the rounding
+    floor raises ConvergenceError before any block (_rounding_floor).
     """
+    _rounding_floor(h)
     n = h.n_sites
     table = _momentum_table(n)
     dims = table.allowed.sum(axis=-1)

@@ -21,12 +21,8 @@ psi and one 4 x 4 product, contracted with a fixed table of Pauli pairs
 in an eigenbasis of rho.  The first route calls no BLAS routine that
 OpenBLAS threads (pauli's module docstring says why that matters): its
 products have a 4 x 4 output.  The Gram route's 3N-row product over 2^N
-columns is threaded.
-
-The first route hands CorrelationMatrix the fact that its matrix is block
-circulant (block_circulant=True), so the eigenvalues are those of the N
-Hermitian 3 x 3 blocks V(q) = sum_d G(d) e^(2 pi i q d / N) and no
-3N x 3N eigvalsh runs; the Gram route's matrix, and W, take eigvalsh.
+columns is threaded.  Both routes' matrices, and W, take one 3N x 3N
+eigvalsh in CorrelationMatrix.
 
 The e1 scan needs no 2^N vector and no 2N x 2N eigh: the ground state is
 Gaussian in Jordan-Wigner fermions, so majorana.ground_correlations gives
@@ -41,7 +37,7 @@ from lowest_eigenpairs.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,22 +84,17 @@ class FitModel(enum.Enum):
 class CorrelationMatrix:
     """3N x 3N Hermitian correlation matrix with its spectrum attached.
 
-    Row 3*(l-1)+a addresses axis a (0:x, 1:y, 2:z) on site l.  Eigenvalues
-    are stored descending.  ``block_circulant`` is the builder's statement
-    that block (l, m) of ``entries`` depends only on m - l mod N, as
-    build_vcm's translation route makes it (_block_circulant); the
-    symmetrized matrix is then block circulant too, and its eigenvalues
-    come from the 3 x 3 Fourier blocks of its first block row
-    (_fourier_spectrum).  Any other matrix takes eigvalsh.
+    Row 3*(l-1)+a addresses axis a (0:x, 1:y, 2:z) on site l.  The
+    entries are checked Hermitian within HERMITICITY_TOL and symmetrized;
+    their eigenvalues, from eigvalsh, are stored descending.
     """
 
     n_sites: int
     kind: CorrelationKind
     entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False)
-    block_circulant: InitVar[bool] = False
 
-    def __post_init__(self, block_circulant: bool):
+    def __post_init__(self):
         side = 3 * self.n_sites
         m = np.array(self.entries, dtype=np.complex128, copy=True)
         if m.shape != (side, side):
@@ -114,11 +105,7 @@ class CorrelationMatrix:
         if drift > HERMITICITY_TOL:
             raise ContractError(f"matrix fails Hermiticity by {drift:.3e}")
         m = (m + m.conj().T) / 2.0
-        if block_circulant:
-            vals = _fourier_spectrum(m[:3].reshape(3, self.n_sites, 3).transpose(1, 0, 2))
-        else:
-            vals = np.linalg.eigvalsh(m)
-        vals = np.sort(vals)[::-1].copy()  # descending
+        vals = np.linalg.eigvalsh(m)[::-1].copy()  # descending
         if vals[-1] < PSD_FLOOR:
             raise ContractError(
                 f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
@@ -144,18 +131,6 @@ def _block_circulant(row: np.ndarray) -> np.ndarray:
     sites = np.arange(n)
     blocks = row[(sites[None, :] - sites[:, None]) % n]  # [l, m, a, b]
     return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-
-
-def _fourier_spectrum(row: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian block-circulant matrix with first block
-    row ``row``: the union over q = 0..N-1 of the spectra of the 3 x 3
-    blocks V(q) = sum_d row[d] e^(2 pi i q d / N).  The phases are reduced
-    in integers (_unit_phases), so q and N - q give exact conjugates."""
-    n = row.shape[0]
-    q = np.arange(n)
-    cos, sin = _unit_phases(n, 2 * np.outer(q, q))
-    blocks = np.tensordot(cos + 1j * sin, row, axes=1)
-    return np.linalg.eigvalsh(blocks).reshape(-1)
 
 
 def _axis_rows(amps: np.ndarray, n: int) -> np.ndarray:
@@ -242,8 +217,7 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
     Entry (a,l),(b,m) is <s_a(l) s_b(m)> - <s_a(l)><s_b(m)>, including the
     same-site off-axis terms.  A translation-invariant state
     (_translation_phase) takes its block-circulant matrix from two-site
-    density matrices (_pair_density_entries), whose spectrum
-    CorrelationMatrix reads from 3 x 3 Fourier blocks.  Every other state
+    density matrices (_pair_density_entries).  Every other state
     gets the Gram matrix of all 3N vectors s_a(l)|psi>, positive
     semidefinite by construction.  Its rows hold sigma_x, -i sigma_y =
     sigma_x sigma_z and sigma_z applied to psi, which stay real when psi
@@ -252,16 +226,12 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
     CorrelationMatrix's Hermiticity check and PSD floor hold both routes.
     """
     state.require_normalized()
-    invariant = _translation_phase(state.amplitudes) is not None
-    if invariant:
+    if _translation_phase(state.amplitudes) is not None:
         entries = _pair_density_entries(state)
     else:
         entries = _gram_entries(state)
     return CorrelationMatrix(
-        n_sites=state.n_sites,
-        kind=CorrelationKind.VCM,
-        entries=entries,
-        block_circulant=invariant,
+        n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=entries
     )
 
 
@@ -274,17 +244,16 @@ def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
     of the 3 x 3 blocks V(q) = sum_d V(d) e^(2 pi i q d / N).  Flip parity
     kills every x-y and x-z entry, and a real state every y-z entry
     between different sites, leaving the same-site <s_y s_z> = i<s_x> =
-    i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, x
-    decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with eigenvalues
+    i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, its
+    angles 2 pi q d / N reduced in integers (_unit_phases), x decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with eigenvalues
     (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
     PSD_FLOOR, else ContractError.
     """
     m, corr = ground_correlations(n_sites, lam)
     corr[0] -= m * m  # <s_y> and <s_z> vanish by flip parity
     d = np.arange(n_sites)
-    blocks = corr[:, np.minimum(d, n_sites - d)] @ np.cos(
-        2.0 * np.pi * (np.outer(d, d) % n_sites) / n_sites
-    )
+    cos, _ = _unit_phases(n_sites, 2 * np.outer(d, d))
+    blocks = corr[:, np.minimum(d, n_sites - d)] @ cos
     mid = 0.5 * (blocks[1] + blocks[2])
     radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
     vals = np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]

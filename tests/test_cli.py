@@ -402,13 +402,15 @@ def test_gap_converges_at_a_large_field(tmp_path):
         (["pz", "--n", "8", "--state", "excited"], 2),
         (["pz", "--n", "8", "--state", "ground"], 2),
         (["e2", "--n-min", "8", "--n-max", "8"], 2),
+        (["thermal", "--n", "8"], 2),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
 )
 def test_field_beyond_the_rounding_floor_exit_code(tmp_path, monkeypatch, args, want):
     # at lam=1e7 the rounding floor 4 eps N (1 + |lam|) exceeds the 1e-9
     # residual bound: the ground-state and doublet routes give up before
-    # their first solve, and the gap before its first Lanczos matvec
+    # their first solve, the gap before its first Lanczos matvec and the
+    # thermal scan before its first block eigh
     def forbidden(*args):
         raise AssertionError("Lanczos ran past the rounding floor")
 

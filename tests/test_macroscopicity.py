@@ -114,6 +114,9 @@ def test_translation_route_matches_gram_route(n, solve_cache):
         got = macroscopicity._pair_density_entries(state)
         want = macroscopicity._gram_entries(state)
         assert np.abs(got - want).max() <= 1e-13, name
+        got = build_vcm(state).eigenvalues
+        want = CorrelationMatrix(n, CorrelationKind.VCM, want).eigenvalues
+        assert np.abs(got - want).max() <= 1e-12, name
 
 
 def test_route_follows_translation_invariance(solve_cache, monkeypatch):
@@ -161,44 +164,6 @@ def test_translation_route_is_accurate_at_its_tolerance(solve_cache):
     assert np.abs(got.eigenvalues - np.linalg.eigvalsh(want)[::-1]).max() <= bound
     outside = perturbed(3.0 * size)
     assert macroscopicity._translation_phase(outside.amplitudes) is None
-
-
-def test_block_circulant_spectrum_comes_from_fourier_blocks(monkeypatch):
-    calls = []
-    fourier = macroscopicity._fourier_spectrum
-
-    def spy(row):
-        calls.append(row.shape)
-        return fourier(row)
-
-    monkeypatch.setattr(macroscopicity, "_fourier_spectrum", spy)
-    rng = np.random.default_rng(43)
-    n = 7
-    blocks = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-    a = macroscopicity._block_circulant(blocks / np.sqrt(3 * n))
-    gram = a.conj().T @ a
-    # the product is block circulant only up to rounding: expand its first
-    # block row to make it exact
-    row = gram[:3].reshape(3, n, 3).transpose(1, 0, 2)
-    circulant = macroscopicity._block_circulant(row)
-    circulant = (circulant + circulant.conj().T) / 2.0
-    got = CorrelationMatrix(
-        n, CorrelationKind.VCM, circulant, block_circulant=True
-    ).eigenvalues
-    assert calls == [(n, 3, 3)]
-    assert np.abs(got - np.linalg.eigvalsh(circulant)[::-1]).max() <= 1e-13
-
-    # undeclared, even the exact circulant takes eigvalsh
-    got = CorrelationMatrix(n, CorrelationKind.VCM, circulant).eigenvalues
-    assert len(calls) == 1
-    assert np.array_equal(got, np.linalg.eigvalsh(circulant)[::-1])
-
-    b = rng.standard_normal((3 * n, 3 * n)) + 1j * rng.standard_normal((3 * n, 3 * n))
-    other = b.conj().T @ b / (3 * n)
-    got = CorrelationMatrix(n, CorrelationKind.VCM, other).eigenvalues
-    assert len(calls) == 1
-    want = np.linalg.eigvalsh((other + other.conj().T) / 2.0)[::-1]
-    assert np.array_equal(got, want)
 
 
 def test_ground_spectrum_matches_dense_oracle():
