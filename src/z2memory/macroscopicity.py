@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
-from .majorana import _unit_phases, ground_correlations
+from .majorana import _fold, ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
     AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _vdot, mz_diagonal
@@ -245,14 +245,15 @@ def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
     kills every x-y and x-z entry, and a real state every y-z entry
     between different sites, leaving the same-site <s_y s_z> = i<s_x> =
     i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, its
-    angles 2 pi q d / N reduced in integers (_unit_phases), x decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with eigenvalues
-    (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
+    angles 2 pi q d / N folded in integers (majorana._fold), with no sine
+    table.  x decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with
+    eigenvalues (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
     PSD_FLOOR, else ContractError.
     """
     m, corr = ground_correlations(n_sites, lam)
     corr[0] -= m * m  # <s_y> and <s_z> vanish by flip parity
     d = np.arange(n_sites)
-    cos, _ = _unit_phases(n_sites, 2 * np.outer(d, d))
+    cos = np.cos(_fold(n_sites, 2 * np.outer(d, d))[1])
     blocks = corr[:, np.minimum(d, n_sites - d)] @ cos
     mid = 0.5 * (blocks[1] + blocks[2])
     radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)

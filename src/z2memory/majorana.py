@@ -71,13 +71,18 @@ def free_fermion_partner_energy(n_sites: int, lam: float) -> float:
     return -math.fsum([*terms, 1.0 - a])
 
 
-def _unit_phases(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of pi j/N for integer j, reduced in integers: j is taken
-    mod 2N and folded onto [0, N], and the sine takes its sign from the
-    fold.  So angle 0 and pi give an exact 0 sine, and j and -j give exact
-    conjugates."""
+def _fold(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j mod 2N, and the angle pi j/N folded onto [0, pi] in integers: the
+    angle of j's cosine, and of its sine up to the sign of N - (j mod 2N)."""
     j = j % (2 * n_sites)
-    angle = np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
+    return j, np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
+
+
+def _unit_phases(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of pi j/N for integer j, reduced in integers (_fold), the
+    sine signed by the fold.  So angle 0 and pi give an exact 0 sine, and j
+    and -j give exact conjugates."""
+    j, angle = _fold(n_sites, j)
     return np.cos(angle), np.sign(n_sites - j) * np.sin(angle)
 
 

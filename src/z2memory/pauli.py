@@ -15,6 +15,18 @@ time of a run, and once the pool has gone to sleep each threaded call
 stalls on its wake-up: such dots and norms were seen to take ~8 ms
 instead of ~0.01 ms.  np.sum runs on one thread and its pairwise
 summation is at least as accurate as a BLAS dot.
+
+The one threaded LAPACK call of the pure-state paths, the LU of
+eigensolve's symmetric-block solves (102 to 362 unknowns at N=12..14,
+threaded from 100), runs inside _blas.one_thread(): OpenBLAS on one
+thread, the caller's count restored on exit.  Those solves wake no second
+thread, and their bits no longer depend on the thread count.  The gap's
+Lanczos and the thermal scan's block products keep the pool.  In the
+pthreads builds of OpenBLAS that numpy ships, that count is process-wide:
+while one thread is in a block solve, BLAS calls of other threads run on
+one thread too, and block solves of several threads take turns.  Results
+keep every contract either way; only the rounding of a concurrent gap or
+thermal scan can differ from that of a run alone.
 """
 
 from __future__ import annotations

@@ -3,21 +3,29 @@ OpenBLAS runs those on two threads, whose second thread busy-waits and
 whose wake-up can stall a call for milliseconds (pauli's module
 docstring).  numpy's reductions are patched here to refuse such inputs,
 and build_vcm's Gram route, whose 3N-row product runs through the @
-operator where no patch of numpy reaches, is refused outright."""
+operator where no patch of numpy reaches, is refused outright.
+
+The symmetric-block solves, whose LU OpenBLAS threads from 100 unknowns
+on, run inside _blas.one_thread(), and the gap's Lanczos does not."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from z2memory import (
+    ConvergenceError,
     StateVector,
     build_tfim,
     build_vcm,
+    gap_scan,
     identity_report,
     lowest_eigenpairs,
     state_mz_distribution,
     superposed_state,
 )
-from z2memory import macroscopicity
+from z2memory import _blas, eigensolve, macroscopicity
 
 LONG = 1 << 14
 
@@ -65,3 +73,88 @@ def test_pure_state_paths_make_no_long_blas_reduction(no_long_blas):
     assert build_vcm(combo).e1 > 0.0
     dist = state_mz_distribution(0.5, 14, "superposed")
     assert abs(dist.probabilities.sum() - 1.0) < 1e-10
+
+
+# The symmetric-block solves run with numpy's OpenBLAS on one thread
+# (_blas.one_thread); the gap's Lanczos keeps the caller's pool.  The
+# count is read by setting it and setting it back, since the getter's
+# symbol name differs between builds.
+
+
+def _count(setter):
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture
+def blas_setter():
+    """numpy's thread-count setter, with the caller's count at 2, so that a
+    pin shows as 1 and a restored count as 2."""
+    setter = _blas._thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    saved = setter(2)
+    yield setter
+    setter(saved)
+
+
+def _spy_on_solves(monkeypatch, setter, error=None):
+    counts = []
+
+    def spy(mat, rhs):
+        counts.append(_count(setter))
+        if error is not None:
+            raise error
+        return np.linalg.solve(mat, rhs)
+
+    monkeypatch.setattr(eigensolve, "solve", spy)
+    return counts
+
+
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("n", range(12, 15))
+def test_block_solves_run_on_one_thread(blas_setter, monkeypatch, n, k):
+    counts = _spy_on_solves(monkeypatch, blas_setter)
+    lowest_eigenpairs(build_tfim(n, 0.5), k)
+    assert counts == [1] * (k * eigensolve.SHIFT_STEPS)
+    assert _count(blas_setter) == 2
+
+
+def test_callers_count_returns_after_a_failed_solve(blas_setter, monkeypatch):
+    counts = _spy_on_solves(monkeypatch, blas_setter, LinAlgError("Singular matrix"))
+    with pytest.raises(ConvergenceError, match="Singular matrix"):
+        lowest_eigenpairs(build_tfim(12, 0.5), 1)
+    assert counts == [1]
+    assert _count(blas_setter) == 2
+
+
+def test_gap_scan_runs_at_the_callers_count(blas_setter, monkeypatch):
+    counts = []
+    lanczos = eigensolve._lanczos_smallest
+
+    def spy(op, rng):
+        counts.append(_count(blas_setter))
+        return lanczos(op, rng)
+
+    monkeypatch.setattr(eigensolve, "_lanczos_smallest", spy)
+    gap_scan(0.5, 12, 13)
+    assert counts == [2] * 4
+
+
+def test_without_the_symbol_the_scope_does_nothing(blas_setter, monkeypatch):
+    monkeypatch.setattr(_blas, "_thread_setter", lambda: None)
+    counts = _spy_on_solves(monkeypatch, blas_setter)
+    lowest_eigenpairs(build_tfim(12, 0.5), 1)
+    assert counts == [2] * eigensolve.SHIFT_STEPS
+
+
+def test_scopes_in_several_threads_restore_the_callers_count(blas_setter):
+    # the setter is process-wide in pthreads builds of OpenBLAS, so
+    # overlapping scopes would restore the count early or leave it at 1
+    h = build_tfim(12, 0.5)
+    want = lowest_eigenpairs(h, 2).eigenvalues
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        got = list(pool.map(lambda _: lowest_eigenpairs(h, 2).eigenvalues, range(6)))
+    assert all(np.array_equal(values, want) for values in got)
+    assert _count(blas_setter) == 2

@@ -346,6 +346,18 @@ def test_thermal_exits_1_when_the_spectrum_breaks_its_contract(tmp_path, monkeyp
     assert code == 1
 
 
+def test_thermal_exits_2_where_eigh_rounding_breaks_the_bound(tmp_path):
+    # the rounding floor 4 eps N (1 + |lam|) is 8.9e-10 here, so the scan
+    # starts, but a block eigh's residual reaches 2.0e-9: past the bound,
+    # yet within EIGH_C eps N (1 + |lam|) = 2.8e-8, a dense eigh's own
+    # rounding and not a broken contract
+    code, _ = run(
+        tmp_path, "eigh.csv", "thermal", "--n", "10", "--lambda", "1e5",
+        "--kt-points", "3",
+    )
+    assert code == 2
+
+
 def test_convergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(es, "MATVEC_BUDGET", 3)
     code, _ = run(

@@ -600,6 +600,27 @@ def test_full_spectrum_checks_residuals_and_orthonormality(monkeypatch, spoil, m
         full_spectrum(h)
 
 
+@pytest.mark.parametrize(
+    "shift, error", [(5e-9, ConvergenceError), (1e-7, ContractError)]
+)
+def test_block_residual_within_eigh_rounding_is_a_convergence_error(
+    monkeypatch, shift, error
+):
+    # at N=6, lam=1e5 the floor 4 eps N (1 + |lam|) is 5.3e-10 and a dense
+    # eigh's rounding EIGH_C eps N (1 + |lam|) is 1.7e-8: energies shifted
+    # by 5e-9 breach the bound within that rounding, by 1e-7 beyond it
+    h = build_tfim(6, 1e5)
+    full_spectrum(h)
+
+    def shifted(mat):
+        vals, vecs = np.linalg.eigh(mat)
+        return vals + shift, vecs
+
+    monkeypatch.setattr(es, "eigh", shifted)
+    with pytest.raises(error, match="breaches the 1e-09 bound"):
+        full_spectrum(h)
+
+
 def test_full_spectrum_size_cap():
     with pytest.raises(CapabilityError):
         full_spectrum(build_tfim(11, 0.5))

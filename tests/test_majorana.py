@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import z2memory.majorana as mj
-from z2memory import ContractError, ConvergenceError, DomainError
+from z2memory import ContractError, ConvergenceError, DomainError, macroscopicity
 from z2memory.cli import main
 
 FIELDS = (0.0, 1e-8, -1e-8, 0.3, 1.0, 1.5, -0.7, 1e3)
@@ -102,3 +102,24 @@ def test_chain_domain():
     for n, lam in ((2, 0.5), (6.0, 0.5), (8, 1e308), (8, float("nan"))):
         with pytest.raises(DomainError):
             mj.ground_correlations(n, lam)
+
+
+def _spectrum_from_unit_phases(n, lam):
+    """macroscopicity._ground_spectrum as it read before the integer fold
+    was factored out of _unit_phases: the cosine half of _unit_phases,
+    whose sine table it built and dropped."""
+    m, corr = mj.ground_correlations(n, lam)
+    corr[0] -= m * m
+    d = np.arange(n)
+    cos, _ = mj._unit_phases(n, 2 * np.outer(d, d))
+    blocks = corr[:, np.minimum(d, n - d)] @ cos
+    mid = 0.5 * (blocks[1] + blocks[2])
+    radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
+    return np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
+
+
+@pytest.mark.parametrize("n", [*range(3, 65), 512])
+def test_ground_spectrum_takes_the_cosine_alone_bit_for_bit(n):
+    for lam in FIELDS:
+        got = macroscopicity._ground_spectrum(n, lam)
+        assert np.array_equal(got, _spectrum_from_unit_phases(n, lam)), lam
