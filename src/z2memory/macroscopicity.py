@@ -247,8 +247,8 @@ def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
     i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, its
     angles 2 pi q d / N folded in integers (majorana._fold), with no sine
     table.  x decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with
-    eigenvalues (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
-    PSD_FLOOR, else ContractError.
+    eigenvalues (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The
+    smallest must clear PSD_FLOOR, else ContractError.
     """
     m, corr = ground_correlations(n_sites, lam)
     corr[0] -= m * m  # <s_y> and <s_z> vanish by flip parity

@@ -20,7 +20,7 @@ The one threaded LAPACK call of the pure-state paths, the LU of
 eigensolve's symmetric-block solves (102 to 362 unknowns at N=12..14,
 threaded from 100), runs inside _blas.one_thread(): OpenBLAS on one
 thread, the caller's count restored on exit.  Those solves wake no second
-thread, and their bits no longer depend on the thread count.  The gap's
+thread, and their bits do not depend on the caller's thread count.  The gap's
 Lanczos and the thermal scan's block products keep the pool.  In the
 pthreads builds of OpenBLAS that numpy ships, that count is process-wide:
 while one thread is in a block solve, BLAS calls of other threads run on

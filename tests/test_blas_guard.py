@@ -8,6 +8,10 @@ operator where no patch of numpy reaches, is refused outright.
 The symmetric-block solves, whose LU OpenBLAS threads from 100 unknowns
 on, run inside _blas.one_thread(), and the gap's Lanczos does not."""
 
+import ctypes
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -99,6 +103,23 @@ def blas_setter():
     setter(saved)
 
 
+def test_the_setter_reaches_numpys_openblas(blas_setter):
+    # scipy loads a second OpenBLAS that exports the same setter; numpy's
+    # ILP64 build alone has this getter, so it reads numpy's own count
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if getter is None:
+        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    assert getter() == 2
+    with _blas.one_thread():
+        assert getter() == 1
+    assert getter() == 2
+
+
 def _spy_on_solves(monkeypatch, setter, error=None):
     counts = []
 
@@ -149,12 +170,49 @@ def test_without_the_symbol_the_scope_does_nothing(blas_setter, monkeypatch):
     assert counts == [2] * eigensolve.SHIFT_STEPS
 
 
-def test_scopes_in_several_threads_restore_the_callers_count(blas_setter):
-    # the setter is process-wide in pthreads builds of OpenBLAS, so
-    # overlapping scopes would restore the count early or leave it at 1
+def test_overlapping_scopes_keep_the_pin_and_restore_the_count(blas_setter):
+    # the setter is process-wide in pthreads builds of OpenBLAS: a scope
+    # that left while another still ran would unpin it, and the other
+    # would then restore a count of 1 for good
+    first_in, second_trying, first_out = (threading.Event() for _ in range(3))
+    seen = []
+
+    def first():
+        with _blas.one_thread():
+            first_in.set()
+            second_trying.wait(5)
+            time.sleep(0.05)  # the second scope tries to open meanwhile
+        first_out.set()
+
+    def second():
+        first_in.wait(5)
+        second_trying.set()
+        with _blas.one_thread():
+            first_out.wait(5)
+            seen.append(_count(blas_setter))
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert seen == [1]
+    assert _count(blas_setter) == 2
+
+
+def test_block_solves_in_several_threads_keep_their_bits(blas_setter):
+    # more workers than cores and a short switch interval: every solve runs
+    # pinned, so each thread's doublet equals the serial one to the bit
     h = build_tfim(12, 0.5)
     want = lowest_eigenpairs(h, 2).eigenvalues
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        got = list(pool.map(lambda _: lowest_eigenpairs(h, 2).eigenvalues, range(6)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lowest_eigenpairs, h, 2) for _ in range(8)]
+            got = [future.result(timeout=60).eigenvalues for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
     assert all(np.array_equal(values, want) for values in got)
     assert _count(blas_setter) == 2
