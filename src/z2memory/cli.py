@@ -8,8 +8,10 @@ line where it has one, and formats the rows; the library checks every
 size.
 
 Exit codes: 0 success / 1 usage, domain, failed check, or unwritable
-output / 2 iteration did not converge / 3 request exceeds a hard capability
-limit.
+output / 2 no convergence: a solver out of budget, a field past the
+rounding floor, a LAPACK failure (block solve, Gaussian det, Ritz step) or
+a block eigh residual within that eigh's own rounding / 3 request exceeds a
+hard capability limit.
 """
 
 from __future__ import annotations
@@ -98,19 +100,12 @@ def _comments(
 
 
 def _parse_lambdas(text: str) -> list[float]:
-    """The --lambdas type: distinct floats, comma separated."""
+    """The --lambdas type: floats, comma separated; the library checks the
+    list."""
     try:
-        lams = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
-    if not lams:
-        raise argparse.ArgumentTypeError("must name at least one field value")
-    for i, lam in enumerate(lams):
-        if lam in lams[:i]:
-            raise argparse.ArgumentTypeError(
-                f"names the field value {_flag(lam)} twice"
-            )
-    return lams
 
 
 def _cmd_scan_e1(args) -> int:

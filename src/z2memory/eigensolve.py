@@ -56,12 +56,7 @@ from numpy.linalg import LinAlgError, eigh, solve
 from ._blas import one_thread
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
-    CLOSED_FORM_C,
-    _EPS,
-    free_fermion_ground_energy,
-    _unit_phases,
-    free_fermion_partner_energy,
-    ground_parity,
+    _EPS, _unit_phases, check_closed_form, ground_parity, sector_energy
 )
 from .model import TfimHamiltonian, build_tfim, check_sizes
 from .pauli import StateVector, _norm, _vdot, mz_diagonal, popcounts
@@ -513,33 +508,25 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     each sector ground state is also invariant under every translation and
     reflection, which commute with H and with prod sigma_z, so it is solved
     on the symmetric block of its sector by inverse iteration just below
-    its closed-form energy: free_fermion_ground_energy in the ground
-    state's sector, free_fermion_partner_energy in the other.  No Lanczos
-    runs and ``matvecs`` is 0.  Each Rayleigh quotient must lie within
-    CLOSED_FORM_C eps N (1 + |lam|) of its closed form, else ContractError:
-    the iteration found the sector ground state and not another block
-    level.  A field whose rounding floor reaches RESIDUAL_BOUND raises
-    ConvergenceError before any solve (_rounding_floor).
+    its closed-form energy, sector_energy.  No Lanczos runs and
+    ``matvecs`` is 0.  Each Rayleigh quotient must meet that closed form
+    (check_closed_form), else ContractError: the iteration found the
+    sector ground state and not another block level.  A field whose
+    rounding floor reaches RESIDUAL_BOUND raises ConvergenceError before
+    any solve (_rounding_floor).
     """
     if k not in (1, 2):
         raise DomainError(f"k must be 1 (ground state) or 2 (doublet), got {k!r}")
 
     _rounding_floor(h)
-    ground_sign = ground_parity(h.n_sites, h.lam)
-    signs = (1.0, -1.0) if k == 2 else (ground_sign,)
-    bound = CLOSED_FORM_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
+    signs = (1.0, -1.0) if k == 2 else (ground_parity(h.n_sites, h.lam),)
     found = []
     for sign in signs:
-        if sign == ground_sign:
-            e0 = free_fermion_ground_energy(h.n_sites, h.lam)
-        else:
-            e0 = free_fermion_partner_energy(h.n_sites, h.lam)
+        e0 = sector_energy(h.n_sites, h.lam, sign)
         pair = _quotient_pair(h, _symmetric_ground(h, sign, e0), sign)
-        if not abs(pair[0] - e0) <= bound:
-            raise ContractError(
-                f"sector {sign:+.0f} quotient {pair[0]!r} misses the closed-form"
-                f" energy {e0!r} by more than {bound:.3e}"
-            )
+        check_closed_form(
+            f"sector {sign:+.0f} quotient", pair[0], e0, h.n_sites, h.lam
+        )
         found.append(pair)
     return _eigenpairs(h.n_sites, found, 0)
 

@@ -19,7 +19,10 @@ class ContractError(Z2MemoryError):
 
 
 class ConvergenceError(Z2MemoryError):
-    """An iterative solver ran out of budget before reaching tolerance."""
+    """No computation can meet the tolerance here: a solver ran out of
+    budget, the field's rounding floor reaches the residual bound, LAPACK
+    failed (block solve, Gaussian det, Ritz step), or a block eigh missed
+    the bound by no more than its own rounding."""
 
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)

@@ -26,8 +26,8 @@ eigvalsh in CorrelationMatrix.
 
 The e1 scan needs no 2^N vector and no 2N x 2N eigh: the ground state is
 Gaussian in Jordan-Wigner fermions, so majorana.ground_correlations gives
-its pair correlations from one sum over the free-fermion momenta per
-offset and two Toeplitz determinants, and its 3 x 3 Fourier blocks have
+its pair correlations from one FFT over the free-fermion momenta and two
+Toeplitz determinants, and its 3 x 3 Fourier blocks, one more FFT, have
 closed-form eigenvalues (_ground_spectrum).  That reaches N in the
 hundreds.  The e2 scan still reads the matrix of the 2^N ground state,
 and the superposed e1 scan and the Mz histograms take their 2^N states
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
-from .majorana import _fold, ground_correlations
+from .majorana import ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
     AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _vdot, mz_diagonal
@@ -244,17 +244,16 @@ def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
     of the 3 x 3 blocks V(q) = sum_d V(d) e^(2 pi i q d / N).  Flip parity
     kills every x-y and x-z entry, and a real state every y-z entry
     between different sites, leaving the same-site <s_y s_z> = i<s_x> =
-    i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, its
-    angles 2 pi q d / N folded in integers (majorana._fold), with no sine
-    table.  x decouples, and y, z form [[V_yy, i m], [-i m, V_zz]] with
-    eigenvalues (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The
-    smallest must clear PSD_FLOOR, else ContractError.
+    i m.  With V_aa(d) = V_aa(N - d), each V_aa(q) is a cosine sum, the
+    real part of one FFT over d.  x decouples, and y, z form
+    [[V_yy, i m], [-i m, V_zz]] with eigenvalues
+    (V_yy + V_zz)/2 +- hypot((V_yy - V_zz)/2, m).  The smallest must clear
+    PSD_FLOOR, else ContractError.
     """
     m, corr = ground_correlations(n_sites, lam)
     corr[0] -= m * m  # <s_y> and <s_z> vanish by flip parity
     d = np.arange(n_sites)
-    cos = np.cos(_fold(n_sites, 2 * np.outer(d, d))[1])
-    blocks = corr[:, np.minimum(d, n_sites - d)] @ cos
+    blocks = np.fft.fft(corr[:, np.minimum(d, n_sites - d)]).real
     mid = 0.5 * (blocks[1] + blocks[2])
     radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
     vals = np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
@@ -344,12 +343,17 @@ def fit_exponential_gap(points) -> ScalingFit:
 def largest_eigenvalue_scan(lams, n_range) -> list[tuple[float, int, float]]:
     """(lam, N, e1) of the ground-state correlation matrix for every field
     and chain length up to GAUSSIAN_SCAN_MAX_SITES, sorted by field, then
-    length, from the Gaussian route (_ground_spectrum)."""
+    length, from the Gaussian route (_ground_spectrum).  An empty or
+    repeated field list is a DomainError."""
+    fields = [float(lam) for lam in lams]
+    if not fields:
+        raise DomainError("the scan needs at least one field value")
+    for i, lam in enumerate(fields):
+        if lam in fields[:i]:
+            raise DomainError(f"the scan names the field value {lam!r} twice")
     sizes = check_sizes(n_range, GAUSSIAN_SCAN_MAX_SITES)
     return sorted(
-        (float(lam), n, float(_ground_spectrum(n, lam)[0]))
-        for lam in lams
-        for n in sizes
+        (lam, n, float(_ground_spectrum(n, lam)[0])) for lam in fields for n in sizes
     )
 
 

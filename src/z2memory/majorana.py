@@ -1,5 +1,6 @@
-"""The chain as free Majorana fermions: its closed-form ground energy and the
-ground state's spin correlations by Wick's theorem, with no 2^N vector.
+"""The chain as free Majorana fermions: the closed-form ground energy of each
+flip sector and the ground state's spin correlations by Wick's theorem,
+with no 2^N vector.
 
 Jordan-Wigner (Lieb, Schultz and Mattis, Ann. Phys. 16, 407 (1961)) takes
 a_l = (prod_{j<l} sigma_x(j)) sigma_z(l) and
@@ -12,9 +13,9 @@ twisted wrap bond, and its ground state is Gaussian.  Its plane-wave
 modes have momenta k = pi(2m+1)/N for s = +1 and k = 2 pi m/N for
 s = -1, so every two-point function is a sum over them: <a a> and <b b>
 vanish, and c[a_l, b_(l+r)] = g(r), with <gamma_p gamma_q> = i c[p, q],
-is one cosine sum per offset r (Pfeuty, Ann. Phys. 57, 79 (1970)).  No
-2N x 2N matrix is built or diagonalized.  Wick's theorem gives every
-product of these two-point functions.
+comes at every offset r from one inverse FFT (Pfeuty, Ann. Phys. 57, 79
+(1970)).  No 2N x 2N matrix is built or diagonalized.
+Wick's theorem gives every product of these two-point functions.
 
 The spin correlations along a ring offset d are Pfaffians of that
 covariance.  sigma_x sigma_x takes four Majoranas.  sigma_z sigma_z and
@@ -37,7 +38,7 @@ from numpy.linalg import LinAlgError, det
 from .errors import ContractError, ConvergenceError
 from .model import check_chain
 
-CLOSED_FORM_C = 64  # ground energies stay within C eps N (1 + |lam|) of E0
+CLOSED_FORM_C = 64  # sector energies stay within C eps N (1 + |lam|) of exact
 _EPS = float(np.finfo(float).eps)
 
 
@@ -47,82 +48,83 @@ def ground_parity(n_sites: int, lam: float) -> float:
     return -1.0 if lam > 0 and n_sites % 2 else 1.0
 
 
-def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
-    """Exact ground energy of the chain, -sum_m f(pi (2m+1)/N) over the
-    antiperiodic free-fermion modes, f(k) = sqrt(1 + lam^2 - 2|lam| cos k)
-    (Lieb, Schultz and Mattis 1961).  f is evaluated as
-    hypot(1 - |lam|, 2 sqrt|lam| sin(k/2)), free of cancellation at
-    |lam| = 1, and the positive terms are summed by math.fsum, so the
-    result is good to a few ulps."""
+def sector_energy(n_sites: int, lam: float, sign: float) -> float:
+    """Exact ground energy of the flip sector ``sign`` (Lieb, Schultz and
+    Mattis 1961), with f(k) = sqrt(1 + lam^2 - 2|lam| cos k): in the
+    ground state's sector (ground_parity) -sum_m f(pi (2m+1)/N) over the
+    antiperiodic modes, in its doublet partner's -sum_{m=1}^{N-1}
+    f(2 pi m/N) - (1 - |lam|) over the periodic ones, whose k=0 mode sits
+    at 1 - |lam|, signed.  f is evaluated as hypot(1 - |lam|,
+    2 sqrt|lam| sin(k/2)), free of cancellation at |lam| = 1, and the terms
+    are summed by math.fsum, so the result is good to a few ulps."""
     a = abs(float(lam))
-    half_k = np.pi * (2 * np.arange(n_sites) + 1) / (2 * n_sites)
-    return -math.fsum(np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k)))
-
-
-def free_fermion_partner_energy(n_sites: int, lam: float) -> float:
-    """Exact ground energy of the other flip sector, the ground state's
-    doublet partner: -sum_{m=1}^{N-1} f(2 pi m/N) - (1 - |lam|) over the
-    periodic modes, whose k=0 mode sits at 1 - |lam|, signed (Lieb, Schultz
-    and Mattis 1961).  f is evaluated and summed with the same care as in
-    free_fermion_ground_energy, so the result is good to a few ulps."""
-    a = abs(float(lam))
-    half_k = np.pi * np.arange(1, n_sites) / n_sites
+    odd = int(sign == ground_parity(n_sites, lam))  # k = pi j / N, j odd
+    half_k = np.pi * (2 * np.arange(n_sites) + odd) / (2 * n_sites)
     terms = np.hypot(1.0 - a, 2.0 * np.sqrt(a) * np.sin(half_k))
-    return -math.fsum([*terms, 1.0 - a])
+    if not odd:
+        terms[0] = 1.0 - a
+    return -math.fsum(terms)
 
 
-def _fold(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j mod 2N, and the angle pi j/N folded onto [0, pi] in integers: the
-    angle of j's cosine, and of its sine up to the sign of N - (j mod 2N)."""
-    j = j % (2 * n_sites)
-    return j, np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
+def check_closed_form(
+    label: str, energy: float, exact: float, n_sites: int, lam: float
+) -> None:
+    """``energy`` within CLOSED_FORM_C eps N (1 + |lam|) of its closed form
+    ``exact`` (sector_energy), else ContractError."""
+    bound = CLOSED_FORM_C * _EPS * n_sites * (1.0 + abs(lam))
+    if not abs(energy - exact) <= bound:
+        raise ContractError(
+            f"{label} {energy!r} misses the closed-form energy {exact!r}"
+            f" by more than {bound:.3e}"
+        )
 
 
 def _unit_phases(n_sites: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of pi j/N for integer j, reduced in integers (_fold), the
-    sine signed by the fold.  So angle 0 and pi give an exact 0 sine, and j
-    and -j give exact conjugates."""
-    j, angle = _fold(n_sites, j)
+    """cos and sin of pi j/N for integer j, reduced in integers: j mod 2N
+    folded onto an angle in [0, pi], the sine signed by the fold.  So angle
+    0 and pi give an exact 0 sine, and j and -j give exact conjugates."""
+    j = j % (2 * n_sites)
+    angle = np.pi * np.minimum(j, 2 * n_sites - j) / n_sites
     return np.cos(angle), np.sign(n_sites - j) * np.sin(angle)
 
 
-def _ground_covariance(n_sites: int, lam: float, offsets: np.ndarray) -> np.ndarray:
-    """g(r) = c[a_l, b_(l+r)] of the ground state at each ring offset r in
-    ``offsets``, for sites l and l+r in 1..N; <a a> and <b b> vanish.
+def _ground_covariance(n_sites: int, lam: float) -> np.ndarray:
+    """g(r) = c[a_l, b_(l+r)] of the ground state at r = -N/2..N/2, for
+    sites l and l+r in 1..N; <a a> and <b b> vanish.
 
     In the sector P = s the couplings are translation invariant with a
     twisted wrap bond, so the modes are plane waves of momentum
     k = pi(2m+1)/N for s = +1 and k = 2 pi m/N for s = -1, m = 0..N-1, and
     g(r) = Re[(1/N) sum_k e^(ikr) (lam + e^(ik)) / |lam + e^(ik)|] (Pfeuty
-    1970), in the sector ground_parity names.  Each angle k r is reduced
-    in integers, as (2m+1) r or 2m r mod 2N, before its cosine.  A zero
-    mode, lam + e^(ik) = 0, is a ContractError: it needs |lam| = 1 and the
-    wrong parity.  The energy -N(g(-1) + lam g(0)) = -sum_k |lam + e^(ik)|
-    must meet free_fermion_ground_energy within CLOSED_FORM_C eps N
-    (1 + |lam|), else ContractError: a covariance of the wrong flip parity
-    sums the other sector's modes and misses it.
+    1970), in the sector ground_parity names.  That is one inverse FFT
+    over m, times the half-step twist e^(i pi r/N) for s = +1; the angles
+    of the momenta and of the twist are reduced in integers (_unit_phases).
+    A zero mode, lam + e^(ik) = 0, is a ContractError: it needs |lam| = 1
+    and the wrong parity.  The energy -N(g(-1) + lam g(0)) =
+    -sum_k |lam + e^(ik)| must meet sector_energy (check_closed_form): a
+    covariance of the wrong flip parity sums the other sector's modes and
+    misses it.
     """
     sign = ground_parity(n_sites, lam)
-    j = 2 * np.arange(n_sites) + (1 if sign > 0 else 0)  # k = pi j / N
-    cos_k, sin_k = _unit_phases(n_sites, j)
+    odd = 1 if sign > 0 else 0  # k = pi (2m + odd) / N
+    cos_k, sin_k = _unit_phases(n_sites, 2 * np.arange(n_sites) + odd)
     real = lam + cos_k
     size = np.hypot(real, sin_k)
     if not np.all(size > 0.0):
         raise ContractError(
             f"sector {sign:+.0f} has a zero mode at lambda={lam!r}"
         )
-    rows = np.concatenate(([-1, 0], offsets))
-    cos_kr, sin_kr = _unit_phases(n_sites, np.outer(rows, j))
-    g = (cos_kr @ (real / size) - sin_kr @ (sin_k / size)) / n_sites
-    energy = -n_sites * float(g[0] + lam * g[1])
-    e0 = free_fermion_ground_energy(n_sites, lam)
-    bound = CLOSED_FORM_C * _EPS * n_sites * (1.0 + abs(lam))
-    if not abs(energy - e0) <= bound:
-        raise ContractError(
-            f"Gaussian ground energy {energy!r} misses the closed-form energy"
-            f" {e0!r} by more than {bound:.3e}"
-        )
-    return g[2:]
+    half = n_sites // 2
+    r = np.arange(-half, half + 1)
+    sums = np.fft.ifft(real / size + 1j * (sin_k / size))[r % n_sites]
+    cos_r, sin_r = _unit_phases(n_sites, odd * r)
+    g = cos_r * sums.real - sin_r * sums.imag
+    energy = -n_sites * float(g[half - 1] + lam * g[half])
+    check_closed_form(
+        "Gaussian ground energy", energy, sector_energy(n_sites, lam, sign),
+        n_sites, lam,
+    )
+    return g
 
 
 def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
@@ -140,7 +142,7 @@ def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     """
     n_sites, lam = check_chain(n_sites, lam)
     half = n_sites // 2
-    g = _ground_covariance(n_sites, lam, np.arange(-half, half + 1))
+    g = _ground_covariance(n_sites, lam)
     corr = np.ones((3, half + 1))
     corr[0, 1:] = g[half] ** 2 - g[half + 1 :] * g[half - 1 :: -1]  # d = 1..N/2
     i = np.arange(half)

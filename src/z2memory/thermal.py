@@ -304,8 +304,8 @@ def default_kt_grid(
     decay, of at most THERMAL_MAX_KT_POINTS points."""
     if not 0.0 < kt_min < kt_max:
         raise DomainError("grid needs 0 < kt_min < kt_max")
-    if points < 2:
-        raise DomainError("grid needs at least 2 points")
+    if not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise DomainError(f"grid needs an integer of at least 2 points, got {points!r}")
     _check_points(points)
     return np.geomspace(kt_min, kt_max, points)
 

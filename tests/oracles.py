@@ -119,6 +119,42 @@ def majorana_covariance(n, lam, sign):
     return -2.0 * (filled @ filled.conj().T).imag
 
 
+def cosine_blocks(x):
+    """sum_d x[a, d] cos(2 pi q d / N) for q = 0..N-1 in float64, from one
+    N x N cosine table whose angles are reduced in integers: 2qd mod 2N,
+    folded onto [0, N] before the cosine.  These are the Fourier blocks of a
+    translation-invariant correlation matrix whose entries x[a, d] are
+    symmetric in d <-> N - d."""
+    n = x.shape[-1]
+    d = np.arange(n)
+    j = 2 * np.outer(d, d) % (2 * n)
+    return x @ np.cos(np.pi * np.minimum(j, 2 * n - j) / n)
+
+
+def exact_cosine_blocks(x, dps=40):
+    """The sums of cosine_blocks in mpmath at ``dps`` digits, rounded to
+    float64 at the end; q and N - q share one sum."""
+    n = x.shape[-1]
+    with mpmath.workdps(dps):
+        cos = [mpmath.cospi(mpmath.mpf(2 * t) / n) for t in range(n)]
+        rows = [[mpmath.mpf(v) for v in row] for row in x.tolist()]
+        half = np.array([
+            [float(mpmath.fdot(row, [cos[q * d % n] for d in range(n)]))
+             for q in range(n // 2 + 1)]
+            for row in rows
+        ])
+    return half[:, np.minimum(np.arange(n), n - np.arange(n))]
+
+
+def vcm_spectrum(blocks, m):
+    """The 3N eigenvalues, descending, of a ground-state correlation matrix
+    from its Fourier blocks (rows xx, yy, zz) and m = <sigma_x>: the x
+    entries alone, and the 2 x 2 blocks [[yy, i m], [-i m, zz]]."""
+    mid = 0.5 * (blocks[1] + blocks[2])
+    radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
+    return np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
+
+
 def dense_vcm(amps):
     """Connected pair-correlation matrix by explicit operator products."""
     n = int(round(np.log2(amps.size)))

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 import z2memory.eigensolve as es
+import z2memory.majorana as mj
 from z2memory import (
     CapabilityError,
     ContractError,
@@ -244,19 +245,21 @@ CLOSED_FORM_FIELDS = (0.0, 1e-8, -1e-8, 0.3, 0.5, 1.0, 1.5, -1.7, 5.0)
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_closed_form_ground_energy_matches_the_oracle(n):
+    # sector_energy in the sector of the ground state, over the
+    # antiperiodic modes
     for lam in CLOSED_FORM_FIELDS:
         want = float(oracles.free_fermion_energies(n, lam)[0])
-        got = es.free_fermion_ground_energy(n, lam)
+        got = es.sector_energy(n, lam, es.ground_parity(n, lam))
         assert abs(got - want) <= 1e-14 * abs(want), lam
 
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_closed_form_partner_energy_matches_the_oracle(n):
-    # the other flip sector's ground energy, over the periodic modes
+    # sector_energy in the other flip sector, over the periodic modes
     eps = np.finfo(float).eps
     for lam in (*CLOSED_FORM_FIELDS, -20.0):
         want = float(oracles.free_fermion_energies(n, lam)[1])
-        got = es.free_fermion_partner_energy(n, lam)
+        got = es.sector_energy(n, lam, -es.ground_parity(n, lam))
         assert abs(got - want) <= 4.0 * eps * abs(want), lam
 
 
@@ -286,17 +289,17 @@ def test_ground_path_runs_no_full_eigh(monkeypatch):
 def test_closed_form_mismatch_is_a_contract_error(monkeypatch):
     # an energy 4 too high, and enough steps to settle, take the iteration
     # to an excited block level that passes every other contract
-    exact = es.free_fermion_ground_energy
+    exact = es.sector_energy
     monkeypatch.setattr(
-        es, "free_fermion_ground_energy", lambda n, lam: exact(n, lam) + 4.0
+        es, "sector_energy", lambda n, lam, sign: exact(n, lam, sign) + 4.0
     )
     monkeypatch.setattr(es, "SHIFT_STEPS", 40)
     h = build_tfim(8, 0.5)
     with pytest.raises(ContractError, match="closed-form energy"):
         lowest_eigenpairs(h, 1)
-    monkeypatch.setattr(es, "CLOSED_FORM_C", np.inf)
+    monkeypatch.setattr(mj, "CLOSED_FORM_C", np.inf)
     excited = lowest_eigenpairs(h, 1)
-    assert excited.eigenvalues[0] > exact(8, 0.5) + 3.0
+    assert excited.eigenvalues[0] > exact(8, 0.5, 1.0) + 3.0
     assert excited.residuals[0] < 1e-12
 
 
@@ -304,19 +307,20 @@ def test_partner_closed_form_mismatch_is_a_contract_error(monkeypatch):
     # the same forcing on the doublet partner's sector: its shifted solves
     # settle on an excited block level, and only the quotient contract
     # tells; the ground state's sector is untouched
-    exact = es.free_fermion_partner_energy
+    exact = es.sector_energy
     monkeypatch.setattr(
-        es, "free_fermion_partner_energy", lambda n, lam: exact(n, lam) + 4.0
+        es, "sector_energy",
+        lambda n, lam, sign: exact(n, lam, sign) + 4.0 * (sign < 0),
     )
     monkeypatch.setattr(es, "SHIFT_STEPS", 40)
     h = build_tfim(8, 0.5)
     with pytest.raises(ContractError, match="sector -1 quotient"):
         lowest_eigenpairs(h, 2)
     lowest_eigenpairs(h, 1)
-    monkeypatch.setattr(es, "CLOSED_FORM_C", np.inf)
+    monkeypatch.setattr(mj, "CLOSED_FORM_C", np.inf)
     wrong = lowest_eigenpairs(h, 2)
     assert wrong.parities.tolist() == [1.0, -1.0]
-    assert wrong.eigenvalues[1] > exact(8, 0.5) + 3.0
+    assert wrong.eigenvalues[1] > exact(8, 0.5, -1.0) + 3.0
     assert wrong.residuals.max() < 1e-12
 
 

@@ -193,6 +193,47 @@ def test_index_p_at_large_n(lam, p):
     assert abs(1.0 + fit_index_p(points).slope - p) < 0.01
 
 
+# The large-N laws of e1 hold on any route to the spectrum (Pfeuty, Ann.
+# Phys. 57, 79 (1970)); the N=512 points stay out to keep these fast.
+LAW_SIZES = (32, 64, 128, 256)
+
+
+def _e1(lam, sizes=LAW_SIZES):
+    return np.array([e1 for _, _, e1 in largest_eigenvalue_scan([lam], sizes)])
+
+
+def test_ordered_e1_exceeds_n_m0_squared_by_a_constant():
+    # |lam| < 1: the spontaneous magnetization is (1 - lam^2)^(1/8), so
+    # e1 - N (1 - lam^2)^(1/4) tends to a constant, with an O(1/N)
+    # correction that halves at each doubling
+    lam = 0.5
+    excess = _e1(lam) - np.array(LAW_SIZES) * (1.0 - lam**2) ** 0.25
+    assert np.abs(excess - [0.07986, 0.07869, 0.07812, 0.07783]).max() < 1e-5
+    steps = np.diff(excess)
+    assert np.abs(steps[1:] / steps[:-1] - 0.5).max() < 0.05
+
+
+def test_critical_e1_local_index_is_seven_quarters():
+    # lam = 1: <s_z s_z>(r) ~ r^(-1/4), so the local index
+    # 1 + log2(e1(2N)/e1(N)) tends to 2 - eta = 7/4
+    e1 = _e1(1.0)
+    assert np.abs(1.0 + np.log2(e1[1:] / e1[:-1]) - 1.75).max() < 2e-3
+
+
+def test_disordered_e1_converges_exponentially():
+    # |lam| > 1: every correlation decays exponentially, and e1 holds 13
+    # digits from N=128 on
+    assert np.abs(_e1(1.5, (128, 256)) - 2.8951096056218).max() < 1e-13
+
+
+def test_scan_rejects_an_empty_or_repeated_field_list():
+    with pytest.raises(DomainError, match="at least one field value"):
+        largest_eigenvalue_scan([], [8])
+    for lams in ([0.5, 0.5], [0.5, 1.5, 5e-1]):
+        with pytest.raises(DomainError, match="field value 0.5 twice"):
+            largest_eigenvalue_scan(lams, [8])
+
+
 def test_vcm_matches_dense_oracle_on_product_states():
     # product states carry <sigma_y> of order one, so a wrong phase on the
     # means would show

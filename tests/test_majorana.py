@@ -11,8 +11,15 @@ FIELDS = (0.0, 1e-8, -1e-8, 0.3, 1.0, 1.5, -0.7, 1e3)
 
 def _covariance_from_pairs(n, lam):
     """The full 2N x 2N c over (a_1, b_1, ..., a_N, b_N) from g at every
-    r in (-N, N): c[a_l, b_l'] = g(l' - l), c[b_l', a_l] = -g(l' - l)."""
-    g = mj._ground_covariance(n, lam, np.arange(-(n - 1), n))
+    r in (-N, N): c[a_l, b_l'] = g(l' - l), c[b_l', a_l] = -g(l' - l).
+    _ground_covariance gives r = -N/2..N/2; the sector's momenta make
+    g(r + N) = -s g(r) in the sector s of the ground state."""
+    half = n // 2
+    g = mj._ground_covariance(n, lam)
+    r = np.arange(-(n - 1), n)
+    fold = (r + half) % n - half  # r - N, r or r + N, inside -N/2..N/2
+    wrap = (-mj.ground_parity(n, lam)) ** ((r - fold) // n)
+    g = wrap * g[fold + half]
     l = np.arange(n)
     c = np.zeros((2 * n, 2 * n))
     c[0::2, 1::2] = g[l[None, :] - l[:, None] + n - 1]
@@ -57,9 +64,9 @@ def test_correlations_match_the_dense_ground_state(n):
 
 
 def test_energy_mismatch_is_a_contract_error(monkeypatch):
-    exact = mj.free_fermion_ground_energy
+    exact = mj.sector_energy
     monkeypatch.setattr(
-        mj, "free_fermion_ground_energy", lambda n, lam: exact(n, lam) + 4.0
+        mj, "sector_energy", lambda n, lam, sign: exact(n, lam, sign) + 4.0
     )
     with pytest.raises(ContractError, match="closed-form energy"):
         mj.ground_correlations(8, 0.5)
@@ -104,22 +111,41 @@ def test_chain_domain():
             mj.ground_correlations(n, lam)
 
 
-def _spectrum_from_unit_phases(n, lam):
-    """macroscopicity._ground_spectrum as it read before the integer fold
-    was factored out of _unit_phases: the cosine half of _unit_phases,
-    whose sine table it built and dropped."""
+def _fourier_input(n, lam):
+    """m and the rows (xx, yy, zz) of connected correlations at offsets
+    d = 0..N-1 that macroscopicity._ground_spectrum transforms."""
     m, corr = mj.ground_correlations(n, lam)
     corr[0] -= m * m
     d = np.arange(n)
-    cos, _ = mj._unit_phases(n, 2 * np.outer(d, d))
-    blocks = corr[:, np.minimum(d, n - d)] @ cos
-    mid = 0.5 * (blocks[1] + blocks[2])
-    radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
-    return np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
+    return m, corr[:, np.minimum(d, n - d)]
 
 
 @pytest.mark.parametrize("n", [*range(3, 65), 512])
 def test_ground_spectrum_takes_the_cosine_alone_bit_for_bit(n):
+    # named for the N x N cosine table the spectrum once matched bit for
+    # bit; its FFT now meets that table, the integer-reduced cosine sum of
+    # oracles.cosine_blocks, within 1e-14 relative to e1 (1.1e-15 measured
+    # at N <= 64, 5.5e-15 at N = 512)
     for lam in FIELDS:
+        m, x = _fourier_input(n, lam)
+        want = oracles.vcm_spectrum(oracles.cosine_blocks(x), m)
         got = macroscopicity._ground_spectrum(n, lam)
-        assert np.array_equal(got, _spectrum_from_unit_phases(n, lam)), lam
+        assert np.abs(got - want).max() <= 1e-14 * want[0], lam
+
+
+def test_fourier_blocks_are_no_farther_from_exact_than_the_table():
+    # against a 40-digit DFT of the same correlations, the worst error of
+    # the FFT route over these sizes is no larger than that of the cosine
+    # table, though at some odd primes the FFT is a few ulps worse at that
+    # size alone (N = 53: 2.8e-14 against 7.1e-15)
+    fft_worst = table_worst = 0.0
+    for n in (14, 23, 47, 53, 59, 64, 100, 128):
+        for lam in FIELDS:
+            m, x = _fourier_input(n, lam)
+            exact = oracles.vcm_spectrum(oracles.exact_cosine_blocks(x), m)
+            got = macroscopicity._ground_spectrum(n, lam)
+            table = oracles.vcm_spectrum(oracles.cosine_blocks(x), m)
+            fft_worst = max(fft_worst, np.abs(got - exact).max())
+            table_worst = max(table_worst, np.abs(table - exact).max())
+    assert fft_worst <= table_worst
+    assert fft_worst < 1e-13

@@ -229,8 +229,10 @@ def test_default_kt_grid():
         default_kt_grid(0.0, 1.0)
     with pytest.raises(DomainError):
         default_kt_grid(2.0, 1.0)
-    with pytest.raises(DomainError):
-        default_kt_grid(0.1, 1.0, 1)
+    for points in (1, 2.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="integer of at least 2 points"):
+            default_kt_grid(0.1, 1.0, points)
+    assert default_kt_grid(0.1, 1.0, np.int64(3)).size == 3
 
 
 def test_thermal_scan_monotone_and_limits():
