@@ -35,6 +35,7 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, det
 
+from ._blas import one_thread
 from .errors import ContractError, ConvergenceError
 from .model import check_chain
 
@@ -150,9 +151,10 @@ def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     y_table = g[half + 1 + shift]
     z_table = g[half - 1 - shift]
     try:
-        for d in range(1, half + 1):
-            corr[1, d] = det(y_table[:d, :d])
-            corr[2, d] = det(z_table[:d, :d])
+        with one_thread():
+            for d in range(1, half + 1):
+                corr[1, d] = det(y_table[:d, :d])
+                corr[2, d] = det(z_table[:d, :d])
     except LinAlgError as exc:
         raise ConvergenceError(f"Gaussian ground state failed: {exc}") from exc
     return -float(g[half]), corr

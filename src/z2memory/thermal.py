@@ -24,11 +24,13 @@ any GibbsState, on the dense spectrum of up to FULL_SPECTRUM_MAX_SITES.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import CapabilityError, ContractError, DomainError
 from .eigensolve import (
     FullSpectrum,
@@ -52,6 +54,10 @@ DEFAULT_KT_MAX = 2.0
 DEFAULT_KT_POINTS = 40
 THERMAL_MAX_KT_POINTS = 1000  # each point holds ~0.1 MB at N = 12, ~0.4 MB at 14
 THERMAL_MAX_SITES = 14  # 40 points take ~18 s and 0.63 GB at N = 14 on 2 cores
+# Scans up to this size run on one OpenBLAS thread: there the pool's second
+# thread only busy-waits, and at N = 11 and up it saves wall time
+# (BENCH_thermal_one_thread.json, thermal_scan_standalone).
+ONE_THREAD_MAX_SITES = 10
 
 
 @dataclass(frozen=True)
@@ -336,6 +342,8 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
         raise CapabilityError(
             f"thermal scans stop at {THERMAL_MAX_SITES} sites, got {n}"
         )
-    blocks = _momentum_spectra(build_tfim(n, lam))
-    spectra = _scan_w_spectra(n, blocks, _block_weights(blocks, grid))
+    pinned = n <= ONE_THREAD_MAX_SITES
+    with one_thread() if pinned else contextlib.nullcontext():
+        blocks = _momentum_spectra(build_tfim(n, lam))
+        spectra = _scan_w_spectra(n, blocks, _block_weights(blocks, grid))
     return [(float(kT), float(e)) for kT, e in zip(grid, spectra.max(axis=(0, 1)))]
