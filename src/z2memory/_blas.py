@@ -1,11 +1,28 @@
 """One-thread scopes for the OpenBLAS that numpy loaded, through ctypes.
 
-OpenBLAS runs an LU of 100 unknowns or more on its thread pool.  On a
-2-core desk machine the second thread then busy-waits between calls,
-doubling a run's CPU time for no wall time: a 362-unknown solve took
-1.8-2.4 ms on the pool and 1.6-2.1 ms on one thread.  one_thread() runs a
-block of code with OpenBLAS's thread count at 1 and gives the caller's
-count back on exit, normal or not.
+OpenBLAS threads an LU from 100 unknowns on, and a GEMM or a determinant
+of modest size too.  On a 2-core desk machine the second thread then
+busy-waits between calls, doubling a run's CPU time for little or no wall
+time.  one_thread() runs a block of code with OpenBLAS's thread count at 1
+and gives the caller's count back on exit, normal or not.  The pinned
+scopes:
+
+- eigensolve._symmetric_ground, the shifted solves behind e2, superpose
+  and pz: a 362-unknown solve took 1.8-2.4 ms on the pool and 1.6-2.1 ms
+  on one thread.
+- majorana.ground_correlations, the N/2 determinants per axis of a
+  scan-e1 point: at N=512 a point took 146 ms wall and 279 ms CPU on the
+  pool against 122 and 148 ms pinned.  OpenBLAS threads a determinant
+  from about 144 x 144 on, so below N = 288 the pin changes nothing.
+- thermal.thermal_scan up to thermal.ONE_THREAD_MAX_SITES sites, its
+  block eigh calls and the W products: there one thread is as fast, the
+  benchmark's thermal pass at N = 8 and 9 takes half the CPU time, and a
+  fresh process's first threaded call can stall for most of a second.
+  Larger scans keep the caller's count, because there the pool saves
+  wall time.
+
+The gap's Lanczos keeps the pool: the benchmark's recorded gap bits
+depend on it.
 
 The count is set by openblas_set_num_threads_local, which returns the
 previous count.  Its symbol is looked up in the scope of numpy's own
@@ -18,8 +35,10 @@ any thread is inside one_thread() the BLAS calls of every other thread run
 on one thread too.  Their results keep every contract, but their rounding
 can differ from the pool's.  So scopes hold one lock and never overlap:
 with overlapping scopes a process-wide count would be restored while
-another scope still runs, or left at 1 for good.  The solves they wrap
-take milliseconds, and they would each run on one thread anyway.
+another scope still runs, or left at 1 for good.  A scope holds the lock
+for its whole run: a pinned thermal scan for all its blocks (about 40 ms
+at N = 10), a block solve for milliseconds and a scan-e1 point for up to
+0.15 s at N = 512.  A thread that opens a scope meanwhile waits.
 
 Where numpy's BLAS exports no such symbol (MKL, Accelerate, older
 OpenBLAS releases), one_thread() does nothing and the pool keeps its

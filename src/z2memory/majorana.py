@@ -24,8 +24,8 @@ since <a a> and <b b> vanish, each Pfaffian is the d x d determinant of a
 Toeplitz block of g (Pfeuty 1970; Barouch and McCoy, Phys. Rev. A 3, 786
 (1971)).
 
-The module imports only numpy, the chain's parameter check and the error
-types, so that eigensolve can build on it.
+The module imports only numpy, the one-thread scope of _blas, the chain's
+parameter check and the error types, so that eigensolve can build on it.
 """
 
 from __future__ import annotations
@@ -138,8 +138,10 @@ def ground_correlations(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     <s_x s_x>(d) = g(0)^2 - g(d) g(-d), the Pfaffian on
     (a_1, b_1, a_{1+d}, b_{1+d}); <s_y s_y>(d) = det[g(j+1-i)] and
     <s_z s_z>(d) = det[g(i-j-1)], i, j = 1..d, the leading d x d slices of
-    two Toeplitz tables.  A LAPACK failure of a determinant raises
-    ConvergenceError.
+    two Toeplitz tables.  The determinants run with OpenBLAS on one thread
+    (_blas.one_thread): it threads the LU of a slice from about 144 x 144
+    on (N >= 288), and its second thread then mostly doubles the CPU time.
+    A LAPACK failure of a determinant raises ConvergenceError.
     """
     n_sites, lam = check_chain(n_sites, lam)
     half = n_sites // 2

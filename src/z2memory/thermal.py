@@ -20,6 +20,13 @@ two matrix products per group of block pairs serve every temperature of
 the grid: no 2^N eigenvector is formed, no 3N x 3N matrix is assembled and
 no eigh runs per temperature.  build_w_matrix stays the general route for
 any GibbsState, on the dense spectrum of up to FULL_SPECTRUM_MAX_SITES.
+
+Scans of up to ONE_THREAD_MAX_SITES sites run with numpy's OpenBLAS on one
+thread (_blas.one_thread).  There the pool's second thread mostly
+busy-waits through the block eigh calls and the W products, doubling the
+CPU time for no wall time, and a fresh process can stall on its first
+threaded call.  From N = 11 on the pool saves wall time, so larger scans
+keep the caller's thread count.
 """
 
 from __future__ import annotations
@@ -325,7 +332,10 @@ def thermal_scan(lam: float, n: int, kT_grid=None) -> list[tuple[float, float]]:
     whole grid, and e1 is the largest (see _scan_w_spectra).  GibbsState's
     checks hold by construction: the weights are nonnegative with sum 1,
     and the checks in _momentum_spectra bound ||[rho, H]|| by twice the
-    worst residual.
+    worst residual.  Up to ONE_THREAD_MAX_SITES sites the whole scan runs
+    on one OpenBLAS thread, so its bits do not depend on the caller's
+    thread count, and holds _blas's lock for its whole run; larger scans
+    run on the caller's pool.
     """
     if kT_grid is None:
         kT_grid = default_kt_grid()

@@ -6,7 +6,9 @@ and build_vcm's Gram route, whose 3N-row product runs through the @
 operator where no patch of numpy reaches, is refused outright.
 
 The symmetric-block solves, whose LU OpenBLAS threads from 100 unknowns
-on, run inside _blas.one_thread(), and the gap's Lanczos does not."""
+on, the scan-e1 determinants and thermal scans of up to
+thermal.ONE_THREAD_MAX_SITES sites run inside _blas.one_thread(); larger
+thermal scans and the gap's Lanczos do not."""
 
 import ctypes
 import sys
@@ -23,13 +25,15 @@ from z2memory import (
     StateVector,
     build_tfim,
     build_vcm,
+    default_kt_grid,
     gap_scan,
     identity_report,
     lowest_eigenpairs,
     state_mz_distribution,
     superposed_state,
+    thermal_scan,
 )
-from z2memory import _blas, eigensolve, macroscopicity
+from z2memory import _blas, eigensolve, macroscopicity, majorana, thermal
 
 LONG = 1 << 14
 
@@ -79,8 +83,9 @@ def test_pure_state_paths_make_no_long_blas_reduction(no_long_blas):
     assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
 
-# The symmetric-block solves run with numpy's OpenBLAS on one thread
-# (_blas.one_thread); the gap's Lanczos keeps the caller's pool.  The
+# The symmetric-block solves, the scan-e1 determinants and the small
+# thermal scans run with numpy's OpenBLAS on one thread (_blas.one_thread);
+# larger thermal scans and the gap's Lanczos keep the caller's pool.  The
 # count is read by setting it and setting it back, since the getter's
 # symbol name differs between builds.
 
@@ -215,4 +220,70 @@ def test_block_solves_in_several_threads_keep_their_bits(blas_setter):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(values, want) for values in got)
+    assert _count(blas_setter) == 2
+
+
+def _spy_on_thermal(monkeypatch, setter):
+    """Counts seen by the block eigh calls and the W products of a scan."""
+    counts = {"eigh": [], "moduli": []}
+
+    def spy(name, func):
+        def call(*args):
+            counts[name].append(_count(setter))
+            return func(*args)
+
+        return call
+
+    monkeypatch.setattr(eigensolve, "eigh", spy("eigh", eigensolve.eigh))
+    monkeypatch.setattr(
+        thermal, "_squared_moduli", spy("moduli", thermal._squared_moduli)
+    )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    ((thermal.ONE_THREAD_MAX_SITES, 1), (thermal.ONE_THREAD_MAX_SITES + 1, 2)),
+)
+def test_thermal_scans_pin_up_to_the_crossover(blas_setter, monkeypatch, n, count):
+    counts = _spy_on_thermal(monkeypatch, blas_setter)
+    thermal_scan(0.5, n, default_kt_grid(points=3))
+    assert counts["eigh"] == [count] * 2 * (n // 2 + 1)
+    assert counts["moduli"] and set(counts["moduli"]) == {count}
+    assert _count(blas_setter) == 2
+
+
+def test_callers_count_returns_after_a_thermal_convergence_error(
+    blas_setter, monkeypatch
+):
+    # a block eigh residual within the eigh's own rounding: exit 2 from the CLI
+    counts = _spy_on_thermal(monkeypatch, blas_setter)
+    with pytest.raises(ConvergenceError, match="rounding of a dense eigh"):
+        thermal_scan(1e5, 10, default_kt_grid(points=3))
+    assert counts["eigh"] and set(counts["eigh"]) == {1}
+    assert _count(blas_setter) == 2
+
+
+def test_pinned_thermal_scan_keeps_its_bits_at_any_callers_count(blas_setter):
+    grid = default_kt_grid()
+    n = thermal.ONE_THREAD_MAX_SITES
+    want = thermal_scan(0.5, n, grid)
+    blas_setter(1)
+    try:
+        got = thermal_scan(0.5, n, grid)
+    finally:
+        blas_setter(2)
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_ground_correlation_determinants_run_on_one_thread(blas_setter, monkeypatch):
+    counts = []
+
+    def spy(mat):
+        counts.append(_count(blas_setter))
+        return np.linalg.det(mat)
+
+    monkeypatch.setattr(majorana, "det", spy)
+    majorana.ground_correlations(256, 0.5)
+    assert counts == [1] * 256
     assert _count(blas_setter) == 2
