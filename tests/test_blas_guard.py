@@ -6,20 +6,27 @@ and build_vcm's Gram route, whose 3N-row product runs through the @
 operator where no patch of numpy reaches, is refused outright.
 
 The symmetric-block solves, whose LU OpenBLAS threads from 100 unknowns
-on, the scan-e1 determinants and thermal scans of up to
-thermal.ONE_THREAD_MAX_SITES sites run inside _blas.one_thread(); larger
-thermal scans and the gap's Lanczos do not."""
+on, the gap's Lanczos, the scan-e1 determinants and thermal scans of up to
+thermal.ONE_THREAD_MAX_SITES sites run inside _blas.one_thread(); only
+larger thermal scans keep the caller's pool.  The gap's N=14 quotient is
+summed in the two halves that the pool's dot adds, so its bits are pinned
+here at either count."""
 
 import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
+import z2memory
 from z2memory import (
     ConvergenceError,
     StateVector,
@@ -83,10 +90,10 @@ def test_pure_state_paths_make_no_long_blas_reduction(no_long_blas):
     assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
 
-# The symmetric-block solves, the scan-e1 determinants and the small
-# thermal scans run with numpy's OpenBLAS on one thread (_blas.one_thread);
-# larger thermal scans and the gap's Lanczos keep the caller's pool.  The
-# count is read by setting it and setting it back, since the getter's
+# The symmetric-block solves, the gap's Lanczos, the scan-e1 determinants
+# and the small thermal scans run with numpy's OpenBLAS on one thread
+# (_blas.one_thread); only larger thermal scans keep the caller's pool.
+# The count is read by setting it and setting it back, since the getter's
 # symbol name differs between builds.
 
 
@@ -155,17 +162,82 @@ def test_callers_count_returns_after_a_failed_solve(blas_setter, monkeypatch):
     assert _count(blas_setter) == 2
 
 
-def test_gap_scan_runs_at_the_callers_count(blas_setter, monkeypatch):
-    counts = []
-    lanczos = eigensolve._lanczos_smallest
+def _spy_on_gap(monkeypatch, setter):
+    """Counts seen by the sector Lanczos solves and the N=14 quotients."""
+    counts = {"lanczos": [], "quotient": []}
+    lanczos, quotient = eigensolve._lanczos_smallest, eigensolve._recorded_quotient
 
-    def spy(op, rng):
-        counts.append(_count(blas_setter))
+    def spy_lanczos(op, rng):
+        counts["lanczos"].append(_count(setter))
         return lanczos(op, rng)
 
-    monkeypatch.setattr(eigensolve, "_lanczos_smallest", spy)
-    gap_scan(0.5, 12, 13)
-    assert counts == [2] * 4
+    def spy_quotient(full, hv):
+        if full.size == 1 << 14:
+            counts["quotient"].append(_count(setter))
+        return quotient(full, hv)
+
+    monkeypatch.setattr(eigensolve, "_lanczos_smallest", spy_lanczos)
+    monkeypatch.setattr(eigensolve, "_recorded_quotient", spy_quotient)
+    return counts
+
+
+def test_gap_lanczos_runs_on_one_thread_and_restores_the_count(
+    blas_setter, monkeypatch
+):
+    counts = _spy_on_gap(monkeypatch, blas_setter)
+    gap_scan(0.5, 13, 14)
+    assert counts == {"lanczos": [1] * 4, "quotient": [1] * 2}
+    assert _count(blas_setter) == 2
+
+
+def test_callers_count_returns_after_a_gap_convergence_error(
+    blas_setter, monkeypatch
+):
+    # an exhausted matvec budget: exit 2 from the CLI
+    counts = _spy_on_gap(monkeypatch, blas_setter)
+    monkeypatch.setattr(eigensolve, "MATVEC_BUDGET", 3)
+    with pytest.raises(ConvergenceError, match="exhausted 3 matrix applications"):
+        gap_scan(0.5, 14, 14)
+    assert counts == {"lanczos": [1], "quotient": []}
+    assert _count(blas_setter) == 2
+
+
+# gap_scan(lam, 14, 14) as the parent of the one-thread Lanczos printed it
+# on the default 2-thread pool, at the three ordered fields of the
+# benchmark's variants 1, 3 and 8, whose N=14 rows moved on one thread
+# before the quotient was summed in halves
+RECORDED_GAPS = {
+    0.4854: 1.1089888827697791e-05,
+    0.4891: 1.230836777033062e-05,
+    0.4895: 1.2447246859892402e-05,
+}
+
+
+@pytest.mark.parametrize("count", (1, 2))
+@pytest.mark.parametrize("lam", sorted(RECORDED_GAPS))
+def test_gap_keeps_its_recorded_bits_at_any_callers_count(blas_setter, lam, count):
+    blas_setter(count)
+    try:
+        got = gap_scan(lam, 14, 14)
+    finally:
+        blas_setter(2)
+    assert got == [(14, RECORDED_GAPS[lam])]
+
+
+def test_gap_cli_prints_the_same_row_on_one_thread():
+    src = str(Path(z2memory.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "z2memory.cli", "gap", "--n-min", "14",
+            "--n-max", "14", "--lambda", "0.4854"]
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    rows = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        env = {**default, **extra, "PYTHONPATH": src}
+        out = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        rows.append(out.stdout.splitlines()[-1])
+    assert rows[0] == rows[1]
+    assert rows[0].split(",")[:2] == ["14", repr(RECORDED_GAPS[0.4854])]
 
 
 def test_without_the_symbol_the_scope_does_nothing(blas_setter, monkeypatch):
