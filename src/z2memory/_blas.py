@@ -14,6 +14,12 @@ scopes:
   scan-e1 point: at N=512 a point took 146 ms wall and 279 ms CPU on the
   pool against 122 and 148 ms pinned.  OpenBLAS threads a determinant
   from about 144 x 144 on, so below N = 288 the pin changes nothing.
+- eigensolve._lanczos_doublet, the gap's sector solves: its Gram-Schmidt
+  products woke the second thread for no wall time (gap_scan(0.5, 8, 14)
+  took 0.12 s wall and 0.24 s CPU on the pool, 0.11-0.12 s of each
+  pinned).  Its one dot that rounded differently on the pool, the N=14
+  quotient, is summed in the pool's two halves, so the gap keeps its
+  bits.
 - thermal.thermal_scan up to thermal.ONE_THREAD_MAX_SITES sites, its
   block eigh calls and the W products: there one thread is as fast, the
   benchmark's thermal pass at N = 8 and 9 takes half the CPU time, and a
@@ -21,8 +27,8 @@ scopes:
   Larger scans keep the caller's count, because there the pool saves
   wall time.
 
-The gap's Lanczos keeps the pool: the benchmark's recorded gap bits
-depend on it.
+So only thermal scans above thermal.ONE_THREAD_MAX_SITES sites reach the
+pool.
 
 The count is set by openblas_set_num_threads_local, which returns the
 previous count.  Its symbol is looked up in the scope of numpy's own
@@ -32,13 +38,15 @@ nothing numpy runs.  Despite its name, in the pthreads builds that numpy's
 wheels ship the setter changes the process-wide count (seen with OpenBLAS
 0.3.31: other threads read a count of 1 while a scope is open), so while
 any thread is inside one_thread() the BLAS calls of every other thread run
-on one thread too.  Their results keep every contract, but their rounding
-can differ from the pool's.  So scopes hold one lock and never overlap:
-with overlapping scopes a process-wide count would be restored while
-another scope still runs, or left at 1 for good.  A scope holds the lock
-for its whole run: a pinned thermal scan for all its blocks (about 40 ms
-at N = 10), a block solve for milliseconds and a scan-e1 point for up to
-0.15 s at N = 512.  A thread that opens a scope meanwhile waits.
+on one thread too.  Only a thermal scan above thermal.ONE_THREAD_MAX_SITES
+sites runs unpinned, so only its rounding can move: it keeps every
+contract, but its bits can differ from the pool's.  Scopes hold one lock
+and never overlap: with overlapping scopes a process-wide count would be
+restored while another scope still runs, or left at 1 for good.  A
+scope holds the lock for its whole run: a pinned thermal scan for all its
+blocks (about 40 ms at N = 10), a block solve for milliseconds, a gap
+doublet for about 0.1 s at N = 14 and a scan-e1 point for up to 0.15 s at
+N = 512.  A thread that opens a scope meanwhile waits.
 
 Where numpy's BLAS exports no such symbol (MKL, Accelerate, older
 OpenBLAS releases), one_thread() does nothing and the pool keeps its
