@@ -19,7 +19,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-
 from pathlib import Path
 
 import numpy as np
@@ -202,10 +201,10 @@ def test_callers_count_returns_after_a_gap_convergence_error(
     assert _count(blas_setter) == 2
 
 
-# gap_scan(lam, 14, 14) as the parent of the one-thread Lanczos printed it
-# on the default 2-thread pool, at the three ordered fields of the
-# benchmark's variants 1, 3 and 8, whose N=14 rows moved on one thread
-# before the quotient was summed in halves
+# gap_scan(lam, 14, 14) as printed on the default 2-thread pool before the
+# gap's Lanczos was pinned, at the ordered fields of the benchmark's
+# variants 1, 3 and 8, whose N=14 rows moved under one thread while the
+# quotient was still one dot
 RECORDED_GAPS = {
     0.4854: 1.1089888827697791e-05,
     0.4891: 1.230836777033062e-05,
