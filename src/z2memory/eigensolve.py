@@ -18,8 +18,9 @@ complement (at most 362 states at N=14, against 2^13 in the sector).
 Its energy is known in closed form (Lieb, Schultz and Mattis, Ann. Phys.
 16, 407 (1961)), over the antiperiodic free-fermion modes in the ground
 state's sector and the periodic ones in its partner's, so the block is
-not diagonalized: two shifted solves just below that energy find the
-vector, which a gather lifts back to 2^N, and its Rayleigh quotient must
+not diagonalized: one LU of the block shifted just below that energy and
+two triangular solves on it find the vector, which a gather lifts back
+to 2^N, and its Rayleigh quotient must
 then meet the closed form.  The block's matrix elements follow Sandvik,
 arXiv:1101.3281.  Ground state and doublet alike load no scipy.
 
@@ -38,8 +39,10 @@ The gap alone still comes from the Lanczos route it was recorded with:
 one vector per flip sector by Lanczos on the half-space, fully
 reorthogonalized by block classical Gram-Schmidt applied twice, which is
 as accurate as the modified form (Giraud, Langou and Rozloznik, Comput.
-Math. Appl. 50, 1069 (2005)).  The Lanczos matvec runs the sector rule as
-a CSR flip table.  scipy is loaded only by that Krylov solver, so only by
+Math. Appl. 50, 1069 (2005)).  Its basis is one array per restart of
+LANCZOS_ROWS rows, above the at most 77 that any field takes up to N=14,
+so no step copies it.  The Lanczos matvec runs the sector rule as a CSR
+flip table.  scipy is loaded only by that Krylov solver, so only by
 gap scans.  It runs with OpenBLAS on one thread.  Its sector vectors have
 2^(N-1) <= 8192 entries, below the 10000 from which OpenBLAS threads a
 dot, so of all its BLAS calls only the final quotient of a 2^14-entry
@@ -56,9 +59,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigh, solve
+from numpy.linalg import LinAlgError, eigh
 
-from ._blas import one_thread
+from ._blas import lu_factor, lu_solve, one_thread
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
     _EPS, _unit_phases, check_closed_form, ground_parity, sector_energy
@@ -74,6 +77,7 @@ FULL_SPECTRUM_MAX_SITES = 10
 SCAN_MAX_SITES = 14
 SHIFT_REL = 1e-12  # inverse-iteration shift below E0, relative to max(1, |E0|)
 SHIFT_STEPS = 2
+LANCZOS_ROWS = 128  # basis rows allocated per restart (<= 77 used up to N=14)
 EIGH_C = 128  # block eigh residuals stay within C eps N (1 + |lam|)
 _BREAKDOWN_EPS = 1e-13
 
@@ -169,15 +173,16 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
     is the larger (_rounding_floor, which raises where it reaches
     RESIDUAL_BOUND).  Raises ConvergenceError after MATVEC_BUDGET matrix
     applications.  The Lanczos vectors are the first m rows of ``basis``,
-    grown in 16-row blocks; each step is the three-term recurrence, then
-    two block Gram-Schmidt passes."""
+    allocated once per restart with LANCZOS_ROWS rows, or op.dim where that
+    is fewer, and doubled only past that; each step is the three-term
+    recurrence, then two block Gram-Schmidt passes."""
     best_residual = np.inf
     scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
     tol = max(LANCZOS_TOL, _rounding_floor(op.h))
 
     while op.count < MATVEC_BUDGET:
         v = rng.standard_normal(op.dim)
-        basis = np.empty((16, op.dim))
+        basis = np.empty((min(LANCZOS_ROWS, op.dim), op.dim))
         basis[0] = v / np.linalg.norm(v)
         m = 1
         alphas: list[float] = []  # the tridiagonal Lanczos matrix
@@ -207,7 +212,7 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
                     break  # invariant subspace missed the target: restart
             betas.append(b)
             if m == len(basis):
-                basis = np.concatenate([basis, np.empty((16, op.dim))])
+                basis = np.concatenate([basis, np.empty_like(basis)])
             basis[m] = w / b
             m += 1
 
@@ -384,7 +389,8 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
 
     Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with
     sigma = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest
-    level.  Each step shrinks every other component against the target's
+    level, all on one LU of B - sigma (_blas.lu_factor, then one
+    _blas.lu_solve per step).  Each step shrinks every other component against the target's
     by (e0 - sigma) / (E' - sigma).  Every other level of the block adds,
     in either sector, at least two free-fermion modes of opposite momenta,
     so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at any field: O(1), and the
@@ -398,14 +404,19 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     overlap with the ground state is provably nonzero.  The partner sector
     has no such sign rule, and there the caller's check of the quotient
     against e0 catches a start vector that misses the target.  A LAPACK
-    failure of a solve raises ConvergenceError.
+    failure, a singular factor included, raises ConvergenceError.
 
-    The solves run with OpenBLAS on one thread (_blas.one_thread).  It
-    threads an LU from 100 unknowns on, so from N=12 (102 to 362 states at
-    N=12..14), and its second thread then busy-waits: twice the CPU time
-    for no wall time (a 362-unknown solve took 1.6-2.1 ms on one thread and
-    1.8-2.4 ms on the pool, 2 cores).  On one thread the vector's bits do
-    not depend on the caller's count.
+    One dgetrf and SHIFT_STEPS dgetrs give the bits of one
+    numpy.linalg.solve (dgesv) per step, with the block factored once
+    instead of SHIFT_STEPS times: at 362 states (N=14) the factor and two
+    solves took 1.9 ms against 3.7 ms for two solves on one thread, 2
+    cores.  Where numpy's BLAS exports no dgetrf, each step is one
+    numpy.linalg.solve.  The solves run with OpenBLAS on one thread
+    (_blas.one_thread).  It threads an LU from 100 unknowns on, so from
+    N=12 (102 to 362 states at N=12..14), and its second thread then
+    busy-waits: twice the CPU time for no wall time (a 362-unknown solve
+    took 1.6-2.1 ms on one thread and 1.8-2.4 ms on the pool, 2 cores).
+    On one thread the vector's bits do not depend on the caller's count.
     """
     block = _symmetric_block(h.n_sites, sign)
     mat = block.hamiltonian(h, e0 - SHIFT_REL * max(1.0, abs(e0)))
@@ -414,8 +425,9 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
         x -= 2.0 * (popcounts(h.n_sites, block.reps) & 1)
     try:
         with one_thread():
+            lu = lu_factor(mat)
             for _ in range(SHIFT_STEPS):
-                x = solve(mat, x)
+                x = lu_solve(lu, x)
                 x /= np.linalg.norm(x)
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric block solve failed: {exc}") from exc

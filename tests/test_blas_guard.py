@@ -132,15 +132,22 @@ def test_the_setter_reaches_numpys_openblas(blas_setter):
 
 
 def _spy_on_solves(monkeypatch, setter, error=None):
+    """Counts seen by each block's factorization and by each of its
+    solves; ``error``, if given, is raised by the factorization."""
     counts = []
 
-    def spy(mat, rhs):
+    def spy_factor(mat):
         counts.append(_count(setter))
         if error is not None:
             raise error
-        return np.linalg.solve(mat, rhs)
+        return _blas.lu_factor(mat)
 
-    monkeypatch.setattr(eigensolve, "solve", spy)
+    def spy_solve(lu, rhs):
+        counts.append(_count(setter))
+        return _blas.lu_solve(lu, rhs)
+
+    monkeypatch.setattr(eigensolve, "lu_factor", spy_factor)
+    monkeypatch.setattr(eigensolve, "lu_solve", spy_solve)
     return counts
 
 
@@ -149,7 +156,7 @@ def _spy_on_solves(monkeypatch, setter, error=None):
 def test_block_solves_run_on_one_thread(blas_setter, monkeypatch, n, k):
     counts = _spy_on_solves(monkeypatch, blas_setter)
     lowest_eigenpairs(build_tfim(n, 0.5), k)
-    assert counts == [1] * (k * eigensolve.SHIFT_STEPS)
+    assert counts == [1] * (k * (1 + eigensolve.SHIFT_STEPS))
     assert _count(blas_setter) == 2
 
 
@@ -159,6 +166,61 @@ def test_callers_count_returns_after_a_failed_solve(blas_setter, monkeypatch):
         lowest_eigenpairs(build_tfim(12, 0.5), 1)
     assert counts == [1]
     assert _count(blas_setter) == 2
+
+
+# each block is factored once (dgetrf) and solved SHIFT_STEPS times
+# (dgetrs): numpy.linalg.solve's dgesv is those two calls, so the vectors
+# keep the bits of one solve per step; the fallback, where numpy's BLAS
+# exports no dgetrf, is that solve
+BLOCK_FIELDS = (0.0, 1e-8, -1e-8, 1.0, -1.0, 1e3)
+
+
+@pytest.fixture(params=("ctypes", "fallback"))
+def lu_path(request, monkeypatch):
+    if request.param == "ctypes" and _blas._lu_routines() is None:
+        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
+    if request.param == "fallback":
+        monkeypatch.setattr(_blas, "_lu_routines", lambda: None)
+    return request.param
+
+
+def _two_solves(h, sign, e0):
+    """_symmetric_ground with one numpy.linalg.solve per step."""
+    block = eigensolve._symmetric_block(h.n_sites, sign)
+    mat = block.hamiltonian(h, e0 - eigensolve.SHIFT_REL * max(1.0, abs(e0)))
+    x = np.ones(block.reps.size)
+    if h.lam > 0:
+        x -= 2.0 * (eigensolve.popcounts(h.n_sites, block.reps) & 1)
+    with _blas.one_thread():
+        for _ in range(eigensolve.SHIFT_STEPS):
+            x = np.linalg.solve(mat, x)
+            x /= np.linalg.norm(x)
+    return block.coef * x[block.col]
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_one_factor_gives_the_bits_of_a_solve_per_step(lu_path, n):
+    for sign in (1.0, -1.0):
+        for lam in BLOCK_FIELDS:
+            h = build_tfim(n, lam)
+            e0 = majorana.sector_energy(n, lam, sign)
+            got = eigensolve._symmetric_ground(h, sign, e0)
+            assert got.tobytes() == _two_solves(h, sign, e0).tobytes(), (sign, lam)
+
+
+def test_singular_block_is_a_convergence_error(lu_path, monkeypatch):
+    # at zero field the block is diagonal with the closed-form energy -N
+    # on it: unshifted, B - e0 has an exact zero pivot
+    monkeypatch.setattr(eigensolve, "SHIFT_REL", 0.0)
+    with pytest.raises(ConvergenceError, match="block solve failed: Singular matrix"):
+        lowest_eigenpairs(build_tfim(8, 0.0), 1)
+
+
+def test_lu_routines_refuse_a_wrong_shape():
+    with pytest.raises(ValueError, match="square float64"):
+        _blas.lu_factor(np.ones((3, 4)))
+    with pytest.raises(ValueError, match="right-hand side of 3"):
+        _blas.lu_solve(_blas.lu_factor(np.eye(3)), np.ones(4))
 
 
 def _spy_on_gap(monkeypatch, setter):
@@ -243,7 +305,7 @@ def test_without_the_symbol_the_scope_does_nothing(blas_setter, monkeypatch):
     monkeypatch.setattr(_blas, "_thread_setter", lambda: None)
     counts = _spy_on_solves(monkeypatch, blas_setter)
     lowest_eigenpairs(build_tfim(12, 0.5), 1)
-    assert counts == [2] * eigensolve.SHIFT_STEPS
+    assert counts == [2] * (1 + eigensolve.SHIFT_STEPS)
 
 
 def test_overlapping_scopes_keep_the_pin_and_restore_the_count(blas_setter):

@@ -368,10 +368,10 @@ def test_convergence_exit_code(tmp_path, monkeypatch):
 
 
 def test_block_solve_failure_exit_code(tmp_path, monkeypatch):
-    def failing(mat, rhs):
+    def failing(mat):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(es, "solve", failing)
+    monkeypatch.setattr(es, "lu_factor", failing)
     code, _ = run(tmp_path, "conv.csv", "pz", "--n", "8", "--state", "ground")
     assert code == 2
 

@@ -231,10 +231,10 @@ def test_symmetric_block_dimensions():
 
 
 def test_block_lapack_failure_is_a_convergence_error(monkeypatch):
-    def failing(mat, rhs):
+    def failing(mat):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(es, "solve", failing)
+    monkeypatch.setattr(es, "lu_factor", failing)
     with pytest.raises(ConvergenceError, match="Singular matrix"):
         lowest_eigenpairs(build_tfim(8, 0.5), 1)
 
@@ -354,6 +354,21 @@ def test_ground_state_has_perron_frobenius_parity(n, solve_cache):
             # matrix is its ground state
             signed = (gauge * amps.real if lam > 0 else amps.real) * np.sign(amps[0].real)
             assert signed.min() > 0.0
+
+
+@pytest.mark.parametrize("n", (12, 13, 14))
+def test_lanczos_basis_grown_past_its_rows_keeps_the_bits(monkeypatch, n):
+    # no field reaches the growth branch up to N=14 (at most 77 rows of
+    # LANCZOS_ROWS), so it is forced here: the rows and every product on
+    # them are the same after each doubling copy
+    h = build_tfim(n, 0.5)
+    want = es._lanczos_doublet(h)
+    monkeypatch.setattr(es, "LANCZOS_ROWS", 3)
+    got = es._lanczos_doublet(h)
+    assert got.matvecs == want.matvecs > 2 * 3
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    for vg, vw in zip(got.eigenvectors, want.eigenvectors):
+        assert vg.amplitudes.tobytes() == vw.amplitudes.tobytes()
 
 
 def test_exact_degeneracy_at_zero_field():
@@ -480,7 +495,8 @@ def test_doublet_beyond_the_residual_bound_is_a_convergence_error(monkeypatch):
         raise AssertionError("solved past the rounding floor")
 
     monkeypatch.setattr(es._SectorOperator, "matvec", forbidden)
-    monkeypatch.setattr(es, "solve", forbidden)
+    monkeypatch.setattr(es, "lu_factor", forbidden)
+    monkeypatch.setattr(es, "lu_solve", forbidden)
     h = build_tfim(8, 1e7)
     with pytest.raises(ConvergenceError, match="rounding floor"):
         es._lanczos_doublet(h)
