@@ -82,26 +82,23 @@ _INT = ctypes.c_int64  # LAPACK's integer in the ILP64 build
 _INT_P = ctypes.POINTER(_INT)
 
 
-@functools.cache
-def _numpy_library() -> ctypes.CDLL | None:
-    """numpy's linear-algebra extension opened by ctypes: a symbol looked
-    up there resolves to the BLAS that numpy linked."""
+def _numpy_symbol(name: str):
+    """A function of numpy's BLAS, looked up in the scope of numpy's own
+    linear-algebra extension, or None where that library does not export
+    it."""
     try:
-        return ctypes.CDLL(_numpy_lapack.__file__)
-    except OSError:
+        return getattr(ctypes.CDLL(_numpy_lapack.__file__), name)
+    except (OSError, AttributeError):
         return None
 
 
 @functools.cache
 def _thread_setter():
-    """openblas_set_num_threads_local of numpy's BLAS, or None where that
-    library does not export it."""
-    try:
-        setter = _numpy_library().openblas_set_num_threads_local
-    except AttributeError:
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
+    """openblas_set_num_threads_local of numpy's BLAS, or None."""
+    setter = _numpy_symbol("openblas_set_num_threads_local")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
     return setter
 
 
@@ -125,10 +122,9 @@ def one_thread() -> Iterator[None]:
 def _lu_routines():
     """dgetrf and dgetrs of numpy's BLAS, or None where it is not the
     scipy-openblas ILP64 build that exports them under these names."""
-    try:
-        getrf = _numpy_library().scipy_dgetrf_64_
-        getrs = _numpy_library().scipy_dgetrs_64_
-    except AttributeError:
+    getrf = _numpy_symbol("scipy_dgetrf_64_")
+    getrs = _numpy_symbol("scipy_dgetrs_64_")
+    if getrf is None or getrs is None:
         return None
     matrix = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
     pivots = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
@@ -168,7 +164,8 @@ def lu_factor(mat: np.ndarray) -> LU:
     factors = np.array(mat, order="F")
     pivots = np.empty(n, dtype=np.int64)
     info = _INT()
-    routines[0](_size(n), _size(n), factors, _size(max(1, n)), pivots, ctypes.byref(info))
+    getrf, _ = routines
+    getrf(_size(n), _size(n), factors, _size(max(1, n)), pivots, ctypes.byref(info))
     if info.value > 0:
         raise LinAlgError("Singular matrix")
     if info.value < 0:
@@ -185,10 +182,13 @@ def lu_solve(lu: LU, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(lu.factors, rhs)
     n = lu.factors.shape[0]
     if rhs.shape != (n,):
-        raise ValueError(f"lu_solve needs a right-hand side of {n} entries, got {rhs.shape}")
+        raise ValueError(
+            f"lu_solve needs a right-hand side of {n} entries, got {rhs.shape}"
+        )
     x = np.array(rhs, dtype=np.float64)
     info = _INT()
-    _lu_routines()[1](
+    _, getrs = _lu_routines()
+    getrs(
         b"N", _size(n), _size(1), lu.factors, _size(max(1, n)), lu.pivots, x,
         _size(max(1, n)), ctypes.byref(info),
     )

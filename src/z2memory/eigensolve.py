@@ -390,11 +390,12 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with
     sigma = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest
     level, all on one LU of B - sigma (_blas.lu_factor, then one
-    _blas.lu_solve per step).  Each step shrinks every other component against the target's
-    by (e0 - sigma) / (E' - sigma).  Every other level of the block adds,
-    in either sector, at least two free-fermion modes of opposite momenta,
-    so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at any field: O(1), and the
-    factor stays below 2e-11 up to N=14 (worst at |lam| = 1).  Two steps
+    _blas.lu_solve per step).  Each step shrinks every other component
+    against the target's by (e0 - sigma) / (E' - sigma).  Every other
+    level of the block adds, in either sector, at least two free-fermion
+    modes of opposite momenta, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at
+    any field: O(1), and the factor stays below 2e-11 up to N=14 (worst at
+    |lam| = 1).  Two steps
     thus take the vector to rounding, even in the far tails of its Mz
     distribution.  The shift stays below the block's lowest level by a
     thousand times more than the few-ulp errors of e0 and of the block's

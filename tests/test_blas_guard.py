@@ -10,7 +10,10 @@ on, the gap's Lanczos, the scan-e1 determinants and thermal scans of up to
 thermal.ONE_THREAD_MAX_SITES sites run inside _blas.one_thread(); only
 larger thermal scans keep the caller's pool.  The gap's N=14 quotient is
 summed in the two halves that the pool's dot adds, so its bits are pinned
-here at either count."""
+here at either count.  Each block is factored once (_blas.lu_factor) and
+solved once per step (_blas.lu_solve), with the bits of one
+numpy.linalg.solve per step, through numpy's own dgetrf and dgetrs and
+through the fallback where those are not exported."""
 
 import ctypes
 import os
