@@ -10,7 +10,7 @@ scopes:
 
 - eigensolve._symmetric_ground, the shifted solves behind e2, superpose
   and pz: a 362-unknown solve took 1.8-2.4 ms on the pool and 1.6-2.1 ms
-  on one thread.  Its LU now runs once per block (below).
+  on one thread.  Its LU runs once per block (lu_factor, below).
 - majorana.ground_correlations, the N/2 determinants per axis of a
   scan-e1 point: at N=512 a point took 146 ms wall and 279 ms CPU on the
   pool against 122 and 148 ms pinned.  OpenBLAS threads a determinant
@@ -58,9 +58,7 @@ under the names that the scipy-openblas ILP64 build of numpy's wheels
 exports (scipy_dgetrf_64_ and scipy_dgetrs_64_, 64-bit integers), so a
 matrix solved several times is factored once.  numpy.linalg.solve runs
 dgesv, which is dgetrf followed by dgetrs, so each solve keeps the bits of
-one numpy.linalg.solve.  At 362 unknowns on one thread, one dgetrf and two
-dgetrs took 1.9 ms against 3.7 ms for two solves.  Where numpy's BLAS
-exports no such symbols, lu_factor keeps the matrix and lu_solve runs
+one numpy.linalg.solve.  Where numpy's BLAS exports no such symbols, lu_factor keeps the matrix and lu_solve runs
 numpy.linalg.solve on it, one factorization per solve as before.
 """
 
@@ -156,7 +154,9 @@ def lu_factor(mat: np.ndarray) -> LU:
     singular factor raises LinAlgError("Singular matrix"), as
     numpy.linalg.solve does."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.dtype != np.float64:
-        raise ValueError(f"lu_factor needs a square float64 matrix, got {mat.shape}")
+        raise ValueError(
+            f"lu_factor needs a square float64 matrix, got {mat.shape} {mat.dtype}"
+        )
     routines = _lu_routines()
     if routines is None:
         return LU(mat, None)
@@ -178,13 +178,13 @@ def lu_solve(lu: LU, rhs: np.ndarray) -> np.ndarray:
     one dgetrs on its factors, the same bits as numpy.linalg.solve's dgesv,
     which is dgetrf then dgetrs.  Without pivots, numpy.linalg.solve runs on
     the matrix itself."""
-    if lu.pivots is None:
-        return np.linalg.solve(lu.factors, rhs)
     n = lu.factors.shape[0]
     if rhs.shape != (n,):
         raise ValueError(
             f"lu_solve needs a right-hand side of {n} entries, got {rhs.shape}"
         )
+    if lu.pivots is None:
+        return np.linalg.solve(lu.factors, rhs)
     x = np.array(rhs, dtype=np.float64)
     info = _INT()
     _, getrs = _lu_routines()

@@ -20,9 +20,8 @@ Its energy is known in closed form (Lieb, Schultz and Mattis, Ann. Phys.
 state's sector and the periodic ones in its partner's, so the block is
 not diagonalized: one LU of the block shifted just below that energy and
 two triangular solves on it find the vector, which a gather lifts back
-to 2^N, and its Rayleigh quotient must
-then meet the closed form.  The block's matrix elements follow Sandvik,
-arXiv:1101.3281.  Ground state and doublet alike load no scipy.
+to 2^N, and its Rayleigh quotient must then meet the closed form.  The
+block's matrix elements follow Sandvik, arXiv:1101.3281.  Ground state and doublet alike load no scipy.
 
 Full spectra and thermal scans take every level from the blocks of
 momentum k and flip parity s: one state per orbit of rotations and
@@ -395,17 +394,17 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     level of the block adds, in either sector, at least two free-fermion
     modes of opposite momenta, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at
     any field: O(1), and the factor stays below 2e-11 up to N=14 (worst at
-    |lam| = 1).  Two steps
-    thus take the vector to rounding, even in the far tails of its Mz
-    distribution.  The shift stays below the block's lowest level by a
-    thousand times more than the few-ulp errors of e0 and of the block's
-    rounding.  The start vector has the ground state's signs: 1 per orbit
-    for lam <= 0, where Perron-Frobenius makes every block entry positive,
-    and (-1)^popcount for lam > 0, its image under prod sigma_z, so its
-    overlap with the ground state is provably nonzero.  The partner sector
-    has no such sign rule, and there the caller's check of the quotient
-    against e0 catches a start vector that misses the target.  A LAPACK
-    failure, a singular factor included, raises ConvergenceError.
+    |lam| = 1).  Two steps thus take the vector to rounding, even in the
+    far tails of its Mz distribution.  The shift stays below the block's
+    lowest level by a thousand times more than the few-ulp errors of e0
+    and of the block's rounding.  The start vector has the ground state's
+    signs: 1 per orbit for lam <= 0, where Perron-Frobenius makes every
+    block entry positive, and (-1)^popcount for lam > 0, its image under
+    prod sigma_z, so its overlap with the ground state is provably
+    nonzero.  The partner sector has no such sign rule, and there the
+    caller's check of the quotient against e0 catches a start vector that
+    misses the target.  A LAPACK failure, a singular factor included,
+    raises ConvergenceError.
 
     One dgetrf and SHIFT_STEPS dgetrs give the bits of one
     numpy.linalg.solve (dgesv) per step, with the block factored once

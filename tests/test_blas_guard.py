@@ -219,7 +219,7 @@ def test_singular_block_is_a_convergence_error(lu_path, monkeypatch):
         lowest_eigenpairs(build_tfim(8, 0.0), 1)
 
 
-def test_lu_routines_refuse_a_wrong_shape():
+def test_lu_routines_refuse_a_wrong_shape(lu_path):
     with pytest.raises(ValueError, match="square float64"):
         _blas.lu_factor(np.ones((3, 4)))
     with pytest.raises(ValueError, match="right-hand side of 3"):
