@@ -10,7 +10,7 @@ scopes:
 
 - eigensolve._symmetric_ground, the shifted solves behind e2, superpose
   and pz: a 362-unknown solve took 1.8-2.4 ms on the pool and 1.6-2.1 ms
-  on one thread.  Its LU runs once per block (lu_factor, below).
+  on one thread.  Its LU runs once per block (lu_solver, below).
 - majorana.ground_correlations, the N/2 determinants per axis of a
   scan-e1 point: at N=512 a point took 146 ms wall and 279 ms CPU on the
   pool against 122 and 148 ms pinned.  OpenBLAS threads a determinant
@@ -53,13 +53,15 @@ Where numpy's BLAS exports no such symbol (MKL, Accelerate, older
 OpenBLAS releases), one_thread() does nothing and the pool keeps its
 count.
 
-lu_factor and lu_solve call dgetrf and dgetrs from the same library,
-under the names that the scipy-openblas ILP64 build of numpy's wheels
-exports (scipy_dgetrf_64_ and scipy_dgetrs_64_, 64-bit integers), so a
-matrix solved several times is factored once.  numpy.linalg.solve runs
-dgesv, which is dgetrf followed by dgetrs, so each solve keeps the bits of
-one numpy.linalg.solve.  Where numpy's BLAS exports no such symbols, lu_factor keeps the matrix and lu_solve runs
-numpy.linalg.solve on it, one factorization per solve as before.
+lu_solver calls dgetrf and dgetrs from the same library, under the names
+that the scipy-openblas ILP64 build of numpy's wheels exports
+(scipy_dgetrf_64_ and scipy_dgetrs_64_, 64-bit integers), so a matrix
+solved several times is factored once.  numpy.linalg.solve runs dgesv,
+which is dgetrf followed by dgetrs, so each solve keeps the bits of one
+numpy.linalg.solve.  Where numpy's BLAS exports no such symbols, each
+solve is one numpy.linalg.solve on the matrix, one factorization per
+solve.  The factors stay inside lu_solver's closure, so no caller sees
+which route ran.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ import contextlib
 import ctypes
 import functools
 import threading
-from collections.abc import Iterator
-from typing import NamedTuple
+from collections.abc import Callable, Iterator
 
 import numpy as np
 import numpy.linalg._umath_linalg as _numpy_lapack
@@ -135,63 +136,52 @@ def _lu_routines():
     return getrf, getrs
 
 
-class LU(NamedTuple):
-    """A square matrix ready for lu_solve: dgetrf's factors, column-major,
-    and its pivots, or, where numpy's BLAS exports no dgetrf, the matrix
-    itself and no pivots."""
-
-    factors: np.ndarray
-    pivots: np.ndarray | None
-
-
 def _size(n: int) -> _INT_P:
     return ctypes.byref(_INT(n))
 
 
-def lu_factor(mat: np.ndarray) -> LU:
-    """The LU factorization of a square float64 matrix by one dgetrf, or
-    the matrix itself where numpy's BLAS exports no dgetrf.  An exactly
+def lu_solver(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function that returns the solution x of mat x = rhs for one
+    right-hand side of len(mat) entries.
+
+    mat, square float64, is factored here by one dgetrf, and each call runs
+    one dgetrs on the factors: the same bits as numpy.linalg.solve's dgesv,
+    which is dgetrf then dgetrs.  Where numpy's BLAS exports no dgetrf, mat
+    is kept and each call is one numpy.linalg.solve on it.  An exactly
     singular factor raises LinAlgError("Singular matrix"), as
     numpy.linalg.solve does."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.dtype != np.float64:
         raise ValueError(
-            f"lu_factor needs a square float64 matrix, got {mat.shape} {mat.dtype}"
+            f"lu_solver needs a square float64 matrix, got {mat.shape} {mat.dtype}"
         )
-    routines = _lu_routines()
-    if routines is None:
-        return LU(mat, None)
     n = mat.shape[0]
-    factors = np.array(mat, order="F")
-    pivots = np.empty(n, dtype=np.int64)
-    info = _INT()
-    getrf, _ = routines
-    getrf(_size(n), _size(n), factors, _size(max(1, n)), pivots, ctypes.byref(info))
-    if info.value > 0:
-        raise LinAlgError("Singular matrix")
-    if info.value < 0:
-        raise LinAlgError(f"dgetrf rejected argument {-info.value}")
-    return LU(factors, pivots)
+    routines = _lu_routines()
+    if routines is not None:
+        getrf, getrs = routines
+        factors = np.array(mat, order="F")
+        pivots = np.empty(n, dtype=np.int64)
+        info = _INT()
+        getrf(_size(n), _size(n), factors, _size(max(1, n)), pivots, ctypes.byref(info))
+        if info.value > 0:
+            raise LinAlgError("Singular matrix")
+        if info.value < 0:
+            raise LinAlgError(f"dgetrf rejected argument {-info.value}")
 
-
-def lu_solve(lu: LU, rhs: np.ndarray) -> np.ndarray:
-    """The solution x of A x = rhs for the matrix A that lu_factor took:
-    one dgetrs on its factors, the same bits as numpy.linalg.solve's dgesv,
-    which is dgetrf then dgetrs.  Without pivots, numpy.linalg.solve runs on
-    the matrix itself."""
-    n = lu.factors.shape[0]
-    if rhs.shape != (n,):
-        raise ValueError(
-            f"lu_solve needs a right-hand side of {n} entries, got {rhs.shape}"
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if rhs.shape != (n,):
+            raise ValueError(
+                f"lu_solver needs a right-hand side of {n} entries, got {rhs.shape}"
+            )
+        if routines is None:
+            return np.linalg.solve(mat, rhs)
+        x = np.array(rhs, dtype=np.float64)
+        info = _INT()
+        getrs(
+            b"N", _size(n), _size(1), factors, _size(max(1, n)), pivots, x,
+            _size(max(1, n)), ctypes.byref(info),
         )
-    if lu.pivots is None:
-        return np.linalg.solve(lu.factors, rhs)
-    x = np.array(rhs, dtype=np.float64)
-    info = _INT()
-    _, getrs = _lu_routines()
-    getrs(
-        b"N", _size(n), _size(1), lu.factors, _size(max(1, n)), lu.pivots, x,
-        _size(max(1, n)), ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise LinAlgError(f"dgetrs rejected argument {-info.value}")
-    return x
+        if info.value != 0:
+            raise LinAlgError(f"dgetrs rejected argument {-info.value}")
+        return x
+
+    return solve

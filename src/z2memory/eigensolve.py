@@ -19,18 +19,20 @@ Its energy is known in closed form (Lieb, Schultz and Mattis, Ann. Phys.
 16, 407 (1961)), over the antiperiodic free-fermion modes in the ground
 state's sector and the periodic ones in its partner's, so the block is
 not diagonalized: one LU of the block shifted just below that energy and
-two triangular solves on it find the vector, which a gather lifts back
-to 2^N, and its Rayleigh quotient must then meet the closed form.  The
-block's matrix elements follow Sandvik, arXiv:1101.3281.  Ground state and doublet alike load no scipy.
+two triangular solves on it (_blas.lu_solver) find the vector, which a
+gather lifts back to 2^N, and its Rayleigh quotient must then meet the
+closed form.  The block's matrix elements follow Sandvik,
+arXiv:1101.3281.  Ground state and doublet alike load no scipy.
 
 Full spectra and thermal scans take every level from the blocks of
-momentum k and flip parity s: one state per orbit of rotations and
-complement whose stabilizer the block's character leaves at 1, about
-2^N/(2N) states per block and one eigh each for k = 0..N/2, the rest by
-complex conjugation; a full spectrum lifts each block eigenvector back to
-2^N.  Both orbit tables come from one pass over their group that keeps
-the running minimum image of every string, and every block, symmetric or
-momentum, is built by one constructor from its characters on the group
+momentum k and flip parity s (_momentum_blocks, over the orbit table of
+_orbits): one state per orbit of rotations and complement whose
+stabilizer the block's character leaves at 1, about 2^N/(2N) states per
+block and one eigh each for k = 0..N/2, the rest by complex conjugation;
+a full spectrum lifts each block eigenvector back to 2^N.  Both orbit
+tables come from one pass over their group that keeps the running
+minimum image of every string, and every block, symmetric or momentum,
+is built by one constructor from its characters on the group
 (_character_block): its states, their lift to 2^N and its
 transverse-field entries, summed by one scatter.
 
@@ -60,12 +62,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from ._blas import lu_factor, lu_solve, one_thread
+from ._blas import lu_solver, one_thread
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
     _EPS, _unit_phases, check_closed_form, ground_parity, sector_energy
 )
-from .model import TfimHamiltonian, build_tfim, check_sizes
+from .model import TfimHamiltonian, build_tfim, check_sizes, energy_scale
 from .pauli import StateVector, _norm, _vdot, mz_diagonal, popcounts
 
 MATVEC_BUDGET = 5000  # Hamiltonian applications allowed per eigenpair
@@ -157,7 +159,7 @@ def _rounding_floor(h: TfimHamiltonian) -> float:
     is at most N (1 + |lam|).  Where it reaches RESIDUAL_BOUND no solve can
     promise a residual below the bound, so ConvergenceError is raised
     before any work."""
-    floor = 4.0 * _EPS * max(1.0, h.n_sites * (1.0 + abs(h.lam)))
+    floor = 4.0 * _EPS * energy_scale(h.n_sites, h.lam)
     if floor >= RESIDUAL_BOUND:
         raise ConvergenceError(
             f"rounding floor {floor:.3e} of the field {h.lam!r} at {h.n_sites}"
@@ -176,7 +178,7 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
     is fewer, and doubled only past that; each step is the three-term
     recurrence, then two block Gram-Schmidt passes."""
     best_residual = np.inf
-    scale = max(1.0, op.h.n_sites * (1.0 + abs(op.h.lam)))
+    scale = energy_scale(op.h.n_sites, op.h.lam)
     tol = max(LANCZOS_TOL, _rounding_floor(op.h))
 
     while op.count < MATVEC_BUDGET:
@@ -336,23 +338,17 @@ def _orbits(n_sites: int, reflect: bool) -> _Orbits:
     return _Orbits(group, orbit, elem, reps, size, fixed)
 
 
-def _allowed(orbits: _Orbits, chars: np.ndarray) -> np.ndarray:
-    """Whether each orbit spans a state of the block whose characters on
-    the group elements are ``chars`` (last axis): whether the character is
-    1 on the orbit's stabilizer.  Its sum over the stabilizer is the
-    stabilizer's order if so and 0 otherwise."""
-    return (chars @ orbits.fixed.astype(float)).real > 0.5
-
-
 def _character_block(n_sites: int, orbits: _Orbits, chars: np.ndarray) -> _Block:
     """The block whose characters on the elements of ``orbits.group`` are
-    ``chars``: one state per orbit that _allowed keeps, in which string b
-    has the amplitude chars[elem[b]] / sqrt(orbit size), the character of
-    the element that maps b to its representative.  Its field entries, one
-    per representative and flip, sum to F[j, i] = sqrt(size[i]) sum_k
+    ``chars``: one state per orbit on whose stabilizer the character is 1
+    (its sum over the stabilizer is then the stabilizer's order, and 0
+    otherwise), in which string b has the amplitude
+    chars[elem[b]] / sqrt(orbit size), the character of the element that
+    maps b to its representative.  Its field entries, one per
+    representative and flip, sum to F[j, i] = sqrt(size[i]) sum_k
     conj(coef[r_i ^ 2^k]) [col(r_i ^ 2^k) = j] (Sandvik, arXiv:1101.3281),
     at flat index j len(reps) + i.  Every array is read-only."""
-    keep = _allowed(orbits, chars)
+    keep = (chars @ orbits.fixed.astype(float)).real > 0.5
     reps, size = orbits.reps[keep], orbits.size[keep]
     kept = keep[orbits.orbit]
     col = np.where(kept, (np.cumsum(keep) - 1)[orbits.orbit], 0)
@@ -386,25 +382,24 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     ``sign``, whose eigenvalue is the closed-form ``e0``, lifted to the full
     space.
 
-    Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with
-    sigma = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest
-    level, all on one LU of B - sigma (_blas.lu_factor, then one
-    _blas.lu_solve per step).  Each step shrinks every other component
-    against the target's by (e0 - sigma) / (E' - sigma).  Every other
-    level of the block adds, in either sector, at least two free-fermion
-    modes of opposite momenta, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at
-    any field: O(1), and the factor stays below 2e-11 up to N=14 (worst at
-    |lam| = 1).  Two steps thus take the vector to rounding, even in the
-    far tails of its Mz distribution.  The shift stays below the block's
-    lowest level by a thousand times more than the few-ulp errors of e0
-    and of the block's rounding.  The start vector has the ground state's
-    signs: 1 per orbit for lam <= 0, where Perron-Frobenius makes every
-    block entry positive, and (-1)^popcount for lam > 0, its image under
-    prod sigma_z, so its overlap with the ground state is provably
-    nonzero.  The partner sector has no such sign rule, and there the
-    caller's check of the quotient against e0 catches a start vector that
-    misses the target.  A LAPACK failure, a singular factor included,
-    raises ConvergenceError.
+    Inverse iteration: SHIFT_STEPS solves of (B - sigma) x' = x, with sigma
+    = e0 - SHIFT_REL max(1, |e0|) just below the block's lowest level, all
+    on one LU of B - sigma (_blas.lu_solver factors it once and runs two
+    triangular solves per step).  Each step shrinks every other component
+    against the target's by (e0 - sigma) / (E' - sigma).  Every other level
+    of the block adds, in either sector, at least two free-fermion modes of
+    opposite momenta, so E' - e0 >= 4 f(pi/N) >= 4 sin(pi/N) at any field:
+    O(1), and the factor stays below 2e-11 up to N=14 (worst at |lam| = 1).
+    Two steps thus take the vector to rounding, even in the far tails of its
+    Mz distribution.  The shift stays below the block's lowest level by a
+    thousand times more than the few-ulp errors of e0 and of the block's
+    rounding.  The start vector has the ground state's signs: 1 per orbit
+    for lam <= 0, where Perron-Frobenius makes every block entry positive,
+    and (-1)^popcount for lam > 0, its image under prod sigma_z, so its
+    overlap with the ground state is provably nonzero.  The partner sector
+    has no such sign rule, and there the caller's check of the quotient
+    against e0 catches a start vector that misses the target.  A LAPACK
+    failure, a singular factor included, raises ConvergenceError.
 
     One dgetrf and SHIFT_STEPS dgetrs give the bits of one
     numpy.linalg.solve (dgesv) per step, with the block factored once
@@ -425,9 +420,9 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
         x -= 2.0 * (popcounts(h.n_sites, block.reps) & 1)
     try:
         with one_thread():
-            lu = lu_factor(mat)
+            solve = lu_solver(mat)
             for _ in range(SHIFT_STEPS):
-                x = lu_solve(lu, x)
+                x = solve(x)
                 x /= np.linalg.norm(x)
     except LinAlgError as exc:
         raise ConvergenceError(f"symmetric block solve failed: {exc}") from exc
@@ -637,7 +632,7 @@ def _check_eigensystem(
     instead: no eigh can promise the bound at that field."""
     residual = float(np.linalg.norm(mat @ vecs - vecs * vals, axis=0).max())
     if residual >= RESIDUAL_BOUND:
-        rounding = EIGH_C * _EPS * h.n_sites * (1.0 + abs(h.lam))
+        rounding = EIGH_C * _EPS * energy_scale(h.n_sites, h.lam)
         message = f"residual {residual:.3e} breaches the {RESIDUAL_BOUND:.0e} bound"
         if residual <= rounding:
             raise ConvergenceError(
@@ -649,27 +644,11 @@ def _check_eigensystem(
         raise ContractError(f"eigenbasis fails orthonormality by {drift:.3e}")
 
 
-class _MomentumTable(NamedTuple):
-    """Orbits of the 2N-element group of rotations and complement, and the
-    blocks of momentum k and flip parity s.
-
-    String b belongs to the orbit of reps[orbit[b]], which has size[o]
-    strings.  Block (k, s) sits at [i][k], i = 0 for s = +1 and 1 for
-    s = -1: ``blocks[i][k]`` is its _Block, and ``allowed[i, k, o]`` says
-    whether orbit o spans one of its states.
-    """
-
-    reps: np.ndarray
-    orbit: np.ndarray
-    size: np.ndarray
-    allowed: np.ndarray
-    blocks: list
-
-
 @functools.lru_cache(maxsize=None)
-def _momentum_table(n_sites: int) -> _MomentumTable:
-    """The orbit table of rotations and complement and its 2N blocks,
-    built once per N.
+def _momentum_blocks(n_sites: int) -> tuple[tuple[_Block, ...], ...]:
+    """The 2N blocks of momentum k and flip parity s over the orbits of
+    rotations and complement (_orbits(N, reflect=False)), built once per N.
+    Block (k, s) sits at [i][k], i = 0 for s = +1 and 1 for s = -1.
 
     Block (k, s) has the character e^(2 pi i k r/N) s^c on the element
     T^r C^c, and string b the character of the element that maps it to
@@ -686,10 +665,9 @@ def _momentum_table(n_sites: int) -> _MomentumTable:
     signs = np.array([1.0, -1.0])[:, None, None]
     k = np.arange(n_sites)[:, None]
     chars = roots[k * shifts % n_sites].conj() * signs**flips
-    blocks = [[_character_block(n_sites, orbits, c) for c in row] for row in chars]
-    allowed = _allowed(orbits, chars)
-    allowed.flags.writeable = False
-    return _MomentumTable(orbits.reps, orbits.orbit, orbits.size, allowed, blocks)
+    return tuple(
+        tuple(_character_block(n_sites, orbits, c) for c in row) for row in chars
+    )
 
 
 class _MomentumSpectra(NamedTuple):
@@ -697,8 +675,9 @@ class _MomentumSpectra(NamedTuple):
 
     Block (k, s) sits at [i, k], i = 0 for s = +1 and 1 for s = -1, with
     dims[i, k] states: its ascending energies[i, k, :dims] and eigenvectors
-    vectors[i, k, :, :dims], one row per orbit of _momentum_table.  Rows of
-    excluded orbits and everything past dims are 0.
+    vectors[i, k, :, :dims], one row per orbit of _orbits(N, reflect=False);
+    the block's states sit at the rows orbit[block.reps].  Rows of excluded
+    orbits and everything past dims are 0.
     """
 
     dims: np.ndarray
@@ -710,7 +689,7 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     """The eigensystems of every block of momentum k and flip parity s.
 
     Each block is H = diag(bonds) + lam F on its orbit states
-    (_momentum_table), complex Hermitian, and takes one eigh.  H is real,
+    (_momentum_blocks), complex Hermitian, and takes one eigh.  H is real,
     so block -k is the complex conjugate of block k: only k = 0..N//2 are
     diagonalized.  Every residual ||H v_i - E_i v_i|| stays below
     RESIDUAL_BOUND, each basis is orthonormal within ORTHONORMALITY_TOL and
@@ -722,20 +701,21 @@ def _momentum_spectra(h: TfimHamiltonian) -> _MomentumSpectra:
     """
     _rounding_floor(h)
     n = h.n_sites
-    table = _momentum_table(n)
-    dims = table.allowed.sum(axis=-1)
+    orbits = _orbits(n, reflect=False)
+    blocks = _momentum_blocks(n)
+    dims = np.array([[block.reps.size for block in row] for row in blocks])
     width = int(dims.max())
     energies = np.zeros((2, n, width))
-    vectors = np.zeros((2, n, table.reps.size, width), dtype=np.complex128)
+    vectors = np.zeros((2, n, orbits.reps.size, width), dtype=np.complex128)
     for i in range(2):
         for k in range(n // 2 + 1):
-            block = table.blocks[i][k]
+            block = blocks[i][k]
             dim = block.reps.size
             mat = block.hamiltonian(h)
             vals, vecs = eigh(mat)
             _check_eigensystem(h, mat, vals, vecs)
             energies[i, k, :dim] = vals
-            vectors[i, k, table.allowed[i, k], :dim] = vecs
+            vectors[i, k, orbits.orbit[block.reps], :dim] = vecs
             if 0 < k < n - k:
                 energies[i, n - k] = energies[i, k]
                 vectors[i, n - k] = vectors[i, k].conj()
@@ -758,14 +738,15 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
         raise CapabilityError(
             f"full spectra stop at {FULL_SPECTRUM_MAX_SITES} sites, got {h.n_sites}"
         )
-    table = _momentum_table(h.n_sites)
-    blocks = _momentum_spectra(h)
+    orbit = _orbits(h.n_sites, reflect=False).orbit
+    blocks = _momentum_blocks(h.n_sites)
+    spectra = _momentum_spectra(h)
     energies, columns = [], []
-    for i, k in np.ndindex(blocks.dims.shape):
-        dim = blocks.dims[i, k]
-        energies.append(blocks.energies[i, k, :dim])
-        lifted = blocks.vectors[i, k][table.orbit, :dim]
-        columns.append(table.blocks[i][k].coef[:, None] * lifted)
+    for i, k in np.ndindex(spectra.dims.shape):
+        dim = spectra.dims[i, k]
+        energies.append(spectra.energies[i, k, :dim])
+        lifted = spectra.vectors[i, k][orbit, :dim]
+        columns.append(blocks[i][k].coef[:, None] * lifted)
     vals = np.concatenate(energies)
     order = np.argsort(vals, kind="stable")
     basis = np.concatenate(columns, axis=1)[:, order]

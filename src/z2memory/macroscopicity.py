@@ -80,6 +80,15 @@ class FitModel(enum.Enum):
     EXPONENTIAL = "exponential"  # fits log y against x
 
 
+def _check_psd(vals: np.ndarray) -> None:
+    """The smallest of the descending eigenvalues ``vals`` of a Gram-like
+    matrix clears PSD_FLOOR, else ContractError."""
+    if vals[-1] < PSD_FLOOR:
+        raise ContractError(
+            f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
+        )
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """3N x 3N Hermitian correlation matrix with its spectrum attached.
@@ -106,10 +115,7 @@ class CorrelationMatrix:
             raise ContractError(f"matrix fails Hermiticity by {drift:.3e}")
         m = (m + m.conj().T) / 2.0
         vals = np.linalg.eigvalsh(m)[::-1].copy()  # descending
-        if vals[-1] < PSD_FLOOR:
-            raise ContractError(
-                f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
-            )
+        _check_psd(vals)
         for arr in (m, vals):
             arr.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -257,10 +263,7 @@ def _ground_spectrum(n_sites: int, lam: float) -> np.ndarray:
     mid = 0.5 * (blocks[1] + blocks[2])
     radius = np.hypot(0.5 * (blocks[1] - blocks[2]), m)
     vals = np.sort(np.concatenate([blocks[0], mid + radius, mid - radius]))[::-1]
-    if vals[-1] < PSD_FLOOR:
-        raise ContractError(
-            f"smallest eigenvalue {vals[-1]:.3e} breaks positive semidefiniteness"
-        )
+    _check_psd(vals)
     return vals
 
 
@@ -305,39 +308,34 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(min(1.0, max(0.0, r2)))
 
 
-def _unpack_points(points) -> tuple[np.ndarray, np.ndarray]:
+def _fit(points, model: FitModel) -> ScalingFit:
+    """The ScalingFit of log y against log x (POWERLAW) or against x
+    (EXPONENTIAL) for at least 3 (x, y) points, every logged coordinate
+    strictly positive, else DomainError."""
     pts = list(points)
     if len(pts) < 3:
         raise DomainError(f"fit needs at least 3 points, got {len(pts)}")
     xs = np.array([float(p[0]) for p in pts])
     ys = np.array([float(p[1]) for p in pts])
-    return xs, ys
+    power = model is FitModel.POWERLAW
+    if np.any(ys <= 0.0) or (power and np.any(xs <= 0.0)):
+        raise DomainError(f"{model.value} fit needs strictly positive data")
+    slope, intercept, r2 = _linear_fit(np.log(xs) if power else xs, np.log(ys))
+    return ScalingFit(
+        xs=xs, ys=ys, slope=slope, intercept=intercept, r_squared=r2, model=model
+    )
 
 
 def fit_index_p(points) -> ScalingFit:
     """Power-law fit of (N, e1) scan data; the scaling index is
     1 + slope of log e1 against log N."""
-    xs, ys = _unpack_points(points)
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("power-law fit needs strictly positive data")
-    slope, intercept, r2 = _linear_fit(np.log(xs), np.log(ys))
-    return ScalingFit(
-        xs=xs, ys=ys, slope=slope, intercept=intercept, r_squared=r2,
-        model=FitModel.POWERLAW,
-    )
+    return _fit(points, FitModel.POWERLAW)
 
 
 def fit_exponential_gap(points) -> ScalingFit:
     """Linear fit of log gap against N; a negative slope means the gap
     closes exponentially with system size."""
-    xs, ys = _unpack_points(points)
-    if np.any(ys <= 0.0):
-        raise DomainError("exponential fit needs strictly positive gaps")
-    slope, intercept, r2 = _linear_fit(xs, np.log(ys))
-    return ScalingFit(
-        xs=xs, ys=ys, slope=slope, intercept=intercept, r_squared=r2,
-        model=FitModel.EXPONENTIAL,
-    )
+    return _fit(points, FitModel.EXPONENTIAL)
 
 
 def largest_eigenvalue_scan(lams, n_range) -> list[tuple[float, int, float]]:

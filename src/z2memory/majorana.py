@@ -37,7 +37,7 @@ from numpy.linalg import LinAlgError, det
 
 from ._blas import one_thread
 from .errors import ContractError, ConvergenceError
-from .model import check_chain
+from .model import check_chain, energy_scale
 
 CLOSED_FORM_C = 64  # sector energies stay within C eps N (1 + |lam|) of exact
 _EPS = float(np.finfo(float).eps)
@@ -72,7 +72,7 @@ def check_closed_form(
 ) -> None:
     """``energy`` within CLOSED_FORM_C eps N (1 + |lam|) of its closed form
     ``exact`` (sector_energy), else ContractError."""
-    bound = CLOSED_FORM_C * _EPS * n_sites * (1.0 + abs(lam))
+    bound = CLOSED_FORM_C * _EPS * energy_scale(n_sites, lam)
     if not abs(energy - exact) <= bound:
         raise ContractError(
             f"{label} {energy!r} misses the closed-form energy {exact!r}"

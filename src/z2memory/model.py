@@ -43,6 +43,13 @@ def _bond_diagonal(n_sites: int) -> np.ndarray:
     return diag
 
 
+def energy_scale(n_sites: int, lam: float) -> float:
+    """N (1 + |lam|), which bounds the norm of H, hence every energy and
+    every term of the closed-form ground-energy sum; the rounding bounds of
+    the solvers are multiples of eps times this scale."""
+    return n_sites * (1.0 + abs(lam))
+
+
 def check_chain(n_sites: int, lam: float) -> tuple[int, float]:
     """The site count and field of a chain as int and float, or DomainError
     for fewer than MIN_SITES sites or a field that leaves N (1 + |lam|)
@@ -52,9 +59,7 @@ def check_chain(n_sites: int, lam: float) -> tuple[int, float]:
             f"the chain needs at least {MIN_SITES} sites, got {n_sites!r}"
         )
     lam = float(lam)
-    # N (1 + |lam|) bounds the norm of H, hence every energy and every
-    # term of the closed-form ground-energy sum
-    if not math.isfinite(n_sites * (1.0 + abs(lam))):
+    if not math.isfinite(energy_scale(n_sites, lam)):
         raise DomainError(
             f"the transverse field {lam!r} leaves the energy scale"
             f" N (1 + |lam|) non-finite at {n_sites} sites"

@@ -43,7 +43,8 @@ from .eigensolve import (
     FullSpectrum,
     _momentum_spectra,
     _MomentumSpectra,
-    _momentum_table,
+    _momentum_blocks,
+    _orbits,
     _scatter,
     full_spectrum,
 )
@@ -232,9 +233,9 @@ def _scan_w_spectra(
     temperature.  Columns of U past a block's dimension are 0, so their
     weights never count.
     """
-    table = _momentum_table(n)
-    amplitudes = np.array([[block.coef for block in row] for row in table.blocks])
-    side = table.reps.size
+    orbits = _orbits(n, reflect=False)
+    amplitudes = np.array([[b.coef for b in row] for row in _momentum_blocks(n)])
+    side = orbits.reps.size
     strings = np.arange(1 << n)
     top = 1 << (n - 1)  # site 1, the most significant bit
     z1 = np.where(strings & top, -1.0, 1.0)
@@ -255,7 +256,7 @@ def _scan_w_spectra(
             offsets = (np.arange(targets.size) * side * side)[:, None]
             for axis, image, phase in operators:
                 values = reach[:, image] * (source * phase)
-                index = offsets + table.orbit[image] * side + table.orbit
+                index = offsets + orbits.orbit[image] * side + orbits.orbit
                 f = _scatter(index.ravel(), values.ravel(), (targets.size, side, side))
                 prod = _squared_moduli(ut, f, u)
                 sums = _gap_weighted_sums(prod, w[j, targets], w[i, k])

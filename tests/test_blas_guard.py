@@ -10,11 +10,14 @@ on, the gap's Lanczos, the scan-e1 determinants and thermal scans of up to
 thermal.ONE_THREAD_MAX_SITES sites run inside _blas.one_thread(); only
 larger thermal scans keep the caller's pool.  The gap's N=14 quotient is
 summed in the two halves that the pool's dot adds, so its bits are pinned
-here at either count.  Each block is factored once (_blas.lu_factor) and
-solved once per step (_blas.lu_solve), with the bits of one
+here at either count.  Each block is factored once by _blas.lu_solver and
+solved once per step by the function it returns, with the bits of one
 numpy.linalg.solve per step, through numpy's own dgetrf and dgetrs and
-through the fallback where those are not exported."""
+through the fallback where those are not exported.  A walk over the
+package's source checks that _blas's docstring names every pinned scope and
+that no other module reaches for ctypes."""
 
+import ast
 import ctypes
 import os
 import subprocess
@@ -139,18 +142,19 @@ def _spy_on_solves(monkeypatch, setter, error=None):
     solves; ``error``, if given, is raised by the factorization."""
     counts = []
 
-    def spy_factor(mat):
+    def spy_solver(mat):
         counts.append(_count(setter))
         if error is not None:
             raise error
-        return _blas.lu_factor(mat)
+        solve = _blas.lu_solver(mat)
 
-    def spy_solve(lu, rhs):
-        counts.append(_count(setter))
-        return _blas.lu_solve(lu, rhs)
+        def spy_solve(rhs):
+            counts.append(_count(setter))
+            return solve(rhs)
 
-    monkeypatch.setattr(eigensolve, "lu_factor", spy_factor)
-    monkeypatch.setattr(eigensolve, "lu_solve", spy_solve)
+        return spy_solve
+
+    monkeypatch.setattr(eigensolve, "lu_solver", spy_solver)
     return counts
 
 
@@ -221,9 +225,9 @@ def test_singular_block_is_a_convergence_error(lu_path, monkeypatch):
 
 def test_lu_routines_refuse_a_wrong_shape(lu_path):
     with pytest.raises(ValueError, match="square float64"):
-        _blas.lu_factor(np.ones((3, 4)))
+        _blas.lu_solver(np.ones((3, 4)))
     with pytest.raises(ValueError, match="right-hand side of 3"):
-        _blas.lu_solve(_blas.lu_factor(np.eye(3)), np.ones(4))
+        _blas.lu_solver(np.eye(3))(np.ones(4))
 
 
 def _spy_on_gap(monkeypatch, setter):
@@ -423,3 +427,51 @@ def test_ground_correlation_determinants_run_on_one_thread(blas_setter, monkeypa
     majorana.ground_correlations(256, 0.5)
     assert counts == [1] * 256
     assert _count(blas_setter) == 2
+
+
+# _blas's module docstring is the one list of pinned scopes, and _blas the
+# one module that loads a library by hand: both are read off the source
+
+
+def _package_trees():
+    """(module name, parsed source) of every module of the package."""
+    root = Path(z2memory.__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _calls(node, name):
+    return any(
+        isinstance(sub, ast.Call)
+        and (getattr(sub.func, "id", None) == name
+             or getattr(sub.func, "attr", None) == name)
+        for sub in ast.walk(node)
+    )
+
+
+def test_blas_docstring_names_every_pinned_scope():
+    pinning = [
+        f"{module}.{node.name}"
+        for module, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _calls(node, "one_thread")
+    ]
+    assert pinning  # the walk found the scopes at all
+    missing = [name for name in pinning if name not in _blas.__doc__]
+    assert not missing, f"pinned scopes missing from _blas's docstring: {missing}"
+
+
+def test_only_blas_imports_ctypes():
+    importers = set()
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.add(module)
+    assert importers == {"_blas"}

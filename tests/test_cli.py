@@ -371,7 +371,7 @@ def test_block_solve_failure_exit_code(tmp_path, monkeypatch):
     def failing(mat):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(es, "lu_factor", failing)
+    monkeypatch.setattr(es, "lu_solver", failing)
     code, _ = run(tmp_path, "conv.csv", "pz", "--n", "8", "--state", "ground")
     assert code == 2
 

@@ -178,11 +178,11 @@ def test_block_field_is_the_scatter_bit_for_bit(n):
         block = es._symmetric_block(n, sign)
         size = np.bincount(block.col[block.coef != 0], minlength=block.reps.size)
         assert np.array_equal(block.field(), _add_at_field(n, block, size))
-    table = es._momentum_table(n)
+    orbits, blocks = es._orbits(n, reflect=False), es._momentum_blocks(n)
     for i in range(2):
         for k in range(n):
-            block = table.blocks[i][k]
-            size = table.size[table.allowed[i, k]]
+            block = blocks[i][k]
+            size = orbits.size[orbits.orbit[block.reps]]
             want = _add_at_field(n, block, size)
             got = block.field()
             assert np.array_equal(got.real, want.real), (i, k)
@@ -193,13 +193,13 @@ def test_block_field_is_the_scatter_bit_for_bit(n):
 def test_momentum_blocks_of_opposite_momenta_are_exact_conjugates(n):
     # _momentum_spectra and full_spectrum take block -k as the conjugate
     # of block k
-    table = es._momentum_table(n)
+    blocks = es._momentum_blocks(n)
     for i in range(2):
         for k in range(1, n):
-            got, want = table.blocks[i][n - k].coef, table.blocks[i][k].coef
+            got, want = blocks[i][n - k].coef, blocks[i][k].coef
             assert np.array_equal(got.real, want.real), (i, k)
             assert np.array_equal(got.imag, -want.imag), (i, k)
-            assert np.array_equal(table.allowed[i, n - k], table.allowed[i, k])
+            assert np.array_equal(blocks[i][n - k].reps, blocks[i][k].reps)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -234,7 +234,7 @@ def test_block_lapack_failure_is_a_convergence_error(monkeypatch):
     def failing(mat):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(es, "lu_factor", failing)
+    monkeypatch.setattr(es, "lu_solver", failing)
     with pytest.raises(ConvergenceError, match="Singular matrix"):
         lowest_eigenpairs(build_tfim(8, 0.5), 1)
 
@@ -495,8 +495,7 @@ def test_doublet_beyond_the_residual_bound_is_a_convergence_error(monkeypatch):
         raise AssertionError("solved past the rounding floor")
 
     monkeypatch.setattr(es._SectorOperator, "matvec", forbidden)
-    monkeypatch.setattr(es, "lu_factor", forbidden)
-    monkeypatch.setattr(es, "lu_solve", forbidden)
+    monkeypatch.setattr(es, "lu_solver", forbidden)
     h = build_tfim(8, 1e7)
     with pytest.raises(ConvergenceError, match="rounding floor"):
         es._lanczos_doublet(h)

@@ -313,6 +313,11 @@ def test_fit_input_validation():
         fit_index_p([(4, 1.0), (6, -2.0), (8, 3.0)])
     with pytest.raises(DomainError):
         fit_exponential_gap([(4, 0.0), (6, 1.0), (8, 1.0)])
+    # the power law logs x too; the exponential fit logs y alone
+    with pytest.raises(DomainError, match="powerlaw fit"):
+        fit_index_p([(0, 1.0), (6, 2.0), (8, 3.0)])
+    halving = fit_exponential_gap([(-1, 1.0), (0, 0.5), (1, 0.25)])
+    assert halving.slope == pytest.approx(-np.log(2.0), abs=1e-12)
 
 
 def test_fit_exponential_gap_exact_decay():

@@ -301,7 +301,8 @@ def _block_energies(blocks):
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_block_dimensions_sum_to_the_space(n):
-    dims = eigensolve._momentum_table(n).allowed.sum(axis=-1)
+    blocks = eigensolve._momentum_blocks(n)
+    dims = np.array([[block.reps.size for block in row] for row in blocks])
     assert dims.sum() == 1 << n
     assert dims.min() >= 1
     # block -k is the conjugate of block k
