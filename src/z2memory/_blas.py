@@ -1,5 +1,5 @@
-"""One-thread scopes and an LU factorization for the OpenBLAS that numpy
-loaded, through ctypes.
+"""One-thread scopes, an LU factorization and a tridiagonal eigenvector
+for the OpenBLAS that numpy loaded, through ctypes.
 
 OpenBLAS threads an LU from 100 unknowns on, and a GEMM or a determinant
 of modest size too.  On a 2-core desk machine the second thread then
@@ -62,6 +62,16 @@ numpy.linalg.solve.  Where numpy's BLAS exports no such symbols, each
 solve is one numpy.linalg.solve on the matrix, one factorization per
 solve.  The factors stay inside lu_solver's closure, so no caller sees
 which route ran.
+
+tridiagonal_lowest calls dstebz and dstein of the same library
+(scipy_dstebz_64_ and scipy_dstein_64_) for the gap's Lanczos Ritz step,
+the pair that scipy's eigh_tridiagonal runs for one selected eigenvector,
+so the vector has its bits without scipy.  dstebz is Fortran with two
+character arguments, so it also gets gfortran's two hidden length
+arguments.  Its workspaces and their addresses are made once per
+function returned.  Where numpy's BLAS exports no such symbols, each
+call is numpy.linalg.eigh of the dense tridiagonal matrix, whose bits
+differ.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ import contextlib
 import ctypes
 import functools
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 import numpy.linalg._umath_linalg as _numpy_lapack
@@ -185,3 +195,89 @@ def lu_solver(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return x
 
     return solve
+
+
+@functools.cache
+def _ritz_routines():
+    """dstebz and dstein of numpy's BLAS, or None where it is not the
+    scipy-openblas ILP64 build that exports them under these names."""
+    stebz = _numpy_symbol("scipy_dstebz_64_")
+    stein = _numpy_symbol("scipy_dstein_64_")
+    if stebz is None or stein is None:
+        return None
+    # arrays and scalars by address; dstebz's two characters carry
+    # gfortran's hidden lengths after its 18 arguments
+    address = ctypes.c_void_p
+    stebz.argtypes = [ctypes.c_char_p] * 2 + [address] * 16 + [ctypes.c_size_t] * 2
+    stein.argtypes = [address] * 13
+    stebz.restype = stein.restype = None
+    return stebz, stein
+
+
+def tridiagonal_lowest(
+    capacity: int,
+) -> Callable[[Sequence[float], Sequence[float]], np.ndarray]:
+    """A function that returns the unit eigenvector of the lowest eigenvalue
+    of the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal
+    ``e``, for len(d) = len(e) + 1 <= capacity.
+
+    Bisection (dstebz, range "I", index 1, abstol 0, order "B") finds the
+    eigenvalue and inverse iteration (dstein) its vector: the calls and
+    arguments of scipy's eigh_tridiagonal for one selected index.  Their
+    workspaces and addresses are kept for every call.  A nonzero LAPACK
+    info raises LinAlgError("LAPACK info <info>").  Where numpy's BLAS
+    exports no dstebz, each call is column 0 of numpy.linalg.eigh of the
+    dense len(d) x len(d) matrix."""
+    routines = _ritz_routines()
+    if routines is None:
+
+        def lowest(d: Sequence[float], e: Sequence[float]) -> np.ndarray:
+            mat = np.diag(np.asarray(d, dtype=np.float64))
+            i = np.arange(len(e))
+            mat[i + 1, i] = mat[i, i + 1] = e
+            return np.linalg.eigh(mat)[1][:, 0]
+
+        return lowest
+    stebz, stein = routines
+    cap = max(1, capacity)
+    # d, e, w, z, the work array (4 cap for dstebz, 5 cap for dstein), then
+    # vl, vu and abstol: one array, so its addresses are taken once
+    reals = np.zeros(9 * cap + 3)
+    reals[-2] = 1.0  # vu, unused with range "I"
+    # iblock, isplit, iwork (3 cap), then il, iu, dstein's vector count, n,
+    # m, nsplit, ifail and info
+    ints = np.zeros(5 * cap + 8, dtype=np.int64)
+    ints[-8:-5] = 1
+    d, e, z = reals[:cap], reals[cap : 2 * cap], reals[3 * cap : 4 * cap]
+    base = reals.ctypes.data
+    pd, pe, pw, pz, pwork, pvl, pvu, ptol = (
+        base + 8 * k
+        for k in (0, cap, 2 * cap, 3 * cap, 4 * cap, *range(9 * cap, 9 * cap + 3))
+    )
+    base = ints.ctypes.data
+    piblock, pisplit, piwork, pil, piu, pcount, pn, pm, pnsplit, pifail, pinfo = (
+        base + 8 * k for k in (0, cap, 2 * cap, *range(5 * cap, 5 * cap + 8))
+    )
+
+    def lowest(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
+        n = len(alphas)
+        if not 0 < n <= cap or len(betas) != n - 1:
+            raise ValueError(
+                f"tridiagonal_lowest({capacity}) got {n} diagonal and"
+                f" {len(betas)} off-diagonal entries"
+            )
+        d[:n] = alphas
+        e[: n - 1] = betas
+        ints[-5] = n
+        stebz(
+            b"I", b"B", pn, pvl, pvu, pil, piu, ptol, pd, pe, pm, pnsplit, pw,
+            piblock, pisplit, pwork, piwork, pinfo, 1, 1,
+        )
+        if ints[-1] == 0:
+            stein(pn, pd, pe, pcount, pw, piblock, pisplit, pz, pn, pwork, piwork,
+                  pifail, pinfo)
+        if ints[-1] != 0:
+            raise LinAlgError(f"LAPACK info {ints[-1]}")
+        return z[:n].copy()
+
+    return lowest

@@ -22,7 +22,7 @@ not diagonalized: one LU of the block shifted just below that energy and
 two triangular solves on it (_blas.lu_solver) find the vector, which a
 gather lifts back to 2^N, and its Rayleigh quotient must then meet the
 closed form.  The block's matrix elements follow Sandvik,
-arXiv:1101.3281.  Ground state and doublet alike load no scipy.
+arXiv:1101.3281.
 
 Full spectra and thermal scans take every level from the blocks of
 momentum k and flip parity s (_momentum_blocks, over the orbit table of
@@ -42,14 +42,18 @@ reorthogonalized by block classical Gram-Schmidt applied twice, which is
 as accurate as the modified form (Giraud, Langou and Rozloznik, Comput.
 Math. Appl. 50, 1069 (2005)).  Its basis is one array per restart of
 LANCZOS_ROWS rows, above the at most 77 that any field takes up to N=14,
-so no step copies it.  The Lanczos matvec runs the sector rule as a CSR
-flip table.  scipy is loaded only by that Krylov solver, so only by
-gap scans.  It runs with OpenBLAS on one thread.  Its sector vectors have
-2^(N-1) <= 8192 entries, below the 10000 from which OpenBLAS threads a
-dot, so of all its BLAS calls only the final quotient of a 2^14-entry
-vector at N=14 rounded differently on the pool.  That quotient is summed
-as the pool's two-thread dot sums it, the dots of the two halves added
-(_recorded_quotient), so the recorded gap bits hold at any caller's count.
+so no step copies it.  The recorded rows were made with scipy: the sector
+rule as a CSR flip table and the Ritz step by eigh_tridiagonal.  The
+matvec sums each sector row in that table's order, and the Ritz step
+runs the same dstebz and dstein from numpy's own LAPACK
+(_blas.tridiagonal_lowest), so the rows keep their bits and no module
+of the package loads scipy.  The solve runs with OpenBLAS on one thread.
+Its sector vectors have 2^(N-1) <= 8192 entries, below the 10000 from
+which OpenBLAS threads a dot, so of all its BLAS calls only the final
+quotient of a 2^14-entry vector at N=14 rounded differently on the pool.
+That quotient is summed as the pool's two-thread dot sums it, the dots
+of the two halves added (_recorded_quotient), so the recorded gap bits
+hold at any caller's count.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from ._blas import lu_solver, one_thread
+from ._blas import lu_solver, one_thread, tridiagonal_lowest
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
     _EPS, _unit_phases, check_closed_form, ground_parity, sector_energy
@@ -79,6 +83,8 @@ SCAN_MAX_SITES = 14
 SHIFT_REL = 1e-12  # inverse-iteration shift below E0, relative to max(1, |E0|)
 SHIFT_STEPS = 2
 LANCZOS_ROWS = 128  # basis rows allocated per restart (<= 77 used up to N=14)
+GATHER_BITS = 4  # sector flips of lower bits are gathered by index
+VIEW_MIN_DIM = 2048  # sector size from which higher bits are added by views
 EIGH_C = 128  # block eigh residuals stay within C eps N (1 + |lam|)
 _BREAKDOWN_EPS = 1e-13
 
@@ -88,70 +94,57 @@ def _embed(sector_vec: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([sector_vec, sign * sector_vec[::-1]]) / np.sqrt(2.0)
 
 
-def _flip_table(n_sites: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """The off-diagonal of H/lam on one flip-parity sector, one row per
-    half-space index b: columns and values, shape (2^(N-1), N).
-
-    The site-1 flip comes first: it lands on the complement of
-    2^(N-1)-1-b, hence value ``sign``.  Then the flips of bits k = 0..N-2,
-    which stay in the half-space, value 1.  The columns stay unsorted: a
-    CSR matvec sums each row in stored order, and this order fixes the
-    rounding of every sector matvec.
-    """
-    half = 1 << (n_sites - 1)
-    b = np.arange(half)
-    cols = np.empty((half, n_sites), dtype=np.int32)
-    cols[:, 0] = half - 1 - b
-    for k in range(n_sites - 1):
-        cols[:, k + 1] = b ^ (1 << k)
-    vals = np.ones(cols.shape)
-    vals[:, 0] = sign
-    return cols, vals
-
-
 class _SectorOperator:
-    """Hamiltonian on one flip-parity sector, diag * s + lam * (F @ s) with
-    F the flip table as a CSR matrix, and a count of its matvecs."""
+    """Hamiltonian on one flip-parity sector, diag * s + lam * f(s), and a
+    count of its matvecs.
+
+    f(s)[b] sums the flipped amplitudes of half-space index b in one order:
+    the site-1 flip first, which lands on the complement of 2^(N-1)-1-b,
+    hence sign * s[2^(N-1)-1-b]; then the flips of bits k = 0..N-2, which
+    stay in the half-space, s[b ^ 2^k].  This order fixes the rounding of
+    every sector matvec, and the recorded gap rows carry it.  Each term is
+    an entry times +-1, exact, so only the additions round, in this order.
+
+    The site-1 term and the flips of the low bits are gathered into the
+    rows of one table and summed over its first axis, which adds the rows
+    in order; each higher bit is added through a reshape view of a copy of
+    s, made once.  Bits from GATHER_BITS on take views in sectors of
+    VIEW_MIN_DIM entries or more: there a view beats a gather once its runs
+    of 2^k entries are long, while in smaller sectors the call per bit
+    costs more than gathering every flip.
+    """
 
     def __init__(self, h: TfimHamiltonian, sign: float) -> None:
-        # scipy takes ~0.2 s to import, and only the doublet's Krylov
-        # branch uses it
-        from scipy.sparse import csr_array
-
+        n = h.n_sites
         self.h = h
         self.dim = h.dim // 2
         self.diag = h._diag[: self.dim]
-        cols, vals = _flip_table(h.n_sites, sign)
-        indptr = np.arange(0, cols.size + 1, h.n_sites, dtype=np.int32)
-        self.flips = csr_array(
-            (vals.ravel(), cols.ravel(), indptr), shape=(self.dim, self.dim)
-        )
+        self.first = np.negative if sign < 0 else np.positive  # sign * s, exactly
+        low = GATHER_BITS if self.dim >= VIEW_MIN_DIM else n - 1
+        b = np.arange(self.dim)
+        self.gathers = np.array([b ^ (1 << k) for k in range(low)])
+        self.src, self.acc = np.empty(self.dim), np.empty(self.dim)
+        self.terms = np.empty((1 + low, self.dim))
+        shapes = [(1 << (n - 2 - k), 2, 1 << k) for k in range(low, n - 1)]
+        self.views = [
+            (self.acc.reshape(shape), self.src.reshape(shape)[:, ::-1])
+            for shape in shapes
+        ]
         self.count = 0
 
     def matvec(self, s: np.ndarray) -> np.ndarray:
         self.count += 1
-        return self.diag * s + self.h.lam * (self.flips @ s)
-
-
-def _lowest_ritz_vector(alphas: list[float], betas: list[float]) -> np.ndarray:
-    """Eigenvector of the lowest eigenvalue of the symmetric tridiagonal
-    matrix with diagonal ``alphas`` and off-diagonal ``betas``.
-
-    Bisection (dstebz) finds the eigenvalue and inverse iteration (dstein)
-    its vector: the LAPACK calls scipy's eigh_tridiagonal makes for one
-    selected index, without its per-call argument checks, so the vector is
-    the same to the bit.  A nonzero LAPACK info raises ConvergenceError.
-    """
-    from scipy.linalg.lapack import dstebz, dstein
-
-    if not betas:
-        return np.ones(1)
-    _, vals, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        vecs, info = dstein(alphas, betas, vals[:1], iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal Ritz step failed (LAPACK info {info})")
-    return vecs[:, 0]
+        src, acc, terms = self.src, self.acc, self.terms
+        np.copyto(src, s)
+        self.first(src[::-1], out=terms[0])
+        src.take(self.gathers, out=terms[1:], mode="clip")
+        np.add.reduce(terms, axis=0, out=acc)
+        for target, flipped in self.views:
+            np.add(target, flipped, out=target)
+        acc *= self.h.lam
+        out = self.diag * s
+        out += acc
+        return out
 
 
 def _rounding_floor(h: TfimHamiltonian) -> float:
@@ -173,10 +166,13 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
     below LANCZOS_TOL, or below the rounding floor of a matvec where that
     is the larger (_rounding_floor, which raises where it reaches
     RESIDUAL_BOUND).  Raises ConvergenceError after MATVEC_BUDGET matrix
-    applications.  The Lanczos vectors are the first m rows of ``basis``,
-    allocated once per restart with LANCZOS_ROWS rows, or op.dim where that
-    is fewer, and doubled only past that; each step is the three-term
-    recurrence, then two block Gram-Schmidt passes."""
+    applications, or where LAPACK fails in the Ritz step.  The Lanczos
+    vectors are the first m rows of ``basis``, allocated once per restart
+    with LANCZOS_ROWS rows, or op.dim where that is fewer, and doubled only
+    past that; each step is the three-term recurrence, then two block
+    Gram-Schmidt passes into buffers of the same restart, then the lowest
+    Ritz vector of the tridiagonal Lanczos matrix (_blas.tridiagonal_lowest,
+    whose workspaces live as long as the basis)."""
     best_residual = np.inf
     scale = energy_scale(op.h.n_sites, op.h.lam)
     tol = max(LANCZOS_TOL, _rounding_floor(op.h))
@@ -185,6 +181,8 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
         v = rng.standard_normal(op.dim)
         basis = np.empty((min(LANCZOS_ROWS, op.dim), op.dim))
         basis[0] = v / np.linalg.norm(v)
+        coefs, proj = np.empty(len(basis)), np.empty(op.dim)
+        ritz = tridiagonal_lowest(len(basis))
         m = 1
         alphas: list[float] = []  # the tridiagonal Lanczos matrix
         betas: list[float] = []
@@ -196,9 +194,14 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
             if betas:
                 w -= betas[-1] * basis[m - 2]
             for _ in range(2):
-                w -= basis[:m].T @ (basis[:m] @ w)
-            b = float(np.linalg.norm(w))
-            s = _lowest_ritz_vector(alphas, betas)  # in the Lanczos basis
+                np.matmul(basis[:m], w, out=coefs[:m])
+                np.matmul(basis[:m].T, coefs[:m], out=proj)
+                w -= proj
+            b = math.sqrt(float(w @ w))  # np.linalg.norm's dot and sqrt
+            try:
+                s = ritz(alphas, betas)  # in the Lanczos basis
+            except LinAlgError as exc:
+                raise ConvergenceError(f"tridiagonal Ritz step failed ({exc})") from exc
             broke_down = b <= _BREAKDOWN_EPS * scale
             estimate = abs(b * s[-1])
             if estimate < 0.5 * tol or broke_down:
@@ -214,6 +217,8 @@ def _lanczos_smallest(op: _SectorOperator, rng: np.random.Generator) -> np.ndarr
             betas.append(b)
             if m == len(basis):
                 basis = np.concatenate([basis, np.empty_like(basis)])
+                coefs = np.empty(len(basis))
+                ritz = tridiagonal_lowest(len(basis))
             basis[m] = w / b
             m += 1
 
@@ -571,10 +576,10 @@ def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
     the N=14 quotient is summed in the pool's two halves
     (_recorded_quotient), so the gap keeps its recorded bits.  Delete it,
     with _recorded_quotient, _sector_ground, _lanczos_smallest,
-    _SectorOperator, _lowest_ritz_vector, _flip_table and _embed, once the
-    benchmark reference no longer records Lanczos rounding in its N=14 gap
-    rows and the gap moves to the symmetric blocks (ROADMAP.md, open items
-    1 and 2).
+    _SectorOperator, GATHER_BITS, VIEW_MIN_DIM, _embed and
+    _blas.tridiagonal_lowest, once the benchmark reference no longer
+    records Lanczos rounding in its N=14 gap rows and the gap moves to the
+    symmetric blocks (ROADMAP.md, open items 1 and 2).
     """
     found, matvecs = [], 0
     with one_thread():

@@ -123,7 +123,7 @@ def blas_setter():
 def test_the_setter_reaches_numpys_openblas(blas_setter):
     # scipy loads a second OpenBLAS that exports the same setter; numpy's
     # ILP64 build alone has this getter, so it reads numpy's own count
-    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+    pytest.importorskip("scipy.linalg")  # loads scipy's OpenBLAS
 
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)

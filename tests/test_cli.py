@@ -513,9 +513,9 @@ def test_size_range_errors_are_one_line(tmp_path, capsys, args):
     assert err.startswith("z2mem: error: ") and err.count("\n") == 1
 
 
-def test_scipy_stays_off_the_import_path():
-    # importing scipy costs a process ~0.2 s; only the gap's Krylov solver
-    # needs it, so ground-state and doublet runs never load it
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # importing scipy costs a process ~0.2 s and a second OpenBLAS pool;
+    # no run needs it, the gap's Lanczos included
     script = (
         "import sys\n"
         "import z2memory.cli\n"
@@ -535,6 +535,10 @@ def test_scipy_stays_off_the_import_path():
         "superposed_e1_scan(0.5, [8, 9])\n"
         "state_mz_distribution(0.5, 10, 'superposed')\n"
         "state_mz_distribution(0.5, 9, 'excited')\n"
+        "from z2memory import gap_scan\n"
+        "gap_scan(0.5, 8, 10)\n"
+        "assert z2memory.cli.main(['gap', '--n-min', '8', '--n-max', '10',\n"
+        f"                          '--out', {str(tmp_path / 'gap.csv')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(z2memory.__file__).resolve().parents[1])
@@ -544,3 +548,37 @@ def test_scipy_stays_off_the_import_path():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# runs z2mem with every import of scipy refused, as where it is not installed
+WITHOUT_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError(f'{name} is not installed')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "try:\n"
+    "    import scipy\n"
+    "except ImportError:\n"
+    "    pass\n"
+    "else:\n"
+    "    sys.exit('scipy stayed importable')\n"
+    "from z2memory.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_gap_runs_the_same_without_scipy(tmp_path):
+    argv = ["gap", "--n-min", "8", "--n-max", "12", "--lambda", "0.4854"]
+    code, want = run(tmp_path, "with.csv", *argv)
+    assert code == 0
+    got = tmp_path / "without.csv"
+    src = str(Path(z2memory.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, *argv, "--out", str(got)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert got.read_bytes() == want.read_bytes()

@@ -1,9 +1,12 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 import oracles
 import z2memory.eigensolve as es
 import z2memory.majorana as mj
+from z2memory import _blas
 from z2memory import (
     CapabilityError,
     ContractError,
@@ -422,7 +425,8 @@ def test_sector_operator_matches_sector_matrix_and_full_space(n):
 def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
     # the reshape-flip loop as the reference: the site-1 flip reads sign
     # times the reversed vector, then one reshape flip per bit k = 0..N-2,
-    # summed in that order, which the CSR rows must keep
+    # summed in that order; the operator gathers the low bits into a table
+    # and sums it, so both must keep that order
     rng = np.random.default_rng(100 + n)
     half = 1 << (n - 1)
     for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
@@ -436,30 +440,107 @@ def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
             assert np.array_equal(es._SectorOperator(h, sign).matvec(s), want)
 
 
-def test_lowest_ritz_vector_is_eigh_tridiagonal_bit_for_bit():
-    from scipy.linalg import eigh_tridiagonal
+def _flip_table(n_sites, sign):
+    """The off-diagonal of H/lam on one flip-parity sector as CSR rows, one
+    per half-space index b: the site-1 flip first, onto the complement of
+    2^(N-1)-1-b with value ``sign``, then the flips of bits k = 0..N-2 with
+    value 1.  The columns stay unsorted, so a CSR matvec sums each row in
+    this order."""
+    half = 1 << (n_sites - 1)
+    b = np.arange(half)
+    cols = np.empty((half, n_sites), dtype=np.int32)
+    cols[:, 0] = half - 1 - b
+    for k in range(n_sites - 1):
+        cols[:, k + 1] = b ^ (1 << k)
+    vals = np.ones(cols.shape)
+    vals[:, 0] = sign
+    return cols, vals
 
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_sector_operator_is_the_csr_flip_table_bit_for_bit(n):
+    # the recorded gap rows were made with the sector rule as a scipy CSR
+    # matrix, so the operator must round as its row sums do
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(200 + n)
+    half = 1 << (n - 1)
+    for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
+        h = build_tfim(n, lam)
+        for sign in (1.0, -1.0):
+            cols, vals = _flip_table(n, sign)
+            indptr = np.arange(0, cols.size + 1, n, dtype=np.int32)
+            flips = sparse.csr_array(
+                (vals.ravel(), cols.ravel(), indptr), shape=(half, half)
+            )
+            s = rng.standard_normal(half)
+            want = h._diag[:half] * s + lam * (flips @ s)
+            op = es._SectorOperator(h, sign)
+            assert np.array_equal(op.matvec(s), want)
+            assert np.array_equal(op.matvec(-s), -want)  # buffers reused
+
+
+def test_lowest_ritz_vector_is_eigh_tridiagonal_bit_for_bit():
+    # scipy's eigh_tridiagonal runs the same dstebz and dstein from its own
+    # OpenBLAS build, a different library from numpy's
+    linalg = pytest.importorskip("scipy.linalg")
+    if _blas._ritz_routines() is None:
+        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
     rng = np.random.default_rng(23)
+    shared = _blas.tridiagonal_lowest(80)  # workspaces reused across sizes
     for m in range(1, 81):
         alphas = list(m * rng.standard_normal(m))
         betas = list(np.abs(rng.standard_normal(m - 1)))
-        _, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        assert np.array_equal(es._lowest_ritz_vector(alphas, betas), vecs[:, 0])
+        _, vecs = linalg.eigh_tridiagonal(
+            alphas, betas, select="i", select_range=(0, 0)
+        )
+        assert np.array_equal(_blas.tridiagonal_lowest(m)(alphas, betas), vecs[:, 0])
+        assert np.array_equal(shared(alphas, betas), vecs[:, 0])
+
+
+def test_ritz_step_refuses_a_wrong_length():
+    lowest = _blas.tridiagonal_lowest(4)
+    for alphas, betas in (([], []), ([1.0] * 5, [1.0] * 4), ([1.0, 2.0], [])):
+        with pytest.raises(ValueError, match="tridiagonal_lowest"):
+            lowest(alphas, betas)
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, routine):
-    import scipy.linalg.lapack as lapack
-
-    real = getattr(lapack, routine)
+    # each routine is called with its arguments by address, info last
+    # among dstein's and before dstebz's two hidden character lengths
+    routines = _blas._ritz_routines()
+    if routines is None:
+        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
+    index = {"dstebz": 0, "dstein": 1}[routine]
+    info_at = (-3, -1)[index]
+    real = routines[index]
 
     def failing(*args):
-        *out, _ = real(*args)
-        return (*out, 1)
+        real(*args)
+        ctypes.c_int64.from_address(args[info_at]).value = 1
 
-    monkeypatch.setattr(lapack, routine, failing)
-    with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+    patched = list(routines)
+    patched[index] = failing
+    monkeypatch.setattr(_blas, "_ritz_routines", lambda: tuple(patched))
+    with pytest.raises(ConvergenceError, match=r"Ritz step failed \(LAPACK info 1\)"):
         es._lanczos_doublet(build_tfim(8, 0.5))
+
+
+def test_ritz_step_without_numpys_lapack_falls_back_to_eigh(monkeypatch):
+    # where numpy's BLAS exports no dstebz, each Ritz vector is column 0 of
+    # numpy.linalg.eigh of the dense tridiagonal: other bits, the same gap
+    # within the rounding floor of a matvec
+    monkeypatch.setattr(_blas, "_ritz_routines", lambda: None)
+    for n, gap in gap_scan(0.5, 4, 10):
+        e0, e1 = (float(e) for e in oracles.free_fermion_energies(n, 0.5))
+        floor = 4.0 * np.finfo(float).eps * n * (1.0 + 0.5)
+        assert abs(gap - (e1 - e0)) <= floor, n
+    rng = np.random.default_rng(5)
+    alphas, betas = list(rng.standard_normal(6)), list(np.abs(rng.standard_normal(5)))
+    mat = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    vec = _blas.tridiagonal_lowest(6)(alphas, betas)
+    value = np.linalg.eigvalsh(mat)[0]
+    assert np.abs(mat @ vec - value * vec).max() < 1e-13
 
 
 def test_matvec_count_is_reported_and_repeats():
