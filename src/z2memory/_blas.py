@@ -68,10 +68,11 @@ tridiagonal_lowest calls dstebz and dstein of the same library
 the pair that scipy's eigh_tridiagonal runs for one selected eigenvector,
 so the vector has its bits without scipy.  dstebz is Fortran with two
 character arguments, so it also gets gfortran's two hidden length
-arguments.  Its workspaces and their addresses are made once per
-function returned.  Where numpy's BLAS exports no such symbols, each
-call is numpy.linalg.eigh of the dense tridiagonal matrix, whose bits
-differ.
+arguments.  Its workspaces and scalars, and the two argument lists
+that refer to them by ctypes objects, are made once per function
+returned, and the routines take no argtypes, so a call converts nothing.
+Where numpy's BLAS exports no such symbols, each call is
+numpy.linalg.eigh of the dense tridiagonal matrix, whose bits differ.
 """
 
 from __future__ import annotations
@@ -205,11 +206,9 @@ def _ritz_routines():
     stein = _numpy_symbol("scipy_dstein_64_")
     if stebz is None or stein is None:
         return None
-    # arrays and scalars by address; dstebz's two characters carry
-    # gfortran's hidden lengths after its 18 arguments
-    address = ctypes.c_void_p
-    stebz.argtypes = [ctypes.c_char_p] * 2 + [address] * 16 + [ctypes.c_size_t] * 2
-    stein.argtypes = [address] * 13
+    # no argtypes: tridiagonal_lowest passes every argument as a ctypes
+    # object or bytes, which ctypes hands over as they are, with no
+    # conversion per call
     stebz.restype = stein.restype = None
     return stebz, stein
 
@@ -224,7 +223,7 @@ def tridiagonal_lowest(
     Bisection (dstebz, range "I", index 1, abstol 0, order "B") finds the
     eigenvalue and inverse iteration (dstein) its vector: the calls and
     arguments of scipy's eigh_tridiagonal for one selected index.  Their
-    workspaces and addresses are kept for every call.  A nonzero LAPACK
+    workspaces and argument lists are kept for every call.  A nonzero LAPACK
     info raises LinAlgError("LAPACK info <info>").  Where numpy's BLAS
     exports no dstebz, each call is column 0 of numpy.linalg.eigh of the
     dense len(d) x len(d) matrix."""
@@ -240,44 +239,41 @@ def tridiagonal_lowest(
         return lowest
     stebz, stein = routines
     cap = max(1, capacity)
-    # d, e, w, z, the work array (4 cap for dstebz, 5 cap for dstein), then
-    # vl, vu and abstol: one array, so its addresses are taken once
-    reals = np.zeros(9 * cap + 3)
-    reals[-2] = 1.0  # vu, unused with range "I"
-    # iblock, isplit, iwork (3 cap), then il, iu, dstein's vector count, n,
-    # m, nsplit, ifail and info
-    ints = np.zeros(5 * cap + 8, dtype=np.int64)
-    ints[-8:-5] = 1
-    d, e, z = reals[:cap], reals[cap : 2 * cap], reals[3 * cap : 4 * cap]
-    base = reals.ctypes.data
-    pd, pe, pw, pz, pwork, pvl, pvu, ptol = (
-        base + 8 * k
-        for k in (0, cap, 2 * cap, 3 * cap, 4 * cap, *range(9 * cap, 9 * cap + 3))
+    d, e, w, z = (np.zeros(cap) for _ in range(4))
+    work = np.zeros(5 * cap)  # dstebz takes 4 cap, dstein 5 cap
+    iblock, isplit = np.zeros(cap, np.int64), np.zeros(cap, np.int64)
+    iwork = np.zeros(3 * cap, np.int64)  # dstebz takes 3 cap, dstein cap
+    vl, vu = ctypes.c_double(0.0), ctypes.c_double(1.0)  # unused with range "I"
+    abstol = ctypes.c_double(0.0)
+    one = _INT(1)  # il = iu = 1, and dstein's count of vectors
+    n, m, nsplit, ifail, info = _INT(), _INT(), _INT(), _INT(), _INT()
+    arr, ref = np.ctypeslib.as_ctypes, ctypes.byref  # each keeps its object
+    length = ctypes.c_size_t(1)  # gfortran's hidden length of a character
+    stebz_args = (
+        b"I", b"B", ref(n), ref(vl), ref(vu), ref(one), ref(one), ref(abstol),
+        arr(d), arr(e), ref(m), ref(nsplit), arr(w), arr(iblock), arr(isplit),
+        arr(work), arr(iwork), ref(info), length, length,
     )
-    base = ints.ctypes.data
-    piblock, pisplit, piwork, pil, piu, pcount, pn, pm, pnsplit, pifail, pinfo = (
-        base + 8 * k for k in (0, cap, 2 * cap, *range(5 * cap, 5 * cap + 8))
+    stein_args = (
+        ref(n), arr(d), arr(e), ref(one), arr(w), arr(iblock), arr(isplit),
+        arr(z), ref(n), arr(work), arr(iwork), ref(ifail), ref(info),
     )
 
     def lowest(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-        n = len(alphas)
-        if not 0 < n <= cap or len(betas) != n - 1:
+        size = len(alphas)
+        if not 0 < size <= cap or len(betas) != size - 1:
             raise ValueError(
-                f"tridiagonal_lowest({capacity}) got {n} diagonal and"
+                f"tridiagonal_lowest({capacity}) got {size} diagonal and"
                 f" {len(betas)} off-diagonal entries"
             )
-        d[:n] = alphas
-        e[: n - 1] = betas
-        ints[-5] = n
-        stebz(
-            b"I", b"B", pn, pvl, pvu, pil, piu, ptol, pd, pe, pm, pnsplit, pw,
-            piblock, pisplit, pwork, piwork, pinfo, 1, 1,
-        )
-        if ints[-1] == 0:
-            stein(pn, pd, pe, pcount, pw, piblock, pisplit, pz, pn, pwork, piwork,
-                  pifail, pinfo)
-        if ints[-1] != 0:
-            raise LinAlgError(f"LAPACK info {ints[-1]}")
-        return z[:n].copy()
+        d[:size] = alphas
+        e[: size - 1] = betas
+        n.value = size
+        stebz(*stebz_args)
+        if info.value == 0:
+            stein(*stein_args)
+        if info.value != 0:
+            raise LinAlgError(f"LAPACK info {info.value}")
+        return z[:size].copy()
 
     return lowest

@@ -111,7 +111,12 @@ class _SectorOperator:
     s, made once.  Bits from GATHER_BITS on take views in sectors of
     VIEW_MIN_DIM entries or more: there a view beats a gather once its runs
     of 2^k entries are long, while in smaller sectors the call per bit
-    costs more than gathering every flip.
+    costs more than gathering every flip.  One gather of every flip at
+    every size is simpler but slower where the table outgrows the cache:
+    a matvec took 131 us at N=14 and 58 us at N=13, against 96 and 52 us
+    split, and doublet_branch's sweep_s rose 4% (2 cores; per-N timings of
+    both paths and of other splits in BENCH_gap_no_scipy.json,
+    matvec_paths).
     """
 
     def __init__(self, h: TfimHamiltonian, sign: float) -> None:

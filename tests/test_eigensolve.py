@@ -421,25 +421,6 @@ def test_sector_operator_matches_sector_matrix_and_full_space(n):
             assert np.abs(got - projected).max() < tol
 
 
-@pytest.mark.parametrize("n", range(3, 15))
-def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
-    # the reshape-flip loop as the reference: the site-1 flip reads sign
-    # times the reversed vector, then one reshape flip per bit k = 0..N-2,
-    # summed in that order; the operator gathers the low bits into a table
-    # and sums it, so both must keep that order
-    rng = np.random.default_rng(100 + n)
-    half = 1 << (n - 1)
-    for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
-        h = build_tfim(n, lam)
-        for sign in (1.0, -1.0):
-            s = rng.standard_normal(half)
-            flips = sign * s[::-1]
-            for k in range(n - 1):
-                flips += s.reshape(1 << (n - 2 - k), 2, 1 << k)[:, ::-1, :].reshape(half)
-            want = h._diag[:half] * s + lam * flips
-            assert np.array_equal(es._SectorOperator(h, sign).matvec(s), want)
-
-
 def _flip_table(n_sites, sign):
     """The off-diagonal of H/lam on one flip-parity sector as CSR rows, one
     per half-space index b: the site-1 flip first, onto the complement of
@@ -458,25 +439,37 @@ def _flip_table(n_sites, sign):
 
 
 @pytest.mark.parametrize("n", range(3, 15))
-def test_sector_operator_is_the_csr_flip_table_bit_for_bit(n):
-    # the recorded gap rows were made with the sector rule as a scipy CSR
-    # matrix, so the operator must round as its row sums do
-    sparse = pytest.importorskip("scipy.sparse")
-    rng = np.random.default_rng(200 + n)
+def test_sector_operator_is_the_reshape_flip_loop_bit_for_bit(n):
+    # two references that sum each row in the same order: the reshape-flip
+    # loop (sign times the reversed vector for the site-1 flip, then one
+    # reshape flip per bit k = 0..N-2), and, where scipy imports, the
+    # sector rule as a scipy CSR matrix, whose row sums made the recorded
+    # gap rows
+    try:
+        from scipy import sparse
+    except ImportError:
+        sparse = None
+    rng = np.random.default_rng(100 + n)
     half = 1 << (n - 1)
     for lam in (0.0, 1e-8, 0.5, -0.7, 1.5):
         h = build_tfim(n, lam)
         for sign in (1.0, -1.0):
-            cols, vals = _flip_table(n, sign)
-            indptr = np.arange(0, cols.size + 1, n, dtype=np.int32)
-            flips = sparse.csr_array(
-                (vals.ravel(), cols.ravel(), indptr), shape=(half, half)
-            )
             s = rng.standard_normal(half)
-            want = h._diag[:half] * s + lam * (flips @ s)
+            flips = sign * s[::-1]
+            for k in range(n - 1):
+                flips += s.reshape(1 << (n - 2 - k), 2, 1 << k)[:, ::-1, :].reshape(half)
+            want = h._diag[:half] * s + lam * flips
             op = es._SectorOperator(h, sign)
             assert np.array_equal(op.matvec(s), want)
             assert np.array_equal(op.matvec(-s), -want)  # buffers reused
+            if sparse is not None:
+                cols, vals = _flip_table(n, sign)
+                indptr = np.arange(0, cols.size + 1, n, dtype=np.int32)
+                table = sparse.csr_array(
+                    (vals.ravel(), cols.ravel(), indptr), shape=(half, half)
+                )
+                csr = h._diag[:half] * s + lam * (table @ s)
+                assert np.array_equal(op.matvec(s), csr)
 
 
 def test_lowest_ritz_vector_is_eigh_tridiagonal_bit_for_bit():
@@ -506,7 +499,7 @@ def test_ritz_step_refuses_a_wrong_length():
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, routine):
-    # each routine is called with its arguments by address, info last
+    # each routine is called with its arguments by reference, info last
     # among dstein's and before dstebz's two hidden character lengths
     routines = _blas._ritz_routines()
     if routines is None:
@@ -517,7 +510,8 @@ def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, rou
 
     def failing(*args):
         real(*args)
-        ctypes.c_int64.from_address(args[info_at]).value = 1
+        info = ctypes.cast(args[info_at], ctypes.POINTER(ctypes.c_int64))
+        info.contents.value = 1
 
     patched = list(routines)
     patched[index] = failing
