@@ -53,25 +53,31 @@ Where numpy's BLAS exports no such symbol (MKL, Accelerate, older
 OpenBLAS releases), one_thread() does nothing and the pool keeps its
 count.
 
-lu_solver calls dgetrf and dgetrs from the same library, under the names
-that the scipy-openblas ILP64 build of numpy's wheels exports
-(scipy_dgetrf_64_ and scipy_dgetrs_64_, 64-bit integers), so a matrix
-solved several times is factored once.  numpy.linalg.solve runs dgesv,
-which is dgetrf followed by dgetrs, so each solve keeps the bits of one
-numpy.linalg.solve.  Where numpy's BLAS exports no such symbols, each
-solve is one numpy.linalg.solve on the matrix, one factorization per
-solve.  The factors stay inside lu_solver's closure, so no caller sees
-which route ran.
+Everything here reaches numpy's linear-algebra library through one
+handle, opened once (_library), and the LAPACK routines through one
+table (_lapack): dgetrf, dgetrs, dstebz and dstein, under the names that
+the scipy-openblas ILP64 build of numpy's wheels exports
+(scipy_dgetrf_64_ and so on, 64-bit integers).  The table is None where
+any of the four is missing, and then lu_solver and tridiagonal_lowest
+both fall back to numpy.linalg: one decision for both.  Every LAPACK call
+follows one convention: each argument is a ctypes scalar by reference, a
+ctypes view of a numpy array, bytes or a hidden length by value, all
+made once per function returned and kept in one argument list per
+routine; no routine gets argtypes, so a call converts nothing.
 
-tridiagonal_lowest calls dstebz and dstein of the same library
-(scipy_dstebz_64_ and scipy_dstein_64_) for the gap's Lanczos Ritz step,
-the pair that scipy's eigh_tridiagonal runs for one selected eigenvector,
-so the vector has its bits without scipy.  dstebz is Fortran with two
-character arguments, so it also gets gfortran's two hidden length
-arguments.  Its workspaces and scalars, and the two argument lists
-that refer to them by ctypes objects, are made once per function
-returned, and the routines take no argtypes, so a call converts nothing.
-Where numpy's BLAS exports no such symbols, each call is
+lu_solver calls dgetrf once and dgetrs once per solve, so a matrix solved
+several times is factored once.  numpy.linalg.solve runs dgesv, which is
+dgetrf followed by dgetrs, so each solve keeps the bits of one
+numpy.linalg.solve.  Without the table each solve is one
+numpy.linalg.solve on the matrix, one factorization per solve.  The
+factors stay inside lu_solver's closure, so no caller sees which route
+ran.
+
+tridiagonal_lowest calls dstebz and dstein for the gap's Lanczos Ritz
+step, the pair that scipy's eigh_tridiagonal runs for one selected
+eigenvector, so the vector has its bits without scipy.  dstebz is
+Fortran with two character arguments, so it also gets gfortran's two
+hidden length arguments.  Without the table each call is
 numpy.linalg.eigh of the dense tridiagonal matrix, whose bits differ.
 """
 
@@ -89,27 +95,23 @@ from numpy.linalg import LinAlgError
 
 _lock = threading.RLock()  # held for a whole scope; nested scopes are fine
 _INT = ctypes.c_int64  # LAPACK's integer in the ILP64 build
-_INT_P = ctypes.POINTER(_INT)
-
-
-def _numpy_symbol(name: str):
-    """A function of numpy's BLAS, looked up in the scope of numpy's own
-    linear-algebra extension, or None where that library does not export
-    it."""
-    try:
-        return getattr(ctypes.CDLL(_numpy_lapack.__file__), name)
-    except (OSError, AttributeError):
-        return None
+_arr, _ref = np.ctypeslib.as_ctypes, ctypes.byref  # each keeps its object
 
 
 @functools.cache
+def _library():
+    """numpy's BLAS, opened once in the scope of numpy's own linear-algebra
+    extension, or None where it cannot be opened."""
+    try:
+        return ctypes.CDLL(_numpy_lapack.__file__)
+    except OSError:
+        return None
+
+
 def _thread_setter():
-    """openblas_set_num_threads_local of numpy's BLAS, or None."""
-    setter = _numpy_symbol("openblas_set_num_threads_local")
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-    return setter
+    """openblas_set_num_threads_local of numpy's BLAS, or None; it takes
+    and returns a C int, ctypes' defaults."""
+    return getattr(_library(), "openblas_set_num_threads_local", None)
 
 
 @contextlib.contextmanager
@@ -129,26 +131,18 @@ def one_thread() -> Iterator[None]:
 
 
 @functools.cache
-def _lu_routines():
-    """dgetrf and dgetrs of numpy's BLAS, or None where it is not the
-    scipy-openblas ILP64 build that exports them under these names."""
-    getrf = _numpy_symbol("scipy_dgetrf_64_")
-    getrs = _numpy_symbol("scipy_dgetrs_64_")
-    if getrf is None or getrs is None:
-        return None
-    matrix = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
-    pivots = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    getrf.argtypes = [_INT_P, _INT_P, matrix, _INT_P, pivots, _INT_P]
-    getrs.argtypes = [
-        ctypes.c_char_p, _INT_P, _INT_P, matrix, _INT_P, pivots, matrix, _INT_P,
-        _INT_P,
-    ]
-    getrf.restype = getrs.restype = None
-    return getrf, getrs
-
-
-def _size(n: int) -> _INT_P:
-    return ctypes.byref(_INT(n))
+def _lapack() -> dict | None:
+    """dgetrf, dgetrs, dstebz and dstein of numpy's BLAS by their LAPACK
+    names, or None where it is not the scipy-openblas ILP64 build that
+    exports all four."""
+    routines = {}
+    for name in ("dgetrf", "dgetrs", "dstebz", "dstein"):
+        routine = getattr(_library(), f"scipy_{name}_64_", None)
+        if routine is None:
+            return None
+        routine.restype = None
+        routines[name] = routine
+    return routines
 
 
 def lu_solver(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -157,60 +151,49 @@ def lu_solver(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     mat, square float64, is factored here by one dgetrf, and each call runs
     one dgetrs on the factors: the same bits as numpy.linalg.solve's dgesv,
-    which is dgetrf then dgetrs.  Where numpy's BLAS exports no dgetrf, mat
-    is kept and each call is one numpy.linalg.solve on it.  An exactly
-    singular factor raises LinAlgError("Singular matrix"), as
+    which is dgetrf then dgetrs.  Each call copies rhs into the closure's
+    own buffer and returns a copy of the solution.  Without the LAPACK
+    table mat is kept and each call is one numpy.linalg.solve on it.  An
+    exactly singular factor raises LinAlgError("Singular matrix"), as
     numpy.linalg.solve does."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.dtype != np.float64:
         raise ValueError(
             f"lu_solver needs a square float64 matrix, got {mat.shape} {mat.dtype}"
         )
     n = mat.shape[0]
-    routines = _lu_routines()
-    if routines is not None:
-        getrf, getrs = routines
-        factors = np.array(mat, order="F")
+    lapack = _lapack()
+    if lapack is not None:
+        factors = np.array(mat, order="F")  # dgetrf overwrites it with the LU
         pivots = np.empty(n, dtype=np.int64)
-        info = _INT()
-        getrf(_size(n), _size(n), factors, _size(max(1, n)), pivots, ctypes.byref(info))
+        x = np.empty(n)  # dgetrs overwrites the right-hand side with x
+        size, lead, one, info = _INT(n), _INT(max(1, n)), _INT(1), _INT()
+        columns = _arr(factors.T)  # C-contiguous view of the Fortran memory
+        lapack["dgetrf"](
+            _ref(size), _ref(size), columns, _ref(lead), _arr(pivots), _ref(info)
+        )
         if info.value > 0:
             raise LinAlgError("Singular matrix")
         if info.value < 0:
             raise LinAlgError(f"dgetrf rejected argument {-info.value}")
+        getrs_args = (
+            b"N", _ref(size), _ref(one), columns, _ref(lead), _arr(pivots), _arr(x),
+            _ref(lead), _ref(info),
+        )
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         if rhs.shape != (n,):
             raise ValueError(
                 f"lu_solver needs a right-hand side of {n} entries, got {rhs.shape}"
             )
-        if routines is None:
+        if lapack is None:
             return np.linalg.solve(mat, rhs)
-        x = np.array(rhs, dtype=np.float64)
-        info = _INT()
-        getrs(
-            b"N", _size(n), _size(1), factors, _size(max(1, n)), pivots, x,
-            _size(max(1, n)), ctypes.byref(info),
-        )
+        x[:] = rhs
+        lapack["dgetrs"](*getrs_args)
         if info.value != 0:
             raise LinAlgError(f"dgetrs rejected argument {-info.value}")
-        return x
+        return x.copy()
 
     return solve
-
-
-@functools.cache
-def _ritz_routines():
-    """dstebz and dstein of numpy's BLAS, or None where it is not the
-    scipy-openblas ILP64 build that exports them under these names."""
-    stebz = _numpy_symbol("scipy_dstebz_64_")
-    stein = _numpy_symbol("scipy_dstein_64_")
-    if stebz is None or stein is None:
-        return None
-    # no argtypes: tridiagonal_lowest passes every argument as a ctypes
-    # object or bytes, which ctypes hands over as they are, with no
-    # conversion per call
-    stebz.restype = stein.restype = None
-    return stebz, stein
 
 
 def tridiagonal_lowest(
@@ -224,11 +207,11 @@ def tridiagonal_lowest(
     eigenvalue and inverse iteration (dstein) its vector: the calls and
     arguments of scipy's eigh_tridiagonal for one selected index.  Their
     workspaces and argument lists are kept for every call.  A nonzero LAPACK
-    info raises LinAlgError("LAPACK info <info>").  Where numpy's BLAS
-    exports no dstebz, each call is column 0 of numpy.linalg.eigh of the
-    dense len(d) x len(d) matrix."""
-    routines = _ritz_routines()
-    if routines is None:
+    info raises LinAlgError("LAPACK info <info>").  Without the LAPACK
+    table each call is column 0 of numpy.linalg.eigh of the dense
+    len(d) x len(d) matrix."""
+    lapack = _lapack()
+    if lapack is None:
 
         def lowest(d: Sequence[float], e: Sequence[float]) -> np.ndarray:
             mat = np.diag(np.asarray(d, dtype=np.float64))
@@ -237,7 +220,6 @@ def tridiagonal_lowest(
             return np.linalg.eigh(mat)[1][:, 0]
 
         return lowest
-    stebz, stein = routines
     cap = max(1, capacity)
     d, e, w, z = (np.zeros(cap) for _ in range(4))
     work = np.zeros(5 * cap)  # dstebz takes 4 cap, dstein 5 cap
@@ -247,16 +229,15 @@ def tridiagonal_lowest(
     abstol = ctypes.c_double(0.0)
     one = _INT(1)  # il = iu = 1, and dstein's count of vectors
     n, m, nsplit, ifail, info = _INT(), _INT(), _INT(), _INT(), _INT()
-    arr, ref = np.ctypeslib.as_ctypes, ctypes.byref  # each keeps its object
     length = ctypes.c_size_t(1)  # gfortran's hidden length of a character
     stebz_args = (
-        b"I", b"B", ref(n), ref(vl), ref(vu), ref(one), ref(one), ref(abstol),
-        arr(d), arr(e), ref(m), ref(nsplit), arr(w), arr(iblock), arr(isplit),
-        arr(work), arr(iwork), ref(info), length, length,
+        b"I", b"B", _ref(n), _ref(vl), _ref(vu), _ref(one), _ref(one), _ref(abstol),
+        _arr(d), _arr(e), _ref(m), _ref(nsplit), _arr(w), _arr(iblock),
+        _arr(isplit), _arr(work), _arr(iwork), _ref(info), length, length,
     )
     stein_args = (
-        ref(n), arr(d), arr(e), ref(one), arr(w), arr(iblock), arr(isplit),
-        arr(z), ref(n), arr(work), arr(iwork), ref(ifail), ref(info),
+        _ref(n), _arr(d), _arr(e), _ref(one), _arr(w), _arr(iblock), _arr(isplit),
+        _arr(z), _ref(n), _arr(work), _arr(iwork), _ref(ifail), _ref(info),
     )
 
     def lowest(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
@@ -269,9 +250,9 @@ def tridiagonal_lowest(
         d[:size] = alphas
         e[: size - 1] = betas
         n.value = size
-        stebz(*stebz_args)
+        lapack["dstebz"](*stebz_args)
         if info.value == 0:
-            stein(*stein_args)
+            lapack["dstein"](*stein_args)
         if info.value != 0:
             raise LinAlgError(f"LAPACK info {info.value}")
         return z[:size].copy()

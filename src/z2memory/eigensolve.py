@@ -53,7 +53,8 @@ which OpenBLAS threads a dot, so of all its BLAS calls only the final
 quotient of a 2^14-entry vector at N=14 rounded differently on the pool.
 That quotient is summed as the pool's two-thread dot sums it, the dots
 of the two halves added (_recorded_quotient), so the recorded gap bits
-hold at any caller's count.
+hold at any caller's count.  Both energies must meet their closed forms,
+and a gap that this contract cannot tell from zero is refused (gap_scan).
 """
 
 from __future__ import annotations
@@ -69,7 +70,12 @@ from numpy.linalg import LinAlgError, eigh
 from ._blas import lu_solver, one_thread, tridiagonal_lowest
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
-    _EPS, _unit_phases, check_closed_form, ground_parity, sector_energy
+    _EPS,
+    CLOSED_FORM_C,
+    _unit_phases,
+    check_closed_form,
+    ground_parity,
+    sector_energy,
 )
 from .model import TfimHamiltonian, build_tfim, check_sizes, energy_scale
 from .pauli import StateVector, _norm, _vdot, mz_diagonal, popcounts
@@ -415,11 +421,11 @@ def _symmetric_ground(h: TfimHamiltonian, sign: float, e0: float) -> np.ndarray:
     numpy.linalg.solve (dgesv) per step, with the block factored once
     instead of SHIFT_STEPS times: at 362 states (N=14) the factor and two
     solves took 1.9 ms against 3.7 ms for two solves on one thread, 2
-    cores.  Where numpy's BLAS exports no dgetrf, each step is one
-    numpy.linalg.solve.  The solves run with OpenBLAS on one thread
-    (_blas.one_thread).  It threads an LU from 100 unknowns on, so from
-    N=12 (102 to 362 states at N=12..14), and its second thread then
-    busy-waits: twice the CPU time for no wall time (a 362-unknown solve
+    cores.  Where numpy's BLAS lacks any routine of _blas's LAPACK table,
+    each step is one numpy.linalg.solve.  The solves run with OpenBLAS on
+    one thread (_blas.one_thread).  It threads an LU from 100 unknowns on,
+    so from N=12 (102 to 362 states at N=12..14), and its second thread
+    then busy-waits: twice the CPU time for no wall time (a 362-unknown solve
     took 1.6-2.1 ms on one thread and 1.8-2.4 ms on the pool, 2 cores).
     On one thread the vector's bits do not depend on the caller's count.
     """
@@ -579,12 +585,14 @@ def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
     then busy-waited, for twice the CPU time and no wall time.  The
     sector work on 2^(N-1) entries rounds the same on either count, and
     the N=14 quotient is summed in the pool's two halves
-    (_recorded_quotient), so the gap keeps its recorded bits.  Delete it,
-    with _recorded_quotient, _sector_ground, _lanczos_smallest,
-    _SectorOperator, GATHER_BITS, VIEW_MIN_DIM, _embed and
-    _blas.tridiagonal_lowest, once the benchmark reference no longer
-    records Lanczos rounding in its N=14 gap rows and the gap moves to the
-    symmetric blocks (ROADMAP.md, open items 1 and 2).
+    (_recorded_quotient), so the gap keeps its recorded bits.  Each
+    quotient must meet its sector's closed form (check_closed_form), as in
+    lowest_eigenpairs, else ContractError.  Delete it, with
+    _recorded_quotient, _sector_ground, _lanczos_smallest, _SectorOperator,
+    GATHER_BITS, VIEW_MIN_DIM, _embed, _blas.tridiagonal_lowest and the
+    dstebz and dstein entries of _blas._lapack, once the benchmark
+    reference no longer records Lanczos rounding in its N=14 gap rows and
+    the gap moves to the symmetric blocks (ROADMAP.md, open items 1 and 2).
     """
     found, matvecs = [], 0
     with one_thread():
@@ -592,7 +600,12 @@ def _lanczos_doublet(h: TfimHamiltonian) -> EigenPairs:
             full, count = _sector_ground(h, sign)
             matvecs += count
             hv = h.apply(full)
-            found.append(_pair(full, hv, _recorded_quotient(full, hv), sign))
+            pair = _pair(full, hv, _recorded_quotient(full, hv), sign)
+            check_closed_form(
+                f"sector {sign:+.0f} Lanczos quotient", pair[0],
+                sector_energy(h.n_sites, h.lam, sign), h.n_sites, h.lam,
+            )
+            found.append(pair)
     return _eigenpairs(h.n_sites, found, matvecs)
 
 
@@ -765,14 +778,33 @@ def full_spectrum(h: TfimHamiltonian) -> FullSpectrum:
 
 def gap_scan(lam: float, n_min: int, n_max: int) -> list[tuple[int, float]]:
     """Energy gap E1 - E0 for every chain length in [n_min, n_max], up to
-    SCAN_MAX_SITES."""
+    SCAN_MAX_SITES, from the Lanczos doublet (_lanczos_doublet).
+
+    Each of the two energies must lie within CLOSED_FORM_C eps N (1 + |lam|)
+    of its sector's closed form (check_closed_form), else ContractError, so
+    the difference can be off by twice that.  A gap at or below
+    2 CLOSED_FORM_C eps N (1 + |lam|), the smallest energy difference that
+    contract tells from zero, raises ConvergenceError naming N, the gap and
+    that bound: two float64 energies cannot resolve it, however exact the
+    solve.  Lanczos quotients have missed their closed forms by at most
+    10.4 eps N (1 + |lam|) at N = 3..14 on 60 fields, so the refusal is one
+    of precision and not of the solve: it stops lam = 1e-3 from N = 5, 0.05
+    from N = 10 and 0.1 from N = 12, whose exact gaps are below 4e-13, and
+    no gap at |lam| >= 0.2.  lam = 0, where the gap closes exactly, is a
+    DomainError.
+    """
     if lam == 0.0:
         raise DomainError("the gap closes exactly at zero field; scan needs lam != 0")
     out = []
     for n in check_sizes(range(n_min, n_max + 1), SCAN_MAX_SITES):
         gap = _lanczos_doublet(build_tfim(n, lam)).gap
-        if gap <= 0.0:
-            raise ContractError(f"nonpositive gap {gap!r} at {n} sites")
+        bound = 2.0 * CLOSED_FORM_C * _EPS * energy_scale(n, lam)
+        if gap <= bound:
+            raise ConvergenceError(
+                f"gap {gap!r} at {n} sites is not above the resolution"
+                f" {bound:.3e} of two energies each within {CLOSED_FORM_C}"
+                f" eps N (1 + |lam|) of its closed form"
+            )
         out.append((n, gap))
     return out
 

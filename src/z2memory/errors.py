@@ -21,8 +21,9 @@ class ContractError(Z2MemoryError):
 class ConvergenceError(Z2MemoryError):
     """No computation can meet the tolerance here: a solver ran out of
     budget, the field's rounding floor reaches the residual bound, LAPACK
-    failed (block solve, Gaussian det, Ritz step), or a block eigh missed
-    the bound by no more than its own rounding."""
+    failed (block solve, Gaussian det, Ritz step), a block eigh missed
+    the bound by no more than its own rounding, or a gap lies below what
+    its two closed-form-checked energies resolve."""
 
     def __init__(self, message: str, best_residual: float | None = None):
         super().__init__(message)

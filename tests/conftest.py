@@ -6,7 +6,7 @@ import pytest
 # make the sibling oracle module importable regardless of invocation dir
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from z2memory import build_tfim, lowest_eigenpairs
+from z2memory import _blas, build_tfim, lowest_eigenpairs
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,11 @@ def solve_cache():
         return cache[key]
 
     return solve
+
+
+@pytest.fixture
+def without_lapack(monkeypatch):
+    """_blas without its LAPACK table, as where numpy's BLAS lacks any of
+    its routines: lu_solver and tridiagonal_lowest both fall back to
+    numpy.linalg."""
+    monkeypatch.setattr(_blas, "_lapack", lambda: None)

@@ -183,11 +183,11 @@ BLOCK_FIELDS = (0.0, 1e-8, -1e-8, 1.0, -1.0, 1e3)
 
 
 @pytest.fixture(params=("ctypes", "fallback"))
-def lu_path(request, monkeypatch):
-    if request.param == "ctypes" and _blas._lu_routines() is None:
-        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
+def lu_path(request):
     if request.param == "fallback":
-        monkeypatch.setattr(_blas, "_lu_routines", lambda: None)
+        request.getfixturevalue("without_lapack")
+    elif _blas._lapack() is None:
+        pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
     return request.param
 
 
@@ -213,6 +213,23 @@ def test_one_factor_gives_the_bits_of_a_solve_per_step(lu_path, n):
             e0 = majorana.sector_energy(n, lam, sign)
             got = eigensolve._symmetric_ground(h, sign, e0)
             assert got.tobytes() == _two_solves(h, sign, e0).tobytes(), (sign, lam)
+    # the factors of one block at two fields, of one size and pivoted
+    # differently, solved in turn: each closure owns its factors and
+    # buffers, and every solution it returns is a copy (on one thread, as
+    # the blocks are solved: on the pool OpenBLAS's dgesv can round a
+    # threaded LU differently)
+    block = eigensolve._symmetric_block(n, 1.0)
+    mats = [block.hamiltonian(build_tfim(n, lam)) for lam in (0.5, -0.7)]
+    got = [[np.ones(len(mat))] for mat in mats]
+    want = [[np.ones(len(mat))] for mat in mats]
+    with _blas.one_thread():
+        solves = [_blas.lu_solver(mat) for mat in mats]
+        for _ in range(3):
+            for i, mat in enumerate(mats):
+                got[i].append(solves[i](got[i][-1]))
+                want[i].append(np.linalg.solve(mat, want[i][-1]))
+    for got_i, want_i in zip(got, want):
+        assert [x.tobytes() for x in got_i] == [x.tobytes() for x in want_i]
 
 
 def test_singular_block_is_a_convergence_error(lu_path, monkeypatch):

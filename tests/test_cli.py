@@ -20,6 +20,7 @@ from z2memory import (
     superposed_e1_scan,
 )
 from z2memory.cli import main
+from z2memory.majorana import CLOSED_FORM_C
 from z2memory.thermal import THERMAL_MAX_KT_POINTS, THERMAL_MAX_SITES
 
 
@@ -365,6 +366,21 @@ def test_convergence_exit_code(tmp_path, monkeypatch):
         "--lambda", "0.5",
     )
     assert code == 2
+
+
+def test_unresolved_gap_exit_code(tmp_path, capsys):
+    # at lam = 1e-3 the N=5 gap lies below the resolution of two energies
+    # held to their closed forms: exit 2 from the real solve, nothing mocked
+    code, out = run(
+        tmp_path, "tiny.csv", "gap", "--lambda", "1e-3", "--n-min", "4",
+        "--n-max", "6",
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("z2mem: convergence failure: gap ") and err.count("\n") == 1
+    bound = 2 * CLOSED_FORM_C * np.finfo(float).eps * 5 * (1 + 1e-3)
+    assert f"at 5 sites is not above the resolution {bound:.3e}" in err
 
 
 def test_block_solve_failure_exit_code(tmp_path, monkeypatch):

@@ -476,7 +476,7 @@ def test_lowest_ritz_vector_is_eigh_tridiagonal_bit_for_bit():
     # scipy's eigh_tridiagonal runs the same dstebz and dstein from its own
     # OpenBLAS build, a different library from numpy's
     linalg = pytest.importorskip("scipy.linalg")
-    if _blas._ritz_routines() is None:
+    if _blas._lapack() is None:
         pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
     rng = np.random.default_rng(23)
     shared = _blas.tridiagonal_lowest(80)  # workspaces reused across sizes
@@ -501,30 +501,26 @@ def test_ritz_step_refuses_a_wrong_length():
 def test_lapack_failure_in_the_ritz_step_is_a_convergence_error(monkeypatch, routine):
     # each routine is called with its arguments by reference, info last
     # among dstein's and before dstebz's two hidden character lengths
-    routines = _blas._ritz_routines()
-    if routines is None:
+    table = _blas._lapack()
+    if table is None:
         pytest.skip("numpy's BLAS is not the scipy-openblas ILP64 build")
-    index = {"dstebz": 0, "dstein": 1}[routine]
-    info_at = (-3, -1)[index]
-    real = routines[index]
+    info_at = {"dstebz": -3, "dstein": -1}[routine]
+    real = table[routine]
 
     def failing(*args):
         real(*args)
         info = ctypes.cast(args[info_at], ctypes.POINTER(ctypes.c_int64))
         info.contents.value = 1
 
-    patched = list(routines)
-    patched[index] = failing
-    monkeypatch.setattr(_blas, "_ritz_routines", lambda: tuple(patched))
+    monkeypatch.setattr(_blas, "_lapack", lambda: {**table, routine: failing})
     with pytest.raises(ConvergenceError, match=r"Ritz step failed \(LAPACK info 1\)"):
         es._lanczos_doublet(build_tfim(8, 0.5))
 
 
-def test_ritz_step_without_numpys_lapack_falls_back_to_eigh(monkeypatch):
+def test_ritz_step_without_numpys_lapack_falls_back_to_eigh(without_lapack):
     # where numpy's BLAS exports no dstebz, each Ritz vector is column 0 of
     # numpy.linalg.eigh of the dense tridiagonal: other bits, the same gap
     # within the rounding floor of a matvec
-    monkeypatch.setattr(_blas, "_ritz_routines", lambda: None)
     for n, gap in gap_scan(0.5, 4, 10):
         e0, e1 = (float(e) for e in oracles.free_fermion_energies(n, 0.5))
         floor = 4.0 * np.finfo(float).eps * n * (1.0 + 0.5)
@@ -736,6 +732,22 @@ def test_gap_scan_values_and_domain():
         gap_scan(0.5, 6, 15)
     with pytest.raises(DomainError):
         gap_scan(0.5, 8, 6)
+    # from these sizes on the two energies, each within CLOSED_FORM_C eps
+    # N (1 + |lam|) of its closed form, cannot tell the gap from zero
+    for lam, n in ((0.05, 10), (0.1, 12)):
+        bound = 2 * mj.CLOSED_FORM_C * np.finfo(float).eps * n * (1 + lam)
+        message = f"at {n} sites is not above the resolution {bound:.3e}"
+        with pytest.raises(ConvergenceError, match=message):
+            gap_scan(lam, n - 1, n)
+
+
+def test_lanczos_quotient_off_its_closed_form_is_a_contract_error(monkeypatch):
+    quotient = es._recorded_quotient
+    monkeypatch.setattr(
+        es, "_recorded_quotient", lambda full, hv: quotient(full, hv) + 1e-11
+    )
+    with pytest.raises(ContractError, match="Lanczos quotient"):
+        gap_scan(0.5, 8, 8)
 
 
 def test_gap_scan_keeps_the_lanczos_route():
