@@ -168,16 +168,15 @@ def lu_solver(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         x = np.empty(n)  # dgetrs overwrites the right-hand side with x
         size, lead, one, info = _INT(n), _INT(max(1, n)), _INT(1), _INT()
         columns = _arr(factors.T)  # C-contiguous view of the Fortran memory
-        lapack["dgetrf"](
-            _ref(size), _ref(size), columns, _ref(lead), _arr(pivots), _ref(info)
-        )
+        ipiv = _arr(pivots)
+        lapack["dgetrf"](_ref(size), _ref(size), columns, _ref(lead), ipiv, _ref(info))
         if info.value > 0:
             raise LinAlgError("Singular matrix")
         if info.value < 0:
             raise LinAlgError(f"dgetrf rejected argument {-info.value}")
         getrs_args = (
-            b"N", _ref(size), _ref(one), columns, _ref(lead), _arr(pivots), _arr(x),
-            _ref(lead), _ref(info),
+            b"N", _ref(size), _ref(one), columns, _ref(lead), ipiv, _arr(x), _ref(lead),
+            _ref(info),
         )
 
     def solve(rhs: np.ndarray) -> np.ndarray:

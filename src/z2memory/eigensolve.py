@@ -70,11 +70,7 @@ from numpy.linalg import LinAlgError, eigh
 from ._blas import lu_solver, one_thread, tridiagonal_lowest
 from .errors import CapabilityError, ContractError, ConvergenceError, DomainError
 from .majorana import (
-    _EPS,
-    CLOSED_FORM_C,
-    _unit_phases,
-    check_closed_form,
-    ground_parity,
+    _EPS, CLOSED_FORM_C, _unit_phases, check_closed_form, ground_parity,
     sector_energy,
 )
 from .model import TfimHamiltonian, build_tfim, check_sizes, energy_scale
