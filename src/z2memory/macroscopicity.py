@@ -46,7 +46,15 @@ from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
 from .majorana import ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
-    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _vdot, mz_diagonal
+    AdditiveOperator,
+    PauliAxis,
+    StateVector,
+    _apply_axis,
+    _norm,
+    _real_if_real,
+    _require_unit_norm,
+    _vdot,
+    mz_diagonal,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -165,9 +173,7 @@ def _gram_entries(state: StateVector) -> np.ndarray:
     """The connected correlations as a Gram matrix of all 3N rows, real
     arithmetic for a state with zero imaginary part."""
     n = state.n_sites
-    amps = state.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
+    amps = _real_if_real(state.amplitudes)
     rows = _axis_rows(amps, n)
     # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
     # is the Hermitian single-site expectation
@@ -175,13 +181,16 @@ def _gram_entries(state: StateVector) -> np.ndarray:
     return _phased_gram(rows) - np.outer(means, means)
 
 
-def _translation_phase(amps: np.ndarray) -> complex | None:
+def _translation_phase(amps: np.ndarray) -> complex | float | None:
     """e^(i theta) if the one-site rotation T psi of the amplitudes is
     e^(i theta) psi within TRANSLATION_TOL in 2-norm, else None.  Moving
     site 1 from the top bit to the bottom one maps site l+1 onto site l,
-    one transposed copy; the phase is the overlap <psi|T psi>."""
+    one transposed copy; the phase is the overlap <psi|T psi>, a float
+    for a real array."""
     rotated = amps.reshape(2, -1).T.flatten()
     phase = _vdot(amps, rotated)
+    if not np.iscomplexobj(amps):
+        phase = phase.real
     rotated -= phase * amps
     if _norm(rotated) <= TRANSLATION_TOL:
         return phase
@@ -200,9 +209,7 @@ def _pair_density_entries(state: StateVector) -> np.ndarray:
     A state with zero imaginary part runs in real arithmetic.
     """
     n = state.n_sites
-    amps = state.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
+    amps = _real_if_real(state.amplitudes)
     one = amps.reshape(2, -1)
     rho1 = one @ one.conj().T
     means = np.einsum("ij,aji->a", rho1, _SIGMA).real
@@ -227,12 +234,14 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
     gets the Gram matrix of all 3N vectors s_a(l)|psi>, positive
     semidefinite by construction.  Its rows hold sigma_x, -i sigma_y =
     sigma_x sigma_z and sigma_z applied to psi, which stay real when psi
-    is: a state with zero imaginary part runs in real arithmetic.
-    sigma_y's i returns as a phase on the products and on the means.
-    CorrelationMatrix's Hermiticity check and PSD floor hold both routes.
+    is: a state with zero imaginary part runs in real arithmetic, its norm
+    and translation checks included.  sigma_y's i returns as a phase on
+    the products and on the means.  CorrelationMatrix's Hermiticity check
+    and PSD floor hold both routes.
     """
-    state.require_normalized()
-    if _translation_phase(state.amplitudes) is not None:
+    amps = _real_if_real(state.amplitudes)
+    _require_unit_norm(amps)
+    if _translation_phase(amps) is not None:
         entries = _pair_density_entries(state)
     else:
         entries = _gram_entries(state)

@@ -7,6 +7,13 @@ complex; the internal kernels also run on real arrays.  All public
 operations are pure functions on immutable inputs and are safe to call
 from several threads at once.
 
+Real states stay real.  A state whose imaginary part is all zero is read
+through its real view (_real_if_real), and an additive operator applied to
+a float64 array runs in real arithmetic: sigma_y = i sigma_x sigma_z, so
+its terms are real products that land in the imaginary part of the
+result.  Each term rounds c psi[b] once and the terms add in one order on
+either route, so the real route has the bits of the complex one.
+
 Every dot and norm over 2^N amplitudes goes through _vdot and _norm,
 summed pairwise by np.sum, and none through BLAS.  OpenBLAS runs level-1
 calls of 2^14 entries or more on two threads (not at 2^13, on 2 cores).
@@ -68,6 +75,24 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.sum(a * a))
 
 
+def _require_unit_norm(amps: np.ndarray, tol: float = NORM_TOL) -> None:
+    """ContractError unless the array's 2-norm is 1 within ``tol``."""
+    dev = abs(_norm(amps) - 1.0)
+    if dev > tol:
+        raise ContractError(
+            f"state norm deviates from 1 by {dev:.3e} (tolerance {tol:.1e})"
+        )
+
+
+def _real_if_real(amps: np.ndarray) -> np.ndarray:
+    """The real part of a complex array whose imaginary part is all zero,
+    else the array itself: the one test by which a real-valued state takes
+    the real-arithmetic kernels."""
+    if np.iscomplexobj(amps) and not amps.imag.any():
+        return amps.real
+    return amps
+
+
 class StateVector:
     """Complex amplitude vector over the z basis of ``n_sites`` spins.
 
@@ -103,11 +128,7 @@ class StateVector:
         return _norm(self.amplitudes)
 
     def require_normalized(self, tol: float = NORM_TOL) -> None:
-        dev = abs(self.norm() - 1.0)
-        if dev > tol:
-            raise ContractError(
-                f"state norm deviates from 1 by {dev:.3e} (tolerance {tol:.1e})"
-            )
+        _require_unit_norm(self.amplitudes, tol)
 
     def normalized(self) -> "StateVector":
         nrm = self.norm()
@@ -196,6 +217,25 @@ def _apply_axis(amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int) -> n
         out[:, 0, :] = shaped[:, 0, :]
         out[:, 1, :] = -shaped[:, 1, :]
     return out.reshape(amps.shape)
+
+
+def _scaled_real_axis(
+    amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int, c: float, out: np.ndarray
+) -> None:
+    """c sigma_x, c sigma_x sigma_z = -i c sigma_y or c sigma_z of ``site``
+    applied to a real array, written into ``out`` of the same shape."""
+    k = _check_site(n_sites, site)
+    src = amps.reshape(1 << k, 2, -1)
+    dst = out.reshape(src.shape)
+    if axis == PauliAxis.X:
+        np.multiply(src[:, 1], c, out=dst[:, 0])
+        np.multiply(src[:, 0], c, out=dst[:, 1])
+    elif axis == PauliAxis.Y:
+        np.multiply(src[:, 1], -c, out=dst[:, 0])
+        np.multiply(src[:, 0], c, out=dst[:, 1])
+    else:
+        np.multiply(src[:, 0], c, out=dst[:, 0])
+        np.multiply(src[:, 1], -c, out=dst[:, 1])
 
 
 def apply_pauli(state: StateVector, axis: PauliAxis, site: int) -> StateVector:
@@ -295,15 +335,30 @@ class AdditiveOperator:
     def _apply_to(self, amps: np.ndarray) -> np.ndarray:
         """The operator applied to 2^N amplitudes, as a new complex array
         that callers reading only a norm or an overlap need not copy into
-        a StateVector."""
+        a StateVector.
+
+        A float64 array runs in real arithmetic: the x and z terms sum
+        into the real part, and the y terms, as the real products
+        sigma_x sigma_z psi (sigma_y = i sigma_x sigma_z), into the
+        imaginary part.  Each term is one scaled copy into one reused
+        buffer, then one add.  Both routes round c psi[b] once and add the
+        terms in the same order, so the bits are those of the complex
+        route on the same array cast to complex."""
+        n = self.n_sites
+        terms = [(i + 1, PauliAxis(a), self.coeffs[i, a])
+                 for i, a in zip(*np.nonzero(self.coeffs))]
         out = np.zeros(amps.shape, dtype=np.complex128)
-        for l in range(1, self.n_sites + 1):
-            for axis in PauliAxis:
-                c = self.coeffs[l - 1, int(axis)]
-                if c != 0.0:
-                    term = _apply_axis(amps, self.n_sites, axis, l)
-                    term *= c
-                    out += term
+        if np.iscomplexobj(amps):
+            for l, axis, c in terms:
+                term = _apply_axis(amps, n, axis, l)
+                term *= c
+                out += term
+            return out
+        term = np.empty(amps.shape)
+        for l, axis, c in terms:
+            _scaled_real_axis(amps, n, axis, l, c, term)
+            part = out.imag if axis == PauliAxis.Y else out.real
+            part += term
         return out
 
 
@@ -313,8 +368,9 @@ def additive_variance(state: StateVector, op: AdditiveOperator) -> float:
     state.require_normalized()
     if op.n_sites != state.n_sites:
         raise DomainError("operator and state disagree on the site count")
-    phi = op._apply_to(state.amplitudes)
-    mean = _vdot(state.amplitudes, phi).real
+    amps = _real_if_real(state.amplitudes)
+    phi = op._apply_to(amps)
+    mean = _vdot(amps, phi).real
     # A is Hermitian with real coefficients, so <A^2> = ||A psi||^2
     var = _vdot(phi, phi).real - mean * mean
     if var < VARIANCE_FLOOR:

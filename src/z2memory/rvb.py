@@ -21,19 +21,24 @@ overlap s = (-1/2)^(N/2-1).  The connected correlation is therefore
 2 (-1)^d s / (2 + 2s) = (-1)^d / (1/s + 1), whose magnitude is
 1/(2^(N/2-1) - (-1)^(N/2)) at every distance >= 2: 1/5 at N=6, 1/7 at N=8.
 
-Machinery.  The amplitudes are handled as a (2,)*N tensor, site l on axis
-l-1: build_vb multiplies one 2x2 singlet factor per pair into it, and a
-bond's singlet projector works in place on the four slices of its two
-axes.  The staggered bond sum adds each bond's singlet amplitude into two
-slices of one accumulator, and the iterated swap projects one tensor in
-place, so no kernel allocates a 2^N array per bond: at N = 14 such an
-array is a 256 kB heap block, and a run of them makes glibc trim and
-re-grow its heap, paying page faults, on every call.  Every connected
-correlation is an entry of the correlation matrix, so the residue scan
-reads them from its 3x3 axis blocks.  The superposition is translation
-invariant (one-site rotation swaps the two coverings, phase -1), so
-build_vcm fills that matrix from two-site density matrices.  Overlaps
-and norms of 2^N vectors are pairwise sums (pauli._vdot).
+Machinery.  The amplitudes are handled as a real (2,)*N tensor, site l on
+axis l-1: _covering_tensor multiplies one 2x2 singlet factor per pair into
+it, and a bond's singlet projector works in place on the four slices of its
+two axes.  identity_report stays on these real tensors throughout, the
+total spin included (pauli's real route, with the bits of the complex
+one); a StateVector appears only at the public edges (build_vb, build_rvb,
+the projector and bond-sum apply functions) and in t_operator_moments,
+whose sums keep the complex route's bits.  The staggered bond sum adds
+each bond's singlet amplitude into two slices of one accumulator, and the
+iterated swap projects one tensor in place, so no kernel allocates a 2^N
+array per bond: at N = 14 such an array is a 256 kB heap block, and a run
+of them makes glibc trim and re-grow its heap, paying page faults, on
+every call.  Every connected correlation is an entry of the correlation
+matrix, so the residue scan reads them from its 3x3 axis blocks.  The
+superposition is translation invariant (one-site rotation swaps the two
+coverings, phase -1), so build_vcm fills that matrix from two-site density
+matrices.  Overlaps and norms of 2^N vectors are pairwise sums
+(pauli._vdot).
 """
 
 from __future__ import annotations
@@ -122,14 +127,21 @@ def _check_ring(n: int, max_sites: int) -> None:
         )
 
 
+def _rvb_tensors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized superposition of the two coverings and the odd and
+    even coverings themselves, as real (2,)*N tensors."""
+    _check_ring(n, RVB_MAX_SITES)
+    odd = _covering_tensor(PairCovering.odd_bonds(n))
+    even = _covering_tensor(PairCovering.even_bonds(n))
+    psi = odd + even
+    psi *= 1.0 / np.sqrt(2.0 + 2.0 * (-0.5) ** (n // 2 - 1))
+    return psi, odd, even
+
+
 def build_rvb(n: int) -> StateVector:
     """Equal superposition of the two nearest-neighbor coverings,
     normalized exactly through the covering overlap."""
-    _check_ring(n, RVB_MAX_SITES)
-    amps = _covering_tensor(PairCovering.odd_bonds(n))
-    amps += _covering_tensor(PairCovering.even_bonds(n))
-    amps *= 1.0 / np.sqrt(2.0 + 2.0 * (-0.5) ** (n // 2 - 1))
-    return StateVector(n, amps.reshape(-1))
+    return StateVector(n, _rvb_tensors(n)[0].reshape(-1))
 
 
 def _bond_view(tensor: np.ndarray, n: int, l: int) -> np.ndarray:
@@ -240,33 +252,31 @@ def identity_report(n: int) -> list[tuple[str, float, str, bool]]:
     covering, the staggered moments of the superposition (n >= 8), the
     residue law's far correlations (n <= CORRELATION_MAX_SITES), the total
     spin and the iterated swap."""
-    psi = build_rvb(n)
-    v1 = build_vb(PairCovering.odd_bonds(n))
-    v2 = build_vb(PairCovering.even_bonds(n))
+    psi, v1, v2 = (t.reshape(-1) for t in _rvb_tensors(n))
     checks: list[tuple[str, float, str, bool]] = []
 
     def add(name: str, observed: float, threshold: str, ok: bool) -> None:
         checks.append((name, float(observed), threshold, bool(ok)))
 
-    norm_dev = abs(psi.norm() - 1.0)
+    norm_dev = abs(_norm(psi) - 1.0)
     add("norm_deviation", norm_dev, "<=1e-12", norm_dev <= 1e-12)
 
-    overlap_err = abs(complex(v2.inner(v1)).real - (-0.5) ** (n // 2 - 1))
+    overlap_err = abs(_vdot(v2, v1).real - (-0.5) ** (n // 2 - 1))
     add("covering_overlap_error", overlap_err, "<=1e-12", overlap_err <= 1e-12)
 
-    swapped = singlet_projector_apply(v1, 2)
+    swapped = v1.reshape((2,) * n).copy()
+    _project_singlet(swapped, n, 2)
+    swapped = swapped.reshape(-1)
     swap_pairs = ((2, 3), (1, 4)) + tuple((l, l + 1) for l in range(5, n, 2))
-    swap_target = build_vb(PairCovering(n, swap_pairs))
-    swap_err = float(
-        np.abs(swapped.amplitudes - (-0.5) * swap_target.amplitudes).max()
-    )
+    target = _covering_tensor(PairCovering(n, swap_pairs)).reshape(-1)
+    swap_err = float(np.abs(swapped - (-0.5) * target).max())
     add("swap_coefficient_error", swap_err, "<=1e-12", swap_err <= 1e-12)
 
-    proj = _vdot(v1.amplitudes, swapped.amplitudes).real
+    proj = _vdot(v1, swapped).real
     proj_err = abs(proj - 0.25)
     add("bond_projector_expectation_error", proj_err, "<=1e-12", proj_err <= 1e-12)
 
-    t_v1 = _vdot(v1.amplitudes, _staggered_bond_sum(v1.amplitudes, n)).real
+    t_v1 = _vdot(v1, _staggered_bond_sum(v1, n)).real
     t_v1_err = abs(t_v1 - (-3.0 * n / 8.0))
     add("staggered_mean_error", t_v1_err, "<=1e-10", t_v1_err <= 1e-10)
 
@@ -282,7 +292,7 @@ def identity_report(n: int) -> list[tuple[str, float, str, bool]]:
         add("connected_correlation_max", cc, "<1e-12", cc < 1e-12)
 
     spin_residual = max(
-        _norm(AdditiveOperator.total(n, axis)._apply_to(psi.amplitudes))
+        _norm(AdditiveOperator.total(n, axis)._apply_to(psi))
         for axis in PauliAxis
     )
     add("total_spin_residual", spin_residual, "<=1e-12", spin_residual <= 1e-12)

@@ -219,3 +219,59 @@ def random_product_state(rng, n):
         spinor = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         amps = np.kron(amps, spinor / np.linalg.norm(spinor))
     return amps
+
+
+def identity_report_via_states(n):
+    """The valence-bond identity rows of rvb.identity_report, computed through
+    the package's public StateVector route: every state a complex
+    StateVector, every operator its public apply function, every overlap
+    StateVector.inner and every norm StateVector.norm."""
+    from z2memory import (
+        AdditiveOperator,
+        PairCovering,
+        PauliAxis,
+        build_rvb,
+        build_vb,
+        connected_correlation_scan,
+        iterated_swap_residual,
+        singlet_projector_apply,
+        t_operator_apply,
+        t_operator_moments,
+    )
+    from z2memory.rvb import CORRELATION_MAX_SITES
+
+    psi = build_rvb(n)
+    v1 = build_vb(PairCovering.odd_bonds(n))
+    v2 = build_vb(PairCovering.even_bonds(n))
+    rows = []
+
+    def add(name, observed, threshold, ok):
+        rows.append((name, float(observed), threshold, bool(ok)))
+
+    norm_dev = abs(psi.norm() - 1.0)
+    add("norm_deviation", norm_dev, "<=1e-12", norm_dev <= 1e-12)
+    overlap_err = abs(v2.inner(v1).real - (-0.5) ** (n // 2 - 1))
+    add("covering_overlap_error", overlap_err, "<=1e-12", overlap_err <= 1e-12)
+    swapped = singlet_projector_apply(v1, 2)
+    swap_pairs = ((2, 3), (1, 4)) + tuple((l, l + 1) for l in range(5, n, 2))
+    target = build_vb(PairCovering(n, swap_pairs))
+    swap_err = float(np.abs(swapped.amplitudes - (-0.5) * target.amplitudes).max())
+    add("swap_coefficient_error", swap_err, "<=1e-12", swap_err <= 1e-12)
+    proj_err = abs(v1.inner(swapped).real - 0.25)
+    add("bond_projector_expectation_error", proj_err, "<=1e-12", proj_err <= 1e-12)
+    t_v1_err = abs(v1.inner(t_operator_apply(v1)).real - (-3.0 * n / 8.0))
+    add("staggered_mean_error", t_v1_err, "<=1e-10", t_v1_err <= 1e-10)
+    mean, variance = t_operator_moments(n)
+    if n >= 8:
+        add("superposed_staggered_mean", abs(mean), "<0.5", abs(mean) < 0.5)
+        ratio = variance / float(n * n)
+        add("staggered_variance_over_n_squared", ratio, "[0.10;0.18]",
+            0.10 <= ratio <= 0.18)
+    if n <= CORRELATION_MAX_SITES:
+        cc = connected_correlation_scan(n)
+        add("connected_correlation_max", cc, "<1e-12", cc < 1e-12)
+    spin = max(AdditiveOperator.total(n, axis).apply(psi).norm() for axis in PauliAxis)
+    add("total_spin_residual", spin, "<=1e-12", spin <= 1e-12)
+    iterated = iterated_swap_residual(n)
+    add("iterated_swap_residual", iterated, "<=1e-10", iterated <= 1e-10)
+    return rows

@@ -443,3 +443,36 @@ def test_state_mz_distribution_picks_its_state(solve_cache):
     for n, state in ((15, "ground"), (2, "ground"), (7.0, "ground"), (7, "warm")):
         with pytest.raises(DomainError):
             state_mz_distribution(0.5, n, state)
+
+
+def test_real_and_complex_copies_make_one_translation_decision(solve_cache, monkeypatch):
+    # build_vcm checks a real-valued state on its real view, where the
+    # phase is a float; the decision is the one the complex copy makes
+    rng = np.random.default_rng(53)
+    lopsided = rng.standard_normal(1 << 10)
+    states = {
+        "ground": (solve_cache(10, 0.5, k=1).eigenvectors[0], 1.0),
+        "rvb": (build_rvb(10), -1.0),
+        "none": (StateVector(10, lopsided / np.linalg.norm(lopsided)), None),
+    }
+    routes = []
+    for route in ("_pair_density_entries", "_gram_entries"):
+        def spy(state, route=route, original=getattr(macroscopicity, route)):
+            routes.append(route)
+            return original(state)
+
+        monkeypatch.setattr(macroscopicity, route, spy)
+    for name, (state, want) in states.items():
+        amps = state.amplitudes
+        assert not amps.imag.any(), name
+        from_complex = macroscopicity._translation_phase(amps)
+        from_real = macroscopicity._translation_phase(amps.real.copy())
+        if want is None:
+            assert from_complex is None and from_real is None
+        else:
+            assert isinstance(from_real, float), name
+            assert abs(from_real - want) < 1e-12 and abs(from_complex - want) < 1e-12
+        routes.clear()
+        build_vcm(state)
+        want_route = "_gram_entries" if want is None else "_pair_density_entries"
+        assert routes == [want_route], name

@@ -191,3 +191,54 @@ def test_additive_variance_matches_oracle():
     want = np.vdot(psi, dense @ (dense @ psi)).real - mean**2
     got = additive_variance(StateVector(n, psi), AdditiveOperator(n, coeffs))
     assert got == pytest.approx(want, abs=1e-11)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_real_apply_has_the_bits_of_the_complex_route(n):
+    # the float64 route sums x and z terms into the real part and the real
+    # products sigma_x sigma_z psi into the imaginary one, in the order of
+    # the complex route, so every bit agrees
+    rng = np.random.default_rng(100 + n)
+    for zero_axis in (None, *PauliAxis):
+        coeffs = rng.standard_normal((n, 3))
+        coeffs[rng.random((n, 3)) < 0.25] = 0.0
+        if zero_axis is not None:
+            coeffs[:, int(zero_axis)] = 0.0
+        op = AdditiveOperator(n, coeffs)
+        amps = rng.standard_normal(1 << n)
+        got = op._apply_to(amps)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, op._apply_to(amps.astype(np.complex128)))
+
+
+def test_real_apply_of_total_spin_on_the_ring_keeps_its_bits():
+    from z2memory import build_rvb
+
+    amps = build_rvb(14).amplitudes
+    for axis in PauliAxis:
+        op = AdditiveOperator.total(14, axis)
+        assert np.array_equal(op._apply_to(amps.real.copy()), op._apply_to(amps))
+
+
+def test_additive_variance_of_a_real_state_runs_the_real_route(monkeypatch):
+    rng = np.random.default_rng(29)
+    n = 6
+    amps = rng.standard_normal(1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    op = AdditiveOperator(n, rng.standard_normal((n, 3)))
+    # the complex route, as additive_variance ran it on every state before
+    phi = op._apply_to(state.amplitudes)
+    mean = _vdot(state.amplitudes, phi).real
+    want = _vdot(phi, phi).real - mean * mean
+    seen = []
+    apply_to = AdditiveOperator._apply_to
+
+    def spy(self, arr):
+        seen.append(arr.dtype)
+        return apply_to(self, arr)
+
+    monkeypatch.setattr(AdditiveOperator, "_apply_to", spy)
+    assert additive_variance(state, op) == want
+    complex_state = StateVector(n, state.amplitudes * 1j)
+    additive_variance(complex_state, op)
+    assert seen == [np.float64, np.complex128]

@@ -265,3 +265,13 @@ def test_identity_report_rows():
     names14 = [name for name, *_ in identity_report(14)]
     assert "connected_correlation_max" not in names14 and len(names14) == 9
     assert all(ok for *_, ok in identity_report(14))
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_identity_report_keeps_the_bits_of_the_state_vector_route(n):
+    # the report runs on real (2,)*N tensors; every row, its float included
+    # to the sign of zero, is the one the public StateVector route gives
+    def exact(rows):
+        return [(name, value.hex(), threshold, ok) for name, value, threshold, ok in rows]
+
+    assert exact(identity_report(n)) == exact(oracles.identity_report_via_states(n))
