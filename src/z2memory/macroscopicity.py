@@ -46,15 +46,8 @@ from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
 from .majorana import ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
-    AdditiveOperator,
-    PauliAxis,
-    StateVector,
-    _apply_axis,
-    _norm,
-    _real_if_real,
-    _require_unit_norm,
-    _vdot,
-    mz_diagonal,
+    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _real_if_real,
+    _require_unit_norm, _vdot, mz_diagonal,
 )
 
 HERMITICITY_TOL = 1e-10

@@ -26,9 +26,12 @@ axis l-1: _covering_tensor multiplies one 2x2 singlet factor per pair into
 it, and a bond's singlet projector works in place on the four slices of its
 two axes.  identity_report stays on these real tensors throughout, the
 total spin included (pauli's real route, with the bits of the complex
-one); a StateVector appears only at the public edges (build_vb, build_rvb,
-the projector and bond-sum apply functions) and in t_operator_moments,
-whose sums keep the complex route's bits.  The staggered bond sum adds
+one), and each row it reports has the bits of the StateVector route.  A
+StateVector appears only at the public edges: build_vb, build_rvb and the
+apply functions return one, and t_operator_moments and the correlation
+checks start from build_rvb.  t_operator_moments keeps its complex sums,
+since a real route moves its mean and variance in the last digits and
+comes no closer to the exact rationals.  The staggered bond sum adds
 each bond's singlet amplitude into two slices of one accumulator, and the
 iterated swap projects one tensor in place, so no kernel allocates a 2^N
 array per bond: at N = 14 such an array is a 256 kB heap block, and a run
