@@ -46,8 +46,8 @@ from .eigensolve import SCAN_MAX_SITES, lowest_eigenpairs, superposed_state
 from .majorana import ground_correlations
 from .model import build_tfim, check_sizes
 from .pauli import (
-    AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm, _real_if_real,
-    _require_unit_norm, _vdot, mz_diagonal,
+    _ROW_PHASE, AdditiveOperator, PauliAxis, StateVector, _apply_axis, _norm,
+    _real_if_real, _require_unit_norm, _vdot, mz_diagonal,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -60,9 +60,8 @@ GAUSSIAN_SCAN_MAX_SITES = 512  # one e1 point takes ~0.2 s at N = 512 on 2 cores
 # 6N * TRANSLATION_TOL of its exact value (two-point terms and the two
 # means each move by at most twice the distance).
 TRANSLATION_TOL = 1e-12
-_ROW_PHASE = np.array([1.0, 1.0j, 1.0])  # s_a(l) = phase_a row_(3(l-1)+a)
 # sigma_x, sigma_y = i sigma_x sigma_z and sigma_z: the row operators of
-# _axis_rows times _ROW_PHASE, over the one-site basis (bit 0, bit 1)
+# _axis_rows times pauli._ROW_PHASE, over the one-site basis (bit 0, bit 1)
 _SIGMA = _ROW_PHASE[:, None, None] * np.array(
     [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
 )
@@ -141,15 +140,16 @@ def _block_circulant(row: np.ndarray) -> np.ndarray:
 
 
 def _axis_rows(amps: np.ndarray, n: int) -> np.ndarray:
-    """sigma_x, sigma_x sigma_z = -i sigma_y and sigma_z of every site
-    applied to the leading 2^N basis index of ``amps``, stacked as row
-    3*(l-1)+a: shape (3N, *amps.shape), real whenever ``amps`` is."""
+    """The kernel rows sigma_x, sigma_x sigma_z = -i sigma_y and sigma_z of
+    every site (pauli._apply_axis) applied to the leading 2^N basis index
+    of ``amps``, each written in place as row 3*(l-1)+a of one array of
+    shape (3N, *amps.shape), real whenever ``amps`` is; s_a(l) is
+    _ROW_PHASE[a] times its row."""
+    amps = np.ascontiguousarray(amps)
     rows = np.empty((3 * n, *amps.shape), dtype=amps.dtype)
     for l in range(1, n + 1):
-        z = _apply_axis(amps, n, PauliAxis.Z, l)
-        rows[3 * (l - 1)] = _apply_axis(amps, n, PauliAxis.X, l)
-        rows[3 * (l - 1) + 1] = _apply_axis(z, n, PauliAxis.X, l)
-        rows[3 * (l - 1) + 2] = z
+        for axis in PauliAxis:
+            _apply_axis(amps, n, axis, l, out=rows[3 * (l - 1) + axis])
     return rows
 
 

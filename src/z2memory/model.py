@@ -109,13 +109,17 @@ class TfimHamiltonian:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """H acting on the leading 2^N basis index of a raw amplitude
-        array: a state vector, or every column of a matrix at once."""
+        array: a state vector, or every column of a matrix at once.  The
+        field term sums the sigma_x rows of pauli's kernel, site N first,
+        each written into one reused buffer."""
         n = self.n_sites
         out = self._diag.reshape(-1, *(1,) * (amps.ndim - 1)) * amps
         if self.lam != 0.0:
+            amps = np.ascontiguousarray(amps)
             flips = np.zeros_like(amps)
+            term = np.empty_like(amps)
             for site in range(n, 0, -1):
-                flips += _apply_axis(amps, n, PauliAxis.X, site)
+                flips += _apply_axis(amps, n, PauliAxis.X, site, out=term)
             out += self.lam * flips
         return out
 

@@ -7,12 +7,20 @@ complex; the internal kernels also run on real arrays.  All public
 operations are pure functions on immutable inputs and are safe to call
 from several threads at once.
 
+One kernel applies every single-site Pauli operator: _apply_axis writes
+the sigma_x, sigma_x sigma_z or sigma_z row of a site as a signed copy, on
+real or complex arrays, vectors or matrices, into a buffer the caller may
+own.  The three rows are real, and sigma_y = i sigma_x sigma_z is
+_ROW_PHASE[Y] = i times its row, the package's one convention for that
+phase.  The Hamiltonian's field term, the correlation matrices' Pauli rows
+and the public apply functions all go through the kernel.
+
 Real states stay real.  A state whose imaginary part is all zero is read
-through its real view (_real_if_real), and an additive operator applied to
-a float64 array runs in real arithmetic: sigma_y = i sigma_x sigma_z, so
-its terms are real products that land in the imaginary part of the
-result.  Each term rounds c psi[b] once and the terms add in one order on
-either route, so the real route has the bits of the complex one.
+through its real view (_real_if_real), and an additive operator runs one
+loop of real arithmetic for real and complex amplitudes alike, each
+sigma_x sigma_z row landing in the other part of the result.  Each term
+rounds c psi[b] once and the terms add in one order, so a real array has
+the bits of its complex cast.
 
 Every dot and norm over 2^N amplitudes goes through _vdot and _norm,
 summed pairwise by np.sum, and none through BLAS.  OpenBLAS runs level-1
@@ -56,6 +64,11 @@ class PauliAxis(IntEnum):
     X = 0
     Y = 1
     Z = 2
+
+
+# The kernel's rows are sigma_x, sigma_x sigma_z and sigma_z, all real;
+# sigma_a = _ROW_PHASE[a] times row a, since sigma_y = i sigma_x sigma_z.
+_ROW_PHASE = np.array([1.0, 1.0j, 1.0])
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -195,54 +208,50 @@ def _check_site(n_sites: int, site: int) -> int:
     return site - 1
 
 
-def _apply_axis(amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int) -> np.ndarray:
-    """sigma_axis(site) acting on the leading 2^n index of an array.
+def _apply_axis(
+    amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The sigma_x, sigma_x sigma_z = -i sigma_y or sigma_z row of ``site``:
+    that operator applied to the leading 2^n index of ``amps``, written
+    into ``out`` (C-contiguous, of the same shape and dtype; a new array by
+    default) and returned.
 
-    sigma_x and sigma_z keep the array's dtype, real or complex; sigma_y
-    needs a complex array.  Works on flat state vectors and, row-wise, on
-    matrices whose first index is the 2^n basis index.
+    The package's one single-site Pauli kernel.  Each row is a signed copy
+    of the input's two halves, so it works on real and complex arrays,
+    flat state vectors and matrices alike, and never rounds; sigma_y is
+    _ROW_PHASE[Y] = i times its row.
     """
     k = _check_site(n_sites, site)
-    lead = 1 << k  # site k+1 occupies bit n-1-k, counted from the top
-    rest = amps.size // (lead * 2)
-    shaped = amps.reshape(lead, 2, rest)
-    out = np.empty_like(shaped)
-    if axis == PauliAxis.X:
-        out[:, 0, :] = shaped[:, 1, :]
-        out[:, 1, :] = shaped[:, 0, :]
-    elif axis == PauliAxis.Y:
-        out[:, 0, :] = -1j * shaped[:, 1, :]
-        out[:, 1, :] = 1j * shaped[:, 0, :]
-    else:
-        out[:, 0, :] = shaped[:, 0, :]
-        out[:, 1, :] = -shaped[:, 1, :]
-    return out.reshape(amps.shape)
-
-
-def _scaled_real_axis(
-    amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int, c: float, out: np.ndarray
-) -> None:
-    """c sigma_x, c sigma_x sigma_z = -i c sigma_y or c sigma_z of ``site``
-    applied to a real array, written into ``out`` of the same shape."""
-    k = _check_site(n_sites, site)
-    src = amps.reshape(1 << k, 2, -1)
+    src = amps.reshape(1 << k, 2, -1)  # site k+1 occupies bit n-1-k, counted from the top
+    if out is None:
+        out = np.empty(amps.shape, dtype=amps.dtype)
     dst = out.reshape(src.shape)
     if axis == PauliAxis.X:
-        np.multiply(src[:, 1], c, out=dst[:, 0])
-        np.multiply(src[:, 0], c, out=dst[:, 1])
+        dst[:, 0] = src[:, 1]
+        dst[:, 1] = src[:, 0]
     elif axis == PauliAxis.Y:
-        np.multiply(src[:, 1], -c, out=dst[:, 0])
-        np.multiply(src[:, 0], c, out=dst[:, 1])
+        np.negative(src[:, 1], out=dst[:, 0])
+        dst[:, 1] = src[:, 0]
     else:
-        np.multiply(src[:, 0], c, out=dst[:, 0])
-        np.multiply(src[:, 1], -c, out=dst[:, 1])
+        dst[:, 0] = src[:, 0]
+        np.negative(src[:, 1], out=dst[:, 1])
+    return out
+
+
+def _sigma(amps: np.ndarray, n_sites: int, axis: PauliAxis, site: int) -> np.ndarray:
+    """sigma_axis(site) applied to complex amplitudes, as a new array: the
+    kernel's row, times _ROW_PHASE[Y] for sigma_y."""
+    row = _apply_axis(amps, n_sites, axis, site)
+    if axis == PauliAxis.Y:
+        row *= _ROW_PHASE[axis]
+    return row
 
 
 def apply_pauli(state: StateVector, axis: PauliAxis, site: int) -> StateVector:
     """Return sigma_axis(site)|state>.  Norm preserved, input untouched."""
     axis = PauliAxis(axis)
     return StateVector(
-        state.n_sites, _apply_axis(state.amplitudes, state.n_sites, axis, site)
+        state.n_sites, _sigma(state.amplitudes, state.n_sites, axis, site)
     )
 
 
@@ -250,9 +259,7 @@ def expectation(state: StateVector, axis: PauliAxis, site: int) -> float:
     """<state|sigma_axis(site)|state>, a real number in [-1, 1]."""
     state.require_normalized()
     axis = PauliAxis(axis)
-    val = _vdot(
-        state.amplitudes, _apply_axis(state.amplitudes, state.n_sites, axis, site)
-    )
+    val = _vdot(state.amplitudes, _sigma(state.amplitudes, state.n_sites, axis, site))
     if abs(val.imag) > IMAG_TOL:
         raise ContractError(
             f"Hermitian expectation carries imaginary residue {val.imag:.3e}"
@@ -270,8 +277,8 @@ def two_point(
     """<state|sigma_a(site_a) sigma_b(site_b)|state>, b applied first."""
     state.require_normalized()
     n = state.n_sites
-    right = _apply_axis(state.amplitudes, n, PauliAxis(axis_b), site_b)
-    left = _apply_axis(state.amplitudes, n, PauliAxis(axis_a), site_a)
+    right = _sigma(state.amplitudes, n, PauliAxis(axis_b), site_b)
+    left = _sigma(state.amplitudes, n, PauliAxis(axis_a), site_a)
     return _vdot(left, right)
 
 
@@ -337,28 +344,30 @@ class AdditiveOperator:
         that callers reading only a norm or an overlap need not copy into
         a StateVector.
 
-        A float64 array runs in real arithmetic: the x and z terms sum
-        into the real part, and the y terms, as the real products
-        sigma_x sigma_z psi (sigma_y = i sigma_x sigma_z), into the
-        imaginary part.  Each term is one scaled copy into one reused
-        buffer, then one add.  Both routes round c psi[b] once and add the
-        terms in the same order, so the bits are those of the complex
-        route on the same array cast to complex."""
+        Real and imaginary parts run through one loop in real arithmetic.
+        Each term of each part is one kernel row in one reused buffer,
+        scaled once by its coefficient and added to the real or the
+        imaginary accumulator: sigma_y = i sigma_x sigma_z, so a sigma_x
+        sigma_z row of the real part lands in the imaginary one, and one
+        of the imaginary part is subtracted from the real one.  Every
+        entry rounds c psi[b] once and the terms add in table order, so
+        a float64 array has the bits of the same array cast to complex."""
         n = self.n_sites
-        terms = [(i + 1, PauliAxis(a), self.coeffs[i, a])
-                 for i, a in zip(*np.nonzero(self.coeffs))]
-        out = np.zeros(amps.shape, dtype=np.complex128)
-        if np.iscomplexobj(amps):
-            for l, axis, c in terms:
-                term = _apply_axis(amps, n, axis, l)
-                term *= c
-                out += term
-            return out
+        parts = (amps.real, amps.imag) if np.iscomplexobj(amps) else (amps,)
+        acc = np.zeros((2, *amps.shape))  # real and imaginary parts
         term = np.empty(amps.shape)
-        for l, axis, c in terms:
-            _scaled_real_axis(amps, n, axis, l, c, term)
-            part = out.imag if axis == PauliAxis.Y else out.real
-            part += term
+        for i, a in zip(*np.nonzero(self.coeffs)):
+            axis = PauliAxis(a)
+            to_imag = axis == PauliAxis.Y
+            for p, part in enumerate(parts):
+                _apply_axis(part, n, axis, i + 1, out=term)
+                term *= self.coeffs[i, a]
+                if to_imag and p:
+                    acc[0] -= term
+                else:
+                    acc[p ^ to_imag] += term
+        out = acc[0].astype(np.complex128)
+        out.imag = acc[1]
         return out
 
 

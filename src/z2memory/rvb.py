@@ -25,13 +25,14 @@ Machinery.  The amplitudes are handled as a real (2,)*N tensor, site l on
 axis l-1: _covering_tensor multiplies one 2x2 singlet factor per pair into
 it, and a bond's singlet projector works in place on the four slices of its
 two axes.  identity_report stays on these real tensors throughout, the
-total spin included (pauli's real route, with the bits of the complex
-one), and each row it reports has the bits of the StateVector route.  A
-StateVector appears only at the public edges: build_vb, build_rvb and the
-apply functions return one, and t_operator_moments and the correlation
-checks start from build_rvb.  t_operator_moments keeps its complex sums,
-since a real route moves its mean and variance in the last digits and
-comes no closer to the exact rationals.  The staggered bond sum adds
+total spin and t_operator_moments included, and each row it reports has
+the bits of the StateVector route.  A StateVector appears only at the
+public edges: build_vb, build_rvb and the apply functions return one, and
+the correlation checks start from build_rvb.  t_operator_moments runs its
+bond sum on the real tensor but casts both vectors to complex for its two
+dots: numpy sums a complex array pairwise in another order than a real
+one, and the real sums move the mean and variance in the last digits and
+come no closer to the exact rationals.  The staggered bond sum adds
 each bond's singlet amplitude into two slices of one accumulator, and the
 iterated swap projects one tensor in place, so no kernel allocates a 2^N
 array per bond: at N = 14 such an array is a 256 kB heap block, and a run
@@ -211,9 +212,12 @@ def t_operator_apply(state: StateVector) -> StateVector:
 
 def t_operator_moments(n: int) -> tuple[float, float]:
     """Mean and variance of the staggered bond observable in the
-    superposed covering state."""
-    psi = build_rvb(n).amplitudes
-    tpsi = _staggered_bond_sum(psi, n)
+    superposed covering state.  The bond sum runs on the real tensor; the
+    two vectors are cast to complex for the dots, whose pairwise sums
+    then keep the bits of the complex route."""
+    psi = _rvb_tensors(n)[0].reshape(-1)
+    tpsi = _staggered_bond_sum(psi, n).astype(np.complex128)
+    psi = psi.astype(np.complex128)
     mean = _vdot(psi, tpsi).real
     second = _vdot(tpsi, tpsi).real
     return mean, second - mean * mean

@@ -130,11 +130,13 @@ def _check_temperature(kT: float) -> float:
     return kT
 
 
-def _boltzmann_weights(energies: np.ndarray, kT: float) -> np.ndarray:
-    """exp(-E_i/kT)/Z, relative to the ground energy so nothing overflows."""
+def _boltzmann_weights(energies: np.ndarray, kT: float | np.ndarray) -> np.ndarray:
+    """exp(-E_i/kT)/Z, relative to the ground energy so nothing overflows.
+    A column of temperatures gives one row of weights each, every row
+    summed along the contiguous last axis as a single temperature is."""
     with np.errstate(under="ignore"):
         weights = np.exp(-(energies - energies.min()) / kT)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _w_matrix(p: np.ndarray, basis: np.ndarray, n: int) -> CorrelationMatrix:
@@ -271,7 +273,7 @@ def _block_weights(blocks: _MomentumSpectra, grid: np.ndarray) -> np.ndarray:
     valid = np.arange(blocks.energies.shape[-1]) < blocks.dims[..., None]
     energies = blocks.energies[valid]
     weights = np.zeros((*valid.shape, grid.size))
-    weights[valid] = np.column_stack([_boltzmann_weights(energies, kT) for kT in grid])
+    weights[valid] = _boltzmann_weights(energies, grid[:, None]).T
     return weights
 
 

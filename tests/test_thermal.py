@@ -47,6 +47,20 @@ def test_gibbs_state_invariants():
     assert g.trace_correction < 1e-10
 
 
+@pytest.mark.parametrize("lam", [0.4895, 1.5, -0.7, 30.0])
+@pytest.mark.parametrize("n", [3, 8, 9])
+def test_block_weights_have_the_bits_of_one_temperature_at_a_time(n, lam):
+    blocks = eigensolve._momentum_spectra(build_tfim(n, lam))
+    grid = default_kt_grid()
+    weights = thermal._block_weights(blocks, grid)
+    valid = np.arange(blocks.energies.shape[-1]) < blocks.dims[..., None]
+    for j, kT in enumerate(grid):
+        column = weights[..., j]
+        want = thermal._boltzmann_weights(blocks.energies[valid], kT)
+        assert np.array_equal(column[valid], want)
+        assert not column[~valid].any()
+
+
 def test_energy_matches_boltzmann_oracle():
     for n, lam, kT in ((4, 0.7, 0.3), (6, 1.0, 1.0), (8, 0.5, 0.5)):
         g = gibbs_state(build_tfim(n, lam), kT)
