@@ -162,11 +162,10 @@ def _phased_gram(rows: np.ndarray) -> np.ndarray:
     return phase.conj()[:, None] * (rows.conj() @ rows.T) * phase
 
 
-def _gram_entries(state: StateVector) -> np.ndarray:
-    """The connected correlations as a Gram matrix of all 3N rows, real
-    arithmetic for a state with zero imaginary part."""
-    n = state.n_sites
-    amps = _real_if_real(state.amplitudes)
+def _gram_entries(amps: np.ndarray, n: int) -> np.ndarray:
+    """The connected correlations of the N-site amplitudes ``amps`` as a
+    Gram matrix of all 3N rows, in real arithmetic for a real array (the
+    one build_vcm passes for a state with zero imaginary part)."""
     rows = _axis_rows(amps, n)
     # <s_r psi|psi> is conj(phase_r) times the row's overlap; its real part
     # is the Hermitian single-site expectation
@@ -190,19 +189,19 @@ def _translation_phase(amps: np.ndarray) -> complex | float | None:
     return None
 
 
-def _pair_density_entries(state: StateVector) -> np.ndarray:
-    """The connected correlations of a translation-invariant state as the
-    block-circulant expansion of its first block row.
+def _pair_density_entries(amps: np.ndarray, n: int) -> np.ndarray:
+    """The connected correlations of translation-invariant N-site
+    amplitudes ``amps`` as the block-circulant expansion of their first
+    block row.
 
     Translation leaves every expectation of the state unchanged, so block
     (l, m) is G(m - l mod N), G(d)[a, b] = <s_a(1) s_b(1+d)> -
     <s_a><s_b>.  G(0) and the means come from rho(1) and _SITE_TABLE; each
     G(d), d = 1..N-1, from rho(1, 1+d) and _PAIR_TABLE: psi reshaped so
     sites 1 and 1+d lead, M of shape (4, 2^(N-2)), and rho = M M^dagger.
-    A state with zero imaginary part runs in real arithmetic.
+    A real array, the one build_vcm passes for a state with zero imaginary
+    part, runs in real arithmetic.
     """
-    n = state.n_sites
-    amps = _real_if_real(state.amplitudes)
     one = amps.reshape(2, -1)
     rho1 = one @ one.conj().T
     means = np.einsum("ij,aji->a", rho1, _SIGMA).real
@@ -235,9 +234,9 @@ def build_vcm(state: StateVector) -> CorrelationMatrix:
     amps = _real_if_real(state.amplitudes)
     _require_unit_norm(amps)
     if _translation_phase(amps) is not None:
-        entries = _pair_density_entries(state)
+        entries = _pair_density_entries(amps, state.n_sites)
     else:
-        entries = _gram_entries(state)
+        entries = _gram_entries(amps, state.n_sites)
     return CorrelationMatrix(
         n_sites=state.n_sites, kind=CorrelationKind.VCM, entries=entries
     )

@@ -22,8 +22,11 @@ overlap s = (-1/2)^(N/2-1).  The connected correlation is therefore
 1/(2^(N/2-1) - (-1)^(N/2)) at every distance >= 2: 1/5 at N=6, 1/7 at N=8.
 
 Machinery.  The amplitudes are handled as a real (2,)*N tensor, site l on
-axis l-1: _covering_tensor multiplies one 2x2 singlet factor per pair into
-it, and a bond's singlet projector works in place on the four slices of its
+axis l-1.  _covering_tensor builds each covering as one outer product of
+2x2 singlet factors, one per pair, and moves each pair's two axes onto its
+sites.  The ring's two coverings and their superposition are built in one
+place, _rvb_tensors, and the iterated swap reads its coverings from there.
+A bond's singlet projector works in place on the four slices of its
 two axes.  identity_report stays on these real tensors throughout, the
 total spin and t_operator_moments included, and each row it reports has
 the bits of the StateVector route.  A StateVector appears only at the
@@ -47,6 +50,7 @@ matrices.  Overlaps and norms of 2^N vectors are pairwise sums
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +103,15 @@ class PairCovering:
 
 def _covering_tensor(covering: PairCovering) -> np.ndarray:
     """The product of singlets over a pair covering as a real, writable
-    (2,)*N tensor, site l on axis l-1: each pair multiplies a 2x2 singlet
-    factor into it, and a pair that lists its higher site first takes the
-    transposed factor."""
-    n = covering.n_sites
-    amps = np.ones((2,) * n)
+    (2,)*N tensor, site l on axis l-1: one outer product of a 2x2 singlet
+    factor per pair, indexed [bit i, bit j], then one move of each pair's
+    two axes onto its sites i and j, whichever is listed first.  A covering
+    whose sites already come in order, like the odd one, is not copied."""
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     singlet = np.array([[0.0, inv_sqrt2], [-inv_sqrt2, 0.0]])  # [bit i, bit j]
-    for i, j in covering.pairs:
-        shape = [1] * n
-        shape[i - 1] = shape[j - 1] = 2
-        factor = singlet if i < j else singlet.T
-        amps *= factor.reshape(shape)
-    return amps
+    amps = functools.reduce(np.multiply.outer, [singlet] * len(covering.pairs))
+    sites = [site - 1 for pair in covering.pairs for site in pair]
+    return np.ascontiguousarray(np.moveaxis(amps, range(amps.ndim), sites))
 
 
 def build_vb(covering: PairCovering) -> StateVector:
@@ -186,19 +186,20 @@ def singlet_projector_apply(state: StateVector, l: int) -> StateVector:
 
 
 def _staggered_bond_sum(amps: np.ndarray, n: int) -> np.ndarray:
-    """sum_l (-1)^l t(l, l+1) applied to flat amplitudes: each bond adds
-    its signed singlet amplitude into two slices of one accumulator."""
+    """sum_l (-1)^l t(l, l+1) applied to flat amplitudes: each bond's
+    singlet amplitude, negated in place on odd bonds, is added to the
+    bond's 01 slice of one accumulator and subtracted from its 10 slice.
+    IEEE defines x - d as x + (-d), signed zeros included, so the sum has
+    the bits of one subtraction and one addition per odd bond."""
     src = amps.reshape((2,) * n)
     acc = np.zeros_like(src)
     for l in range(1, n + 1):
         d = _singlet_amplitude(src, n, l)
-        view = _bond_view(acc, n, l)
         if l % 2:
-            view[0, 1] -= d
-            view[1, 0] += d
-        else:
-            view[0, 1] += d
-            view[1, 0] -= d
+            np.negative(d, out=d)
+        view = _bond_view(acc, n, l)
+        view[0, 1] += d
+        view[1, 0] -= d
     return acc.reshape(-1)
 
 
@@ -242,13 +243,13 @@ def rvb_vcm_check(n: int) -> float:
 
 def iterated_swap_residual(n: int) -> float:
     """Max-abs residual of rebuilding the even covering from the odd one by
-    projecting every even bond and rescaling by (-2)^(N/2-1)."""
-    _check_ring(n, RVB_MAX_SITES)
-    current = _covering_tensor(PairCovering.odd_bonds(n))
+    projecting every even bond and rescaling by (-2)^(N/2-1); both
+    coverings come from _rvb_tensors, which checks the ring size."""
+    current, even = _rvb_tensors(n)[1:]
     for l in range(2, n + 1, 2):
         _project_singlet(current, n, l)
     current *= (-2.0) ** (n // 2 - 1)
-    current -= _covering_tensor(PairCovering.even_bonds(n))
+    current -= even
     return float(np.abs(current).max())
 
 

@@ -60,8 +60,8 @@ def _refusing(func):
     return call
 
 
-def _no_gram(state):
-    raise AssertionError(f"Gram route on {state.dim} entries")
+def _no_gram(amps, n):
+    raise AssertionError(f"Gram route on {amps.size} entries")
 
 
 @pytest.fixture

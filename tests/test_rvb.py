@@ -22,6 +22,7 @@ from z2memory import (
     t_operator_moments,
     two_point,
 )
+from z2memory import rvb
 
 
 def test_pair_covering_validation():
@@ -49,6 +50,90 @@ def test_build_vb_matches_brute_force():
     scrambled = PairCovering(6, ((1, 4), (6, 2), (3, 5)))
     got = build_vb(scrambled).amplitudes
     assert np.abs(got - oracles.brute_vb(6, scrambled.pairs)).max() < 1e-14
+    rng = np.random.default_rng(41)
+    for n in range(4, 15, 2):
+        for high_first in (True, False):
+            cov = _random_covering(rng, n, high_first)
+            got = build_vb(cov).amplitudes
+            assert np.abs(got - oracles.brute_vb(n, cov.pairs)).max() < 1e-14, cov.pairs
+
+
+def _random_covering(rng, n, high_first):
+    """A random pairing of n sites, each pair listed high site first, or in
+    a random orientation."""
+    sites = rng.permutation(np.arange(1, n + 1)).reshape(-1, 2)
+    if high_first:
+        sites = -np.sort(-sites, axis=1)
+    return PairCovering(n, tuple(map(tuple, sites)))
+
+
+def _broadcast_covering(covering):
+    """The product of singlets by one broadcast multiply per pair into a
+    tensor of ones, a pair listed high site first taking the transposed
+    factor: the loop the outer-product build replaced."""
+    n = covering.n_sites
+    amps = np.ones((2,) * n)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    singlet = np.array([[0.0, inv_sqrt2], [-inv_sqrt2, 0.0]])
+    for i, j in covering.pairs:
+        shape = [1] * n
+        shape[i - 1] = shape[j - 1] = 2
+        amps *= (singlet if i < j else singlet.T).reshape(shape)
+    return amps
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_covering_tensor_is_the_broadcast_loop_bit_for_bit(n):
+    # raw bytes, so that the sign of every zero counts
+    rng = np.random.default_rng(200 + n)
+    swap = ((2, 3), (1, 4)) + tuple((l, l + 1) for l in range(5, n, 2))
+    coverings = [
+        PairCovering.odd_bonds(n),
+        PairCovering.even_bonds(n),
+        PairCovering(n, swap),
+        *(_random_covering(rng, n, True) for _ in range(3)),
+        _random_covering(rng, n, False),
+    ]
+    for cov in coverings:
+        got = rvb._covering_tensor(cov)
+        want = _broadcast_covering(cov)
+        assert got.shape == want.shape and got.dtype == want.dtype, cov.pairs
+        assert got.flags.c_contiguous and got.flags.writeable, cov.pairs
+        assert got.tobytes() == want.tobytes(), cov.pairs
+
+
+def _two_branch_staggered_sum(amps, n):
+    """sum_l (-1)^l t(l, l+1) with a subtracting branch for odd bonds and
+    an adding one for even bonds: the loop the in-place negation replaced."""
+    src = amps.reshape((2,) * n)
+    acc = np.zeros_like(src)
+    for l in range(1, n + 1):
+        d = rvb._singlet_amplitude(src, n, l)
+        view = rvb._bond_view(acc, n, l)
+        if l % 2:
+            view[0, 1] -= d
+            view[1, 0] += d
+        else:
+            view[0, 1] += d
+            view[1, 0] -= d
+    return acc.reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_staggered_bond_sum_is_the_two_branch_loop_bit_for_bit(n):
+    # random real and complex amplitudes, a quarter of them +0.0 and a
+    # quarter -0.0 so that signed zeros reach every slice; raw bytes compared
+    rng = np.random.default_rng(300 + n)
+    real = rng.standard_normal(1 << n)
+    real[rng.random(1 << n) < 0.25] = 0.0
+    real[rng.random(1 << n) < 0.25] = -0.0
+    cplx = real + 1j * rng.standard_normal(1 << n)
+    cplx.imag[rng.random(1 << n) < 0.5] = -0.0
+    for amps in (real, cplx):
+        got = rvb._staggered_bond_sum(amps, n)
+        want = _two_branch_staggered_sum(amps, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_singlet_orientation_antisymmetry():
